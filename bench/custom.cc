@@ -73,7 +73,7 @@ int usage() {
       "  --slice-window=W  Opera resident slice tables (default 0 = auto:\n"
       "                    eager if all fit 256 MB, else windowed+LRU)\n"
       "  --threads=N       shard the event loop over N rack domains\n"
-      "                    (Opera; bit-identical output for any N)\n"
+      "                    (any packet fabric; bit-identical for any N)\n"
       "  --engine=packet|fluid|hybrid  simulation engine (Opera only;\n"
       "                    fluid integrates bulk flows as rate groups,\n"
       "                    hybrid splits by bulk threshold — docs/FLUID.md)\n"

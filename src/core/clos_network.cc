@@ -1,13 +1,28 @@
 #include "core/clos_network.h"
 
-#include <cassert>
 #include <cstdio>
+#include <vector>
+
+#include "net/ecmp.h"
 
 namespace opera::core {
 
 ClosNetwork::ClosNetwork(const ClosNetConfig& config)
-    : config_(config), clos_(config.structure), rng_(config.seed) {
+    : PacketFabric({.num_racks = config.structure.num_tors(),
+                    .hosts_per_rack = config.structure.hosts_per_tor(),
+                    .link = config.link,
+                    .ndp = config.ndp,
+                    .threads = config.threads,
+                    .rotorlb_bulk = false}),
+      config_(config),
+      clos_(config.structure) {
   build();
+}
+
+net::TrafficClass ClosNetwork::classify(std::int64_t size_bytes) const {
+  return config_.priority_queueing && size_bytes >= config_.bulk_threshold_bytes
+             ? net::TrafficClass::kBulk
+             : net::TrafficClass::kLowLatency;
 }
 
 void ClosNetwork::build() {
@@ -16,38 +31,29 @@ void ClosNetwork::build() {
   const int u = config_.structure.tor_uplinks();
   const int tors_per_pod = k / 2;
   const auto sw_q = config_.switch_queue_config();
-  const auto host_q = config_.host_queue_config();
   const double rate = config_.link.rate_bps;
   const sim::Time prop = config_.link.propagation;
 
+  std::vector<net::Switch*> tors;
+  std::vector<net::Switch*> aggs;
+  std::vector<net::Switch*> cores;
   for (topo::Vertex t = 0; t < clos_.num_tors(); ++t) {
-    auto tor = std::make_unique<net::Switch>(sim_, "tor" + std::to_string(t), t);
-    for (int p = 0; p < d + u; ++p) tor->add_port(rate, prop, sw_q);
-    tors_.push_back(std::move(tor));
+    tors.push_back(&add_switch(shard_of_rack(t), "tor" + std::to_string(t), t));
+    for (int p = 0; p < d + u; ++p) tors.back()->add_port(rate, prop, sw_q);
   }
   for (topo::Vertex a = 0; a < clos_.num_aggs(); ++a) {
-    auto agg = std::make_unique<net::Switch>(sim_, "agg" + std::to_string(a), a);
-    for (int p = 0; p < k; ++p) agg->add_port(rate, prop, sw_q);
-    aggs_.push_back(std::move(agg));
+    const int pod = static_cast<int>(a) / u;
+    aggs.push_back(
+        &add_switch(shard_of_rack(pod * tors_per_pod), "agg" + std::to_string(a), a));
+    for (int p = 0; p < k; ++p) aggs.back()->add_port(rate, prop, sw_q);
   }
   for (topo::Vertex c = 0; c < clos_.num_cores(); ++c) {
-    auto core = std::make_unique<net::Switch>(sim_, "core" + std::to_string(c), c);
-    for (int p = 0; p < clos_.num_pods(); ++p) core->add_port(rate, prop, sw_q);
-    cores_.push_back(std::move(core));
+    cores.push_back(&add_switch(static_cast<int>(c) % num_shards(),
+                                "core" + std::to_string(c), c));
+    for (int p = 0; p < clos_.num_pods(); ++p) cores.back()->add_port(rate, prop, sw_q);
   }
 
-  // Hosts <-> ToRs.
-  for (topo::Vertex t = 0; t < clos_.num_tors(); ++t) {
-    for (int i = 0; i < d; ++i) {
-      const auto id = static_cast<std::int32_t>(t) * d + i;
-      auto host = std::make_unique<net::Host>(sim_, "host" + std::to_string(id), id, t);
-      host->add_port(rate, prop, host_q);
-      host->uplink().connect(tors_[static_cast<std::size_t>(t)].get(), i);
-      tors_[static_cast<std::size_t>(t)]->port(i).connect(host.get(), 0);
-      transport::install_ndp_sink_factory(*host, tracker_, sinks_);
-      hosts_.push_back(std::move(host));
-    }
-  }
+  for (net::Switch* tor : tors) add_hosts(*tor, config_.host_queue_config());
 
   // ToR <-> agg: ToR t's uplink j pairs with agg (pod*u + j), whose down
   // port for t is t's index within the pod.
@@ -56,8 +62,8 @@ void ClosNetwork::build() {
     const int idx_in_pod = static_cast<int>(t) - pod * tors_per_pod;
     for (int j = 0; j < u; ++j) {
       const auto agg = static_cast<std::size_t>(pod * u + j);
-      tors_[static_cast<std::size_t>(t)]->port(d + j).connect(aggs_[agg].get(), idx_in_pod);
-      aggs_[agg]->port(idx_in_pod).connect(tors_[static_cast<std::size_t>(t)].get(), d + j);
+      tors[static_cast<std::size_t>(t)]->port(d + j).connect(aggs[agg], idx_in_pod);
+      aggs[agg]->port(idx_in_pod).connect(tors[static_cast<std::size_t>(t)], d + j);
     }
   }
   // Agg <-> core: agg a (group g = a mod u) uplink i pairs with core
@@ -67,58 +73,39 @@ void ClosNetwork::build() {
     const int group = static_cast<int>(a) % u;
     for (int i = 0; i < k / 2; ++i) {
       const auto core = static_cast<std::size_t>(group * (k / 2) + i);
-      aggs_[static_cast<std::size_t>(a)]->port(k / 2 + i).connect(cores_[core].get(), pod);
-      cores_[core]->port(pod).connect(aggs_[static_cast<std::size_t>(a)].get(), k / 2 + i);
+      aggs[static_cast<std::size_t>(a)]->port(k / 2 + i).connect(cores[core], pod);
+      cores[core]->port(pod).connect(aggs[static_cast<std::size_t>(a)], k / 2 + i);
     }
   }
 
   // Forwarding: standard up-down ECMP with per-packet spraying (NDP).
-  for (auto& tor : tors_) {
-    tor->set_forward([this, d, u](net::Switch& swch, const net::Packet& pkt, int) {
+  // Salts: (tier, switch id), tier 0 = ToR, 1 = aggregation.
+  const auto salt = [this](std::uint64_t tier, const net::Switch& sw) {
+    return net::ecmp_salt(config_.seed, tier, static_cast<std::uint32_t>(sw.id()));
+  };
+  const auto ups = static_cast<std::size_t>(u);
+  for (net::Switch* tor : tors) {
+    tor->set_forward([d, ups, salt = salt(0, *tor)](net::Switch& swch,
+                                                    const net::Packet& pkt, int) {
       if (pkt.dst_rack == swch.id()) return pkt.dst_host - swch.id() * d;
-      return d + static_cast<int>(rng_.index(static_cast<std::size_t>(u)));
+      return d + static_cast<int>(net::ecmp_pick(pkt, salt, ups));
     });
   }
-  for (auto& agg : aggs_) {
-    agg->set_forward(
-        [this, k, u, tors_per_pod](net::Switch& swch, const net::Packet& pkt, int) {
-          const int pod = swch.id() / u;
-          const int dst_pod = pkt.dst_rack / tors_per_pod;
-          if (dst_pod == pod) return pkt.dst_rack - pod * tors_per_pod;
-          return k / 2 + static_cast<int>(rng_.index(static_cast<std::size_t>(k / 2)));
-        });
+  const auto agg_ups = static_cast<std::size_t>(k / 2);
+  for (net::Switch* agg : aggs) {
+    agg->set_forward([k, u, tors_per_pod, agg_ups, salt = salt(1, *agg)](
+                         net::Switch& swch, const net::Packet& pkt, int) {
+      const int pod = swch.id() / u;
+      const int dst_pod = pkt.dst_rack / tors_per_pod;
+      if (dst_pod == pod) return pkt.dst_rack - pod * tors_per_pod;
+      return k / 2 + static_cast<int>(net::ecmp_pick(pkt, salt, agg_ups));
+    });
   }
-  for (auto& core : cores_) {
+  for (net::Switch* core : cores) {
     core->set_forward([tors_per_pod](net::Switch&, const net::Packet& pkt, int) {
       return pkt.dst_rack / tors_per_pod;
     });
   }
-}
-
-std::uint64_t ClosNetwork::submit_flow(std::int32_t src_host, std::int32_t dst_host,
-                                       std::int64_t size_bytes, sim::Time start,
-                                       std::optional<net::TrafficClass> force) {
-  assert(src_host != dst_host);
-  transport::Flow flow;
-  flow.id = tracker_.next_flow_id();
-  flow.src_host = src_host;
-  flow.dst_host = dst_host;
-  flow.src_rack = rack_of_host(src_host);
-  flow.dst_rack = rack_of_host(dst_host);
-  flow.size_bytes = size_bytes;
-  flow.start = start;
-  const bool is_bulk = size_bytes >= config_.bulk_threshold_bytes;
-  flow.tclass = force.value_or((config_.priority_queueing && is_bulk)
-                                   ? net::TrafficClass::kBulk
-                                   : net::TrafficClass::kLowLatency);
-  tracker_.register_flow(flow);
-  sim_.schedule_at(start, [this, flow] {
-    auto source = std::make_unique<transport::NdpSource>(host(flow.src_host), flow,
-                                                         tracker_, config_.ndp);
-    source->start();
-    sources_.push_back(std::move(source));
-  });
-  return flow.id;
 }
 
 std::string ClosNetwork::describe() const {

@@ -9,13 +9,9 @@
 #include <vector>
 
 #include "core/config.h"
-#include "core/network.h"
-#include "net/host.h"
+#include "core/packet_fabric.h"
 #include "net/switch.h"
-#include "sim/rng.h"
-#include "sim/simulator.h"
 #include "topo/folded_clos.h"
-#include "transport/flow.h"
 #include "transport/ndp.h"
 
 namespace opera::core {
@@ -29,7 +25,8 @@ struct ClosNetConfig {
   // flows never queue behind them (the paper's "ideal priority queuing"
   // comparison); without it all traffic shares one band.
   bool priority_queueing = true;
-  std::uint64_t seed = 42;
+  std::uint64_t seed = 42;  // ECMP hash salt
+  int threads = 0;          // shard count (see PacketFabric); 0 = auto
 
   [[nodiscard]] net::PortQueue::Config switch_queue_config() const {
     net::PortQueue::Config q;
@@ -51,52 +48,21 @@ struct ClosNetConfig {
   }
 };
 
-class ClosNetwork : public Network {
+// Shard placement: each ToR and its hosts in the rack's domain, each
+// aggregation switch on its pod's first rack's shard, cores round-robin.
+class ClosNetwork : public PacketFabric {
  public:
   explicit ClosNetwork(const ClosNetConfig& config);
 
-  std::uint64_t submit_flow(
-      std::int32_t src_host, std::int32_t dst_host, std::int64_t size_bytes,
-      sim::Time start,
-      std::optional<net::TrafficClass> force = std::nullopt) override;
-
-  void run_until(sim::Time t) override { sim_.run_until(t); }
-
-  [[nodiscard]] sim::Simulator& sim() override { return sim_; }
-  [[nodiscard]] const sim::Simulator& sim() const override { return sim_; }
-  [[nodiscard]] transport::FlowTracker& tracker() override { return tracker_; }
-  [[nodiscard]] const transport::FlowTracker& tracker() const override {
-    return tracker_;
-  }
   [[nodiscard]] const topo::FoldedClos& structure() const { return clos_; }
-  [[nodiscard]] std::int32_t num_hosts() const override {
-    return static_cast<std::int32_t>(hosts_.size());
-  }
-  [[nodiscard]] std::int32_t num_racks() const override {
-    return static_cast<std::int32_t>(clos_.num_tors());
-  }
-  [[nodiscard]] net::Host& host(std::int32_t id) {
-    return *hosts_[static_cast<std::size_t>(id)];
-  }
-  [[nodiscard]] std::int32_t rack_of_host(std::int32_t host) const override {
-    return host / clos_.params().hosts_per_tor();
-  }
   [[nodiscard]] std::string describe() const override;
 
  private:
+  [[nodiscard]] net::TrafficClass classify(std::int64_t size_bytes) const override;
   void build();
 
   ClosNetConfig config_;
   topo::FoldedClos clos_;
-  sim::Simulator sim_;
-  sim::Rng rng_;
-  transport::FlowTracker tracker_;
-  std::vector<std::unique_ptr<net::Host>> hosts_;
-  std::vector<std::unique_ptr<net::Switch>> tors_;
-  std::vector<std::unique_ptr<net::Switch>> aggs_;
-  std::vector<std::unique_ptr<net::Switch>> cores_;
-  std::vector<std::unique_ptr<transport::NdpSource>> sources_;
-  std::vector<std::unique_ptr<transport::NdpSink>> sinks_;
 };
 
 }  // namespace opera::core

@@ -1,20 +1,34 @@
 #include "core/expander_network.h"
 
-#include <cassert>
 #include <cstdio>
+#include <vector>
+
+#include "net/ecmp.h"
 
 namespace opera::core {
 
 ExpanderNetwork::ExpanderNetwork(const ExpanderNetConfig& config)
-    : config_(config), expander_(config.structure), rng_(config.seed) {
+    : PacketFabric({.num_racks = config.structure.num_tors,
+                    .hosts_per_rack = config.structure.hosts_per_tor,
+                    .link = config.link,
+                    .ndp = config.ndp,
+                    .threads = config.threads,
+                    .rotorlb_bulk = false}),
+      config_(config),
+      expander_(config.structure) {
   build();
+}
+
+net::TrafficClass ExpanderNetwork::classify(std::int64_t size_bytes) const {
+  return config_.priority_queueing && size_bytes >= config_.bulk_threshold_bytes
+             ? net::TrafficClass::kBulk
+             : net::TrafficClass::kLowLatency;
 }
 
 void ExpanderNetwork::build() {
   const auto& g = expander_.graph();
   const int d = config_.structure.hosts_per_tor;
   const auto sw_q = config_.switch_queue_config();
-  const auto host_q = config_.host_queue_config();
   const double rate = config_.link.rate_bps;
   const sim::Time prop = config_.link.propagation;
 
@@ -22,23 +36,12 @@ void ExpanderNetwork::build() {
   uplink_of_.assign(static_cast<std::size_t>(g.num_vertices()),
                     std::vector<int>(static_cast<std::size_t>(g.num_vertices()), -1));
 
+  std::vector<net::Switch*> tors;
   for (topo::Vertex t = 0; t < g.num_vertices(); ++t) {
-    auto tor = std::make_unique<net::Switch>(sim_, "tor" + std::to_string(t), t);
-    for (int p = 0; p < d + g.degree(t); ++p) tor->add_port(rate, prop, sw_q);
-    tors_.push_back(std::move(tor));
+    tors.push_back(&add_switch(shard_of_rack(t), "tor" + std::to_string(t), t));
+    for (int p = 0; p < d + g.degree(t); ++p) tors.back()->add_port(rate, prop, sw_q);
   }
-  // Hosts.
-  for (topo::Vertex t = 0; t < g.num_vertices(); ++t) {
-    for (int i = 0; i < d; ++i) {
-      const auto id = static_cast<std::int32_t>(t) * d + i;
-      auto host = std::make_unique<net::Host>(sim_, "host" + std::to_string(id), id, t);
-      host->add_port(rate, prop, host_q);
-      host->uplink().connect(tors_[static_cast<std::size_t>(t)].get(), i);
-      tors_[static_cast<std::size_t>(t)]->port(i).connect(host.get(), 0);
-      transport::install_ndp_sink_factory(*host, tracker_, sinks_);
-      hosts_.push_back(std::move(host));
-    }
-  }
+  for (net::Switch* tor : tors) add_hosts(*tor, config_.host_queue_config());
   // Inter-ToR wiring: ToR a's uplink j connects to its j-th neighbor.
   for (topo::Vertex a = 0; a < g.num_vertices(); ++a) {
     const auto& nbrs = g.neighbors(a);
@@ -52,47 +55,24 @@ void ExpanderNetwork::build() {
     for (std::size_t j = 0; j < nbrs.size(); ++j) {
       const topo::Vertex b = nbrs[j];
       const int b_port = uplink_of_[static_cast<std::size_t>(b)][static_cast<std::size_t>(a)];
-      tors_[static_cast<std::size_t>(a)]->port(d + static_cast<int>(j))
-          .connect(tors_[static_cast<std::size_t>(b)].get(), b_port);
+      tors[static_cast<std::size_t>(a)]->port(d + static_cast<int>(j))
+          .connect(tors[static_cast<std::size_t>(b)], b_port);
     }
   }
 
-  for (auto& tor : tors_) {
-    tor->set_forward([this, d](net::Switch& swch, const net::Packet& pkt, int) -> int {
+  for (net::Switch* tor : tors) {
+    const std::uint64_t salt =
+        net::ecmp_salt(config_.seed, static_cast<std::uint32_t>(tor->id()));
+    tor->set_forward([this, d, salt](net::Switch& swch, const net::Packet& pkt,
+                                     int) -> int {
       const std::int32_t rack = swch.id();
       if (pkt.dst_rack == rack) return pkt.dst_host - rack * d;
       const auto nexts = routes_.next_hops(rack, pkt.dst_rack);
       if (nexts.empty()) return -1;
-      const topo::Vertex next = nexts[rng_.index(nexts.size())];
+      const topo::Vertex next = nexts[net::ecmp_pick(pkt, salt, nexts.size())];
       return uplink_of_[static_cast<std::size_t>(rack)][static_cast<std::size_t>(next)];
     });
   }
-}
-
-std::uint64_t ExpanderNetwork::submit_flow(std::int32_t src_host, std::int32_t dst_host,
-                                           std::int64_t size_bytes, sim::Time start,
-                                           std::optional<net::TrafficClass> force) {
-  assert(src_host != dst_host);
-  transport::Flow flow;
-  flow.id = tracker_.next_flow_id();
-  flow.src_host = src_host;
-  flow.dst_host = dst_host;
-  flow.src_rack = rack_of_host(src_host);
-  flow.dst_rack = rack_of_host(dst_host);
-  flow.size_bytes = size_bytes;
-  flow.start = start;
-  const bool is_bulk = size_bytes >= config_.bulk_threshold_bytes;
-  flow.tclass = force.value_or((config_.priority_queueing && is_bulk)
-                                   ? net::TrafficClass::kBulk
-                                   : net::TrafficClass::kLowLatency);
-  tracker_.register_flow(flow);
-  sim_.schedule_at(start, [this, flow] {
-    auto source = std::make_unique<transport::NdpSource>(host(flow.src_host), flow,
-                                                         tracker_, config_.ndp);
-    source->start();
-    sources_.push_back(std::move(source));
-  });
-  return flow.id;
 }
 
 std::string ExpanderNetwork::describe() const {

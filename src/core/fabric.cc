@@ -96,10 +96,8 @@ std::int32_t FabricConfig::num_hosts() const {
   switch (kind) {
     case FabricKind::kOpera:
       return static_cast<std::int32_t>(opera.num_hosts());
-    case FabricKind::kFoldedClos: {
-      const int pods = clos.num_pods > 0 ? clos.num_pods : clos.radix;
-      return pods * (clos.radix / 2) * clos.hosts_per_tor();
-    }
+    case FabricKind::kFoldedClos:
+      return clos.num_tors() * clos.hosts_per_tor();
     case FabricKind::kExpander:
       return static_cast<std::int32_t>(expander.num_hosts());
     case FabricKind::kRotorNet:
@@ -112,10 +110,8 @@ std::int32_t FabricConfig::num_racks() const {
   switch (kind) {
     case FabricKind::kOpera:
       return static_cast<std::int32_t>(opera.num_racks);
-    case FabricKind::kFoldedClos: {
-      const int pods = clos.num_pods > 0 ? clos.num_pods : clos.radix;
-      return pods * (clos.radix / 2);
-    }
+    case FabricKind::kFoldedClos:
+      return clos.num_tors();
     case FabricKind::kExpander:
       return static_cast<std::int32_t>(expander.num_tors);
     case FabricKind::kRotorNet:
@@ -176,6 +172,7 @@ ClosNetConfig FabricConfig::clos_config() const {
   cfg.bulk_threshold_bytes = bulk_threshold_bytes;
   cfg.priority_queueing = priority_queueing;
   cfg.seed = seed;
+  cfg.threads = threads;
   return cfg;
 }
 
@@ -187,6 +184,7 @@ ExpanderNetConfig FabricConfig::expander_config() const {
   cfg.bulk_threshold_bytes = bulk_threshold_bytes;
   cfg.priority_queueing = priority_queueing;
   cfg.seed = seed;
+  cfg.threads = threads;
   return cfg;
 }
 
@@ -197,7 +195,9 @@ RotorNetConfig FabricConfig::rotornet_config() const {
   cfg.link = link;
   cfg.slice = slice;
   cfg.ndp = ndp;
+  cfg.bulk_threshold_bytes = bulk_threshold_bytes;
   cfg.seed = seed;
+  cfg.threads = threads;
   return cfg;
 }
 
@@ -456,11 +456,8 @@ std::unique_ptr<Network> NetworkFactory::build(const FabricConfig& config) {
       return std::make_unique<ClosNetwork>(config.clos_config());
     case FabricKind::kExpander:
       return std::make_unique<ExpanderNetwork>(config.expander_config());
-    case FabricKind::kRotorNet: {
-      auto net = std::make_unique<RotorNetNetwork>(config.rotornet_config());
-      net->bulk_threshold_bytes = config.bulk_threshold_bytes;
-      return net;
-    }
+    case FabricKind::kRotorNet:
+      return std::make_unique<RotorNetNetwork>(config.rotornet_config());
   }
   return std::make_unique<OperaNetwork>(config.opera_config());
 }

@@ -76,15 +76,14 @@ struct FabricConfig {
   std::int64_t bulk_threshold_bytes = 15'000'000;
   bool priority_queueing = true;  // static fabrics: bulk rides a lower band
   bool enable_vlb = true;         // Opera: RotorLB two-hop fallback
-  std::uint64_t seed = 42;        // network-level (non-topology) randomness
+  std::uint64_t seed = 42;        // network-level randomness: ECMP salt, grant order
   // Opera: resident per-slice routing tables (0 = auto-size from the
   // budget; see OperaConfig::slice_table_window). CLI: --slice-window.
   int slice_table_window = 0;
   std::size_t slice_table_budget_bytes = topo::SliceTableCache::kDefaultBudgetBytes;
-  // Opera: shard count for the sharded event loop (bit-identical output
-  // for any value; see OperaConfig::threads). 0 = auto
-  // ($OPERA_TEST_THREADS, else 1). The static fabrics currently run
-  // single-domain and ignore it. CLI: --threads.
+  // Shard count for the sharded event loop every packet fabric runs on
+  // (bit-identical output for any value; see PacketFabric). 0 = auto
+  // ($OPERA_TEST_THREADS, else 1). CLI: --threads.
   int threads = 0;
 
   // Paper-scale defaults for `kind` (the structure defaults above).

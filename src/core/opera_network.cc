@@ -3,56 +3,22 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <numeric>
+
+#include "net/ecmp.h"
 
 namespace opera::core {
 
-namespace {
-
-// Resolved shard count: config override, else $OPERA_TEST_THREADS (the CI
-// matrix leg that runs the whole suite sharded), else 1; always clamped to
-// the rack count (a shard must own at least one rack-granularity domain).
-int resolve_shards(const OperaConfig& config) {
-  int threads = config.threads;
-  if (threads <= 0) {
-    // getenv is mt-unsafe only against concurrent setenv; this runs at
-    // fabric construction, before any shard worker exists.
-    // NOLINTNEXTLINE(concurrency-mt-unsafe)
-    if (const char* env = std::getenv("OPERA_TEST_THREADS")) {
-      threads = std::atoi(env);
-    }
-  }
-  if (threads <= 0) threads = 1;
-  // Sharding needs lookahead: a (hypothetical) zero-propagation fabric
-  // has none, so it runs single-queue like the rack clamp would.
-  if (!(config.link.propagation > sim::Time::zero())) threads = 1;
-  return std::min<int>(threads, config.topology.num_racks);
-}
-
-// Order-independent per-packet ECMP pick (what a real switch does: hash
-// header fields). Depending only on intrinsic packet identity — never on
-// a shared rng stream's draw order — is what keeps path selection, and
-// therefore all output, bit-identical under any shard count. Distinct
-// mixes per (rack, routing slice) de-correlate hops along a path; seq
-// spreads a flow's packets across equal-cost choices (NDP-style packet
-// spraying).
-std::size_t ecmp_pick(const net::Packet& pkt, std::int32_t rack, int rslice,
-                      std::size_t n) {
-  std::uint64_t h = sim::mix64(pkt.flow_id ^ (pkt.seq * 0x9E3779B97F4A7C15ULL) ^
-                               (static_cast<std::uint64_t>(static_cast<std::uint8_t>(pkt.type))
-                                << 56));
-  h = sim::mix64(h ^ (static_cast<std::uint64_t>(static_cast<std::uint32_t>(rack)) << 32) ^
-                 static_cast<std::uint32_t>(rslice));
-  return static_cast<std::size_t>(h % n);
-}
-
-}  // namespace
-
 OperaNetwork::OperaNetwork(const OperaConfig& config)
-    : config_(config),
+    : PacketFabric({.num_racks = config.topology.num_racks,
+                    .hosts_per_rack = config.topology.hosts_per_rack,
+                    .link = config.link,
+                    .ndp = config.ndp,
+                    .threads = config.threads,
+                    .rotorlb_bulk = true}),
+      config_(config),
       topo_(config.topology),
-      engine_(resolve_shards(config), config.link.propagation),
       rng_(config.seed),
       failures_(topo::FailureSet::none(config.topology.num_racks,
                                        config.topology.num_switches)),
@@ -62,17 +28,8 @@ OperaNetwork::OperaNetwork(const OperaConfig& config)
   relay_reach_.assign(static_cast<std::size_t>(config_.topology.num_racks),
                       std::vector<bool>(static_cast<std::size_t>(config_.topology.num_racks),
                                         true));
-  endpoints_.resize(static_cast<std::size_t>(engine_.num_shards()));
-  // Completions/deliveries are recorded on shard threads and merged in
-  // canonical (time, flow id) order at every epoch barrier — the same
-  // canonical stream for any shard count, so parity tests can compare the
-  // records verbatim.
-  tracker_.set_lanes(engine_.num_shards());
-  engine_.set_barrier_hook([this] { tracker_.flush_lanes(); });
-
   build_nodes();
   install_forwarding();
-  install_host_handlers();
 
   // Per-slice low-latency forwarding tables (paper §4.3: all routing state
   // is known at design time). Slices are independent, so tables build in
@@ -86,14 +43,14 @@ OperaNetwork::OperaNetwork(const OperaConfig& config)
         return topo_.slice_routes(
             s, route_around_failures_ ? &table_failures_ : nullptr);
       });
-  slice_tables_.set_concurrent(engine_.num_shards() > 1);
+  slice_tables_.set_concurrent(num_shards() > 1);
 
   // Physical wiring of slice 0, then the slice clock. Slice rotation is a
   // *global* (barrier-aligned) event: it retargets circuits and allocates
   // bulk grants across every rack, so it runs single-threaded between
   // epochs, before any shard processes events of the same timestamp.
   wire_slice(0);
-  engine_.global().schedule_at(sim::Time::zero(), [this] { on_slice_boundary(0); });
+  sim().schedule_at(sim::Time::zero(), [this] { on_slice_boundary(0); });
 }
 
 OperaNetwork::~OperaNetwork() = default;
@@ -106,27 +63,20 @@ void OperaNetwork::build_nodes() {
   const auto host_q = config_.host_queue_config();
 
   for (topo::Vertex r = 0; r < n; ++r) {
-    auto& ctx = engine_.shard(shard_of_rack(r));
-    auto tor = std::make_unique<net::Switch>(ctx, "tor" + std::to_string(r), r);
+    net::Switch& tor = add_switch(shard_of_rack(r), "tor" + std::to_string(r), r);
     // Downlinks then uplinks.
     for (int i = 0; i < d + u; ++i) {
-      tor->add_port(config_.link.rate_bps, config_.link.propagation, tor_q);
+      tor.add_port(config_.link.rate_bps, config_.link.propagation, tor_q);
     }
     relays_.push_back(std::make_unique<transport::RotorRelayBuffer>(n));
-    tors_.push_back(std::move(tor));
+    tors_.push_back(&tor);
   }
-  for (topo::Vertex r = 0; r < n; ++r) {
-    auto& ctx = engine_.shard(shard_of_rack(r));
-    for (int i = 0; i < d; ++i) {
-      const auto id = static_cast<std::int32_t>(r) * d + i;
-      auto host = std::make_unique<net::Host>(ctx, "host" + std::to_string(id), id, r);
-      host->add_port(config_.link.rate_bps, config_.link.propagation, host_q);
-      host->uplink().connect(tors_[static_cast<std::size_t>(r)].get(), i);
-      tors_[static_cast<std::size_t>(r)]->port(i).connect(host.get(), 0);
-      agents_.push_back(std::make_unique<transport::RotorLbAgent>(*host, tracker_, n));
-      hosts_.push_back(std::move(host));
-    }
-  }
+  for (net::Switch* tor : tors_) add_hosts(*tor, host_q);
+}
+
+net::TrafficClass OperaNetwork::classify(std::int64_t size_bytes) const {
+  return size_bytes >= config_.bulk_threshold_bytes ? net::TrafficClass::kBulk
+                                                    : net::TrafficClass::kLowLatency;
 }
 
 int OperaNetwork::slice_at(sim::Time t) const {
@@ -179,7 +129,7 @@ void OperaNetwork::wire_slice(int slice) {
       if (peer == r) {
         port.set_enabled(false);  // self-match: no circuit this matching
       } else {
-        port.connect(tors_[static_cast<std::size_t>(peer)].get(), d + sw);
+        port.connect(tors_[static_cast<std::size_t>(peer)], d + sw);
         port.set_enabled(true);
       }
     }
@@ -216,7 +166,7 @@ void OperaNetwork::on_slice_boundary(std::int64_t abs_slice) {
     --skew_remaining_[static_cast<std::size_t>(sw_dn)];
     settle_delay += skew_extra_[static_cast<std::size_t>(sw_dn)];
   }
-  engine_.global().schedule_in(settle_delay, [this, sw_dn, next_slice] {
+  sim().schedule_in(settle_delay, [this, sw_dn, next_slice] {
     if (failures_.switch_failed[static_cast<std::size_t>(sw_dn)]) return;
     const int d = config_.topology.hosts_per_rack;
     for (topo::Vertex r = 0; r < topo_.num_racks(); ++r) {
@@ -227,7 +177,7 @@ void OperaNetwork::on_slice_boundary(std::int64_t abs_slice) {
                                  [static_cast<std::size_t>(sw_dn)]) {
         port.set_enabled(false);
       } else {
-        port.connect(tors_[static_cast<std::size_t>(peer)].get(), d + sw_dn);
+        port.connect(tors_[static_cast<std::size_t>(peer)], d + sw_dn);
         port.set_enabled(true);
       }
     }
@@ -241,7 +191,7 @@ void OperaNetwork::on_slice_boundary(std::int64_t abs_slice) {
 
   allocate_bulk(slice);
 
-  engine_.global().schedule_in(config_.slice.duration,
+  sim().schedule_in(config_.slice.duration,
                                [this, abs_slice] { on_slice_boundary(abs_slice + 1); });
 }
 
@@ -251,7 +201,8 @@ void OperaNetwork::allocate_bulk(int slice) {
   const int down = topo_.reconfiguring_switch(slice);
   const std::int64_t uplink_budget = config_.slice_bulk_budget();
 
-  std::vector<std::int64_t> host_budget(hosts_.size(), config_.host_slice_budget());
+  std::vector<std::int64_t> host_budget(static_cast<std::size_t>(num_hosts()),
+                                        config_.host_slice_budget());
   // Receiver "accept" budgets (RotorLB): a destination rack can absorb at
   // most its downlink capacity per slice; grants beyond that would only be
   // dropped at its ToR.
@@ -300,7 +251,8 @@ void OperaNetwork::allocate_bulk(int slice) {
                        static_cast<std::size_t>((i + slice) % d);
         const std::int64_t grant = std::min({budget, host_budget[h], peer_in});
         if (grant <= 0) continue;
-        const std::int64_t sent = agents_[h]->grant_direct(peer, grant);
+        const std::int64_t sent =
+            agent(static_cast<std::int32_t>(h)).grant_direct(peer, grant);
         budget -= sent;
         host_budget[h] -= sent;
         peer_in -= sent;
@@ -316,7 +268,7 @@ void OperaNetwork::allocate_bulk(int slice) {
                          static_cast<std::size_t>((i + slice) % d);
           const std::int64_t grant = std::min(budget, host_budget[h]);
           if (grant <= 0) continue;
-          const std::int64_t sent = agents_[h]->grant_vlb(
+          const std::int64_t sent = agent(static_cast<std::int32_t>(h)).grant_vlb(
               peer, grant, std::span<std::int64_t>(vlb_budget),
               &relay_reach_[static_cast<std::size_t>(peer)]);
           budget -= sent;
@@ -329,7 +281,7 @@ void OperaNetwork::allocate_bulk(int slice) {
 
 void OperaNetwork::install_forwarding() {
   const int d = config_.topology.hosts_per_rack;
-  for (auto& tor : tors_) {
+  for (net::Switch* tor : tors_) {
     tor->set_intercept([this](net::Switch& swch, net::PacketPtr& pkt, int) {
       if (pkt->vlb_relay && pkt->relay_rack == swch.id() &&
           pkt->dst_rack != swch.id()) {
@@ -356,7 +308,10 @@ void OperaNetwork::install_forwarding() {
         if (table == nullptr) table = &slice_tables_.get(rslice);
         const auto nexts = table->next_hops(rack, pkt.dst_rack);
         if (nexts.empty()) return -1;
-        const topo::Vertex next = nexts[ecmp_pick(pkt, rack, rslice, nexts.size())];
+        const topo::Vertex next = nexts[net::ecmp_pick(
+            pkt, net::ecmp_salt(config_.seed, static_cast<std::uint32_t>(rack),
+                                static_cast<std::uint32_t>(rslice)),
+            nexts.size())];
         const int sw = uplink_to(rslice, rack, next);
         return sw < 0 ? -1 : uplink_port(sw);
       }
@@ -379,93 +334,12 @@ void OperaNetwork::install_forwarding() {
     // one receiving host within a slice.
     const int u = config_.topology.num_switches;
     for (int p = 0; p < d + u; ++p) {
-      net::Switch* tor_ptr = tor.get();
-      tor->port(p).queue().set_bulk_drop_handler(
-          [tor_ptr](const net::Packet& pkt) {
-            tor_ptr->receive(net::make_control(pkt, net::PacketType::kNack), -1);
-          });
+      tor->port(p).queue().set_bulk_drop_handler([tor](const net::Packet& pkt) {
+        tor->receive(net::make_control(pkt, net::PacketType::kNack), -1);
+      });
     }
   }
 }
-
-void OperaNetwork::install_host_handlers() {
-  for (auto& host : hosts_) {
-    // Sink creation happens on the destination host's shard; each shard
-    // appends to its own endpoint pool.
-    const int sh = shard_of_host(host->id());
-    host->set_default_handler([this, sh](net::Host& h, net::PacketPtr pkt) {
-      const transport::Flow* flow = tracker_.find(pkt->flow_id);
-      if (flow == nullptr) return;
-      if (pkt->type == net::PacketType::kNack) {
-        // RotorLB loss notification back at the source host.
-        if (flow->src_host == h.id() && flow->tclass == net::TrafficClass::kBulk) {
-          agents_[static_cast<std::size_t>(h.id())]->handle_nack(flow->id, pkt->seq);
-        }
-        return;
-      }
-      if (pkt->type != net::PacketType::kData && pkt->type != net::PacketType::kHeader) {
-        return;  // stray control for a finished flow
-      }
-      if (flow->dst_host != h.id()) return;
-      // First packet of a flow at its destination: create the sink.
-      EndpointPool& pool = endpoints_[static_cast<std::size_t>(sh)];
-      if (flow->tclass == net::TrafficClass::kBulk) {
-        auto sink = std::make_unique<transport::RotorLbSink>(h, *flow, tracker_);
-        auto* raw = sink.get();
-        pool.bulk_sinks.push_back(std::move(sink));
-        h.register_flow(flow->id,
-                        [raw](net::PacketPtr p) { raw->on_packet(std::move(p)); });
-        raw->on_packet(std::move(pkt));
-      } else {
-        auto sink = std::make_unique<transport::NdpSink>(h, *flow, tracker_);
-        auto* raw = sink.get();
-        pool.ndp_sinks.push_back(std::move(sink));
-        h.register_flow(flow->id,
-                        [raw](net::PacketPtr p) { raw->on_packet(std::move(p)); });
-        raw->on_packet(std::move(pkt));
-      }
-    });
-  }
-}
-
-std::uint64_t OperaNetwork::submit_flow(std::int32_t src_host, std::int32_t dst_host,
-                                        std::int64_t size_bytes, sim::Time start,
-                                        std::optional<net::TrafficClass> force) {
-  assert(src_host != dst_host);
-  transport::Flow flow;
-  flow.id = tracker_.next_flow_id();
-  flow.src_host = src_host;
-  flow.dst_host = dst_host;
-  flow.src_rack = rack_of_host(src_host);
-  flow.dst_rack = rack_of_host(dst_host);
-  flow.size_bytes = size_bytes;
-  flow.start = start;
-  flow.tclass = force.value_or(size_bytes >= config_.bulk_threshold_bytes
-                                   ? net::TrafficClass::kBulk
-                                   : net::TrafficClass::kLowLatency);
-  // Intra-rack bulk never needs a circuit; service it on the low-latency
-  // path (one ToR hop).
-  if (flow.src_rack == flow.dst_rack) flow.tclass = net::TrafficClass::kLowLatency;
-  tracker_.register_flow(flow);
-
-  // The start event is seeded onto the source host's shard with a
-  // submission-order key, so equal-time starts order identically under any
-  // shard count.
-  const int sh = shard_of_host(flow.src_host);
-  engine_.seed(sh, start, [this, sh, flow] {
-    if (flow.tclass == net::TrafficClass::kBulk) {
-      agents_[static_cast<std::size_t>(flow.src_host)]->add_flow(flow);
-    } else {
-      auto source = std::make_unique<transport::NdpSource>(
-          host(flow.src_host), flow, tracker_, config_.ndp);
-      source->start();
-      endpoints_[static_cast<std::size_t>(sh)].ndp_sources.push_back(std::move(source));
-    }
-  });
-  return flow.id;
-}
-
-void OperaNetwork::run_until(sim::Time t) { engine_.run_until(t); }
 
 void OperaNetwork::inject_uplink_failure(std::int32_t rack, int rotor_switch) {
   failures_.uplink_failed[static_cast<std::size_t>(rack)]
@@ -481,7 +355,7 @@ void OperaNetwork::inject_uplink_failure(std::int32_t rack, int rotor_switch) {
   t.port(uplink_port(rotor_switch)).set_enabled(false);
   // Hello-protocol dissemination: tables reconverge after one cycle (a
   // global event — recomputation touches every ToR's state).
-  engine_.global().schedule_in(config_.cycle_time(), [this] { recompute_after_failure(); });
+  sim().schedule_in(config_.cycle_time(), [this] { recompute_after_failure(); });
 }
 
 void OperaNetwork::inject_switch_failure(int rotor_switch) {
@@ -496,7 +370,7 @@ void OperaNetwork::inject_switch_failure(int rotor_switch) {
     });
     t.port(uplink_port(rotor_switch)).set_enabled(false);
   }
-  engine_.global().schedule_in(config_.cycle_time(), [this] { recompute_after_failure(); });
+  sim().schedule_in(config_.cycle_time(), [this] { recompute_after_failure(); });
 }
 
 void OperaNetwork::rewire_switch_now(int rotor_switch) {
@@ -513,7 +387,7 @@ void OperaNetwork::rewire_switch_now(int rotor_switch) {
     if (peer == r || failures_.uplink_failed[static_cast<std::size_t>(peer)][sw]) {
       port.set_enabled(false);
     } else {
-      port.connect(tors_[static_cast<std::size_t>(peer)].get(), d + rotor_switch);
+      port.connect(tors_[static_cast<std::size_t>(peer)], d + rotor_switch);
       port.set_enabled(true);
     }
   }
@@ -525,13 +399,13 @@ void OperaNetwork::recover_uplink(std::int32_t rack, int rotor_switch) {
   // Both endpoints of any circuit through (rack, rotor_switch) may come
   // back; re-wiring the whole switch is idempotent for untouched racks.
   rewire_switch_now(rotor_switch);
-  engine_.global().schedule_in(config_.cycle_time(), [this] { recompute_after_failure(); });
+  sim().schedule_in(config_.cycle_time(), [this] { recompute_after_failure(); });
 }
 
 void OperaNetwork::recover_switch(int rotor_switch) {
   failures_.switch_failed[static_cast<std::size_t>(rotor_switch)] = false;
   rewire_switch_now(rotor_switch);
-  engine_.global().schedule_in(config_.cycle_time(), [this] { recompute_after_failure(); });
+  sim().schedule_in(config_.cycle_time(), [this] { recompute_after_failure(); });
 }
 
 void OperaNetwork::inject_gray_uplink(std::int32_t rack, int rotor_switch,
@@ -599,7 +473,7 @@ OperaNetwork::TorStats OperaNetwork::tor_stats() const {
   TorStats stats;
   const int d = config_.topology.hosts_per_rack;
   const int u = config_.topology.num_switches;
-  for (const auto& tor : tors_) {
+  for (const net::Switch* tor : tors_) {
     stats.forward_drops += tor->forward_drops();
     for (int p = 0; p < d + u; ++p) {
       stats.trims += tor->port(p).queue().trims();
@@ -612,13 +486,13 @@ OperaNetwork::TorStats OperaNetwork::tor_stats() const {
 
 std::size_t OperaNetwork::voq_memory_bytes() const {
   std::size_t bytes = 0;
-  for (const auto& agent : agents_) bytes += agent->memory_bytes();
+  for (std::int32_t h = 0; h < num_hosts(); ++h) bytes += agent(h).memory_bytes();
   for (const auto& relay : relays_) bytes += relay->memory_bytes();
   return bytes;
 }
 
 void OperaNetwork::fingerprint(sim::Fingerprint& fp) const {
-  Network::fingerprint(fp);
+  PacketFabric::fingerprint(fp);
   // Slice rotation state.
   fp.mix_u64(static_cast<std::uint64_t>(current_slice_));
   fp.mix_i64(abs_slice_);
@@ -629,10 +503,6 @@ void OperaNetwork::fingerprint(sim::Fingerprint& fp) const {
   table_failures_.fingerprint(fp);
   // Coordinator rng cursor (bulk grant order draws advance it).
   rng_.fingerprint(fp);
-  // Per-ToR counters and queue state, in rack order; per-host NIC port in
-  // host order. Both orders are partition-invariant.
-  for (const auto& tor : tors_) tor->fingerprint(fp);
-  for (const auto& host : hosts_) host->port(0).fingerprint(fp);
   // Rotor desync state.
   for (const sim::Time t : skew_extra_) fp.mix_time(t);
   for (const int n : skew_remaining_) fp.mix_u64(static_cast<std::uint64_t>(n));

@@ -11,13 +11,10 @@
 #include <vector>
 
 #include "core/config.h"
-#include "core/network.h"
-#include "net/host.h"
+#include "core/packet_fabric.h"
 #include "net/switch.h"
 #include "sim/rng.h"
-#include "sim/simulator.h"
 #include "topo/rotornet.h"
-#include "transport/flow.h"
 #include "transport/ndp.h"
 #include "transport/rotorlb.h"
 
@@ -29,7 +26,12 @@ struct RotorNetConfig {
   LinkParams link;
   SliceParams slice;
   transport::NdpConfig ndp;
-  std::uint64_t seed = 42;
+  // Hybrid only: flows at or above this size wait for circuits (RotorLB);
+  // smaller ones take the packet core. Non-hybrid RotorNet sends all
+  // inter-rack traffic as bulk.
+  std::int64_t bulk_threshold_bytes = 15'000'000;
+  std::uint64_t seed = 42;  // bulk grant order
+  int threads = 0;          // shard count (see PacketFabric); 0 = auto
 
   [[nodiscard]] net::PortQueue::Config tor_queue_config() const {
     net::PortQueue::Config q;
@@ -57,46 +59,28 @@ struct RotorNetConfig {
   }
 };
 
-class RotorNetNetwork : public Network {
+// Shard placement: each ToR and its hosts in the rack's domain, the hybrid
+// packet core on shard 0. Slice boundaries and bulk grants run on the
+// coordinator queue.
+class RotorNetNetwork : public PacketFabric {
  public:
   explicit RotorNetNetwork(const RotorNetConfig& config);
 
-  // Non-hybrid: every flow is bulk (RotorLB). Hybrid: flows are NDP
-  // low-latency through the packet core unless bulk-classified (>= 15 MB
-  // by default) or forced.
-  std::uint64_t submit_flow(
-      std::int32_t src_host, std::int32_t dst_host, std::int64_t size_bytes,
-      sim::Time start,
-      std::optional<net::TrafficClass> force = std::nullopt) override;
-
-  void run_until(sim::Time t) override { sim_.run_until(t); }
-
-  [[nodiscard]] sim::Simulator& sim() override { return sim_; }
-  [[nodiscard]] const sim::Simulator& sim() const override { return sim_; }
-  [[nodiscard]] transport::FlowTracker& tracker() override { return tracker_; }
-  [[nodiscard]] const transport::FlowTracker& tracker() const override {
-    return tracker_;
-  }
   [[nodiscard]] const RotorNetConfig& config() const { return config_; }
-  [[nodiscard]] std::int32_t num_hosts() const override {
-    return static_cast<std::int32_t>(hosts_.size());
-  }
-  [[nodiscard]] std::int32_t num_racks() const override {
-    return static_cast<std::int32_t>(config_.structure.num_racks);
-  }
-  [[nodiscard]] net::Host& host(std::int32_t id) {
-    return *hosts_[static_cast<std::size_t>(id)];
-  }
-  [[nodiscard]] std::int32_t rack_of_host(std::int32_t host) const override {
-    return host / config_.hosts_per_rack;
-  }
   [[nodiscard]] std::string describe() const override;
-  std::int64_t bulk_threshold_bytes = 15'000'000;
 
  private:
+  // Non-hybrid: every flow is bulk (RotorLB). Hybrid: flows are NDP
+  // low-latency through the packet core unless bulk-classified.
+  [[nodiscard]] net::TrafficClass classify(std::int64_t size_bytes) const override;
   void build();
   void on_slice_boundary(std::int64_t abs_slice);
   void allocate_bulk(int slice);
+  // Out-of-band RotorLB loss notification for a bulk data packet dropped
+  // at `tor`: RotorNet has no always-on in-band path (all rotors blink
+  // together), so the control plane tells the source agent directly,
+  // one propagation delay later, in the source host's domain.
+  void nack_source(net::Switch& tor, const net::Packet& pkt);
   [[nodiscard]] int uplink_port(int sw) const { return config_.hosts_per_rack + sw; }
   [[nodiscard]] int core_port() const {
     return config_.hosts_per_rack + topo_.num_rotor_switches();
@@ -105,17 +89,9 @@ class RotorNetNetwork : public Network {
 
   RotorNetConfig config_;
   topo::RotorNetTopology topo_;
-  sim::Simulator sim_;
-  sim::Rng rng_;
-  transport::FlowTracker tracker_;
-  std::vector<std::unique_ptr<net::Host>> hosts_;
-  std::vector<std::unique_ptr<net::Switch>> tors_;
-  std::unique_ptr<net::Switch> core_;  // hybrid only: idealized big switch
-  std::vector<std::unique_ptr<transport::RotorLbAgent>> agents_;
+  sim::Rng rng_;  // coordinator-phase randomness only (bulk grant order)
+  std::vector<net::Switch*> tors_;  // owned by the base
   std::vector<std::unique_ptr<transport::RotorRelayBuffer>> relays_;
-  std::vector<std::unique_ptr<transport::NdpSource>> ndp_sources_;
-  std::vector<std::unique_ptr<transport::NdpSink>> ndp_sinks_;
-  std::vector<std::unique_ptr<transport::RotorLbSink>> bulk_sinks_;
   int current_slice_ = 0;
 };
 

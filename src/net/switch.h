@@ -27,8 +27,6 @@ class Switch : public Node {
 
   Switch(sim::ShardContext& ctx, std::string name, std::int32_t id)
       : Node(ctx, std::move(name)), id_(id) {}
-  Switch(sim::Simulator& sim, std::string name, std::int32_t id)
-      : Node(sim, std::move(name)), id_(id) {}
 
   [[nodiscard]] std::int32_t id() const { return id_; }
 

@@ -39,7 +39,9 @@ bool parse_i64(std::string_view text, std::int64_t* out) {
   char* end = nullptr;
   // Section values are tokenized on spaces already, so strtoll's
   // leading-whitespace tolerance never hides a malformed field.
-  const long long v = std::strtoll(std::string(text).c_str(), &end, 10);
+  // `end` points into `owned`, which must outlive the check below.
+  const std::string owned(text);
+  const long long v = std::strtoll(owned.c_str(), &end, 10);
   if (errno != 0 || end == nullptr || *end != '\0') return false;
   *out = static_cast<std::int64_t>(v);
   return true;
@@ -49,7 +51,8 @@ bool parse_hex_u64(std::string_view text, std::uint64_t* out) {
   if (text.empty()) return false;
   errno = 0;
   char* end = nullptr;
-  const unsigned long long v = std::strtoull(std::string(text).c_str(), &end, 16);
+  const std::string owned(text);  // outlives `end`, like parse_i64's
+  const unsigned long long v = std::strtoull(owned.c_str(), &end, 16);
   if (errno != 0 || end == nullptr || *end != '\0') return false;
   *out = static_cast<std::uint64_t>(v);
   return true;

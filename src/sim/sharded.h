@@ -3,7 +3,7 @@
 //
 // Model (classic conservative lookahead, cf. Chandy-Misra / the DiME-style
 // distributed simulators): the network is partitioned into domains (racks,
-// in Opera's case) such that domains interact only across links with
+// for every packet fabric) such that domains interact only across links with
 // non-zero propagation delay L. Time advances in epochs of length at most
 // L (the lookahead): within an epoch [t, t+L), every shard runs its own
 // event queue independently — no event it executes can cause an event on
@@ -25,7 +25,7 @@
 // provided domains share no mutable state within an epoch (the network
 // layer's obligation; see docs/ARCHITECTURE.md "Sharded execution").
 //
-// Global events (Opera's slice-boundary reconfiguration, progress ticks)
+// Global events (rotor slice-boundary reconfiguration, progress ticks)
 // live on the coordinator queue and are barrier-aligned: at any timestamp
 // g the epoch loop commits all shard work with time < g, runs the global
 // events at g single-threaded (they may touch any shard's state — the
@@ -58,8 +58,8 @@ class ShardedSimulator;
 // A shard's scheduling handle: what network components hold instead of a
 // raw Simulator&. Same-shard work schedules directly; cross-shard work is
 // routed through the owner's mailboxes. A standalone ShardContext (no
-// owner) wraps an external Simulator so unsharded fabrics and tests run
-// unchanged — post() then always degenerates to a direct schedule.
+// owner) wraps an external Simulator so unit tests can drive nodes on a
+// plain event loop — post() then always degenerates to a direct schedule.
 class ShardContext {
  public:
   explicit ShardContext(Simulator& sim) : sim_(&sim) {}

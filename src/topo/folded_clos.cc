@@ -15,12 +15,11 @@ FoldedClos::FoldedClos(const ClosParams& params) : params_(params) {
         "FoldedClos: radix must be divisible by F+1 for an integral split");
   }
   const int u = params_.tor_uplinks();
-  num_pods_ = params_.num_pods > 0 ? params_.num_pods : k;
+  num_pods_ = params_.pods();
   if (num_pods_ > k) {
     throw std::invalid_argument("FoldedClos: pods exceed core radix");
   }
-  const int tors_per_pod = k / 2;
-  num_tors_ = static_cast<Vertex>(num_pods_ * tors_per_pod);
+  num_tors_ = static_cast<Vertex>(params_.num_tors());
   num_aggs_ = static_cast<Vertex>(num_pods_ * u);
   num_cores_ = static_cast<Vertex>(u * (k / 2));
 

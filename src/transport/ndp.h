@@ -61,7 +61,7 @@ class NdpSource {
 };
 
 // Receiver endpoint; one per flow, usually created lazily by a host
-// default handler (see make_ndp_sink_factory).
+// default handler on the flow's first packet (see core::PacketFabric).
 class NdpSink {
  public:
   NdpSink(net::Host& host, const Flow& flow, FlowTracker& tracker);
@@ -82,11 +82,5 @@ class NdpSink {
   std::vector<bool> seen_;
   bool completed_reported_ = false;
 };
-
-// Installs a default handler on `host` that creates an NdpSink the first
-// time a packet of an unknown low-latency flow arrives. Sinks live in
-// `sinks` (owned by the caller, typically the experiment network).
-void install_ndp_sink_factory(net::Host& host, FlowTracker& tracker,
-                              std::vector<std::unique_ptr<NdpSink>>& sinks);
 
 }  // namespace opera::transport

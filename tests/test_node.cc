@@ -20,7 +20,7 @@ PacketPtr data_packet(std::int32_t bytes, std::uint64_t flow = 1) {
 // Test node that records arrivals.
 class RecorderNode : public Node {
  public:
-  RecorderNode(sim::Simulator& sim) : Node(sim, "recorder") {}
+  explicit RecorderNode(sim::ShardContext& ctx) : Node(ctx, "recorder") {}
   void receive(PacketPtr pkt, int in_port) override {
     arrivals.emplace_back(sim().now(), std::move(pkt));
     in_ports.push_back(in_port);
@@ -31,8 +31,9 @@ class RecorderNode : public Node {
 
 TEST(OutPort, SerializationPlusPropagation) {
   sim::Simulator sim;
-  RecorderNode src(sim);
-  RecorderNode dst(sim);
+  sim::ShardContext ctx(sim);
+  RecorderNode src(ctx);
+  RecorderNode dst(ctx);
   src.add_port(10e9, sim::Time::ns(500), PortQueue::Config{});
   src.port(0).connect(&dst, 3);
   src.port(0).send(data_packet(1500));
@@ -45,8 +46,9 @@ TEST(OutPort, SerializationPlusPropagation) {
 
 TEST(OutPort, BackToBackPacketsSerialize) {
   sim::Simulator sim;
-  RecorderNode src(sim);
-  RecorderNode dst(sim);
+  sim::ShardContext ctx(sim);
+  RecorderNode src(ctx);
+  RecorderNode dst(ctx);
   src.add_port(10e9, sim::Time::zero(), PortQueue::Config{});
   src.port(0).connect(&dst, 0);
   src.port(0).send(data_packet(1500));
@@ -59,8 +61,9 @@ TEST(OutPort, BackToBackPacketsSerialize) {
 
 TEST(OutPort, DisabledPortDropsSends) {
   sim::Simulator sim;
-  RecorderNode src(sim);
-  RecorderNode dst(sim);
+  sim::ShardContext ctx(sim);
+  RecorderNode src(ctx);
+  RecorderNode dst(ctx);
   src.add_port(10e9, sim::Time::zero(), PortQueue::Config{});
   src.port(0).connect(&dst, 0);
   src.port(0).set_enabled(false);
@@ -71,8 +74,9 @@ TEST(OutPort, DisabledPortDropsSends) {
 
 TEST(OutPort, ReEnableDrainsQueue) {
   sim::Simulator sim;
-  RecorderNode src(sim);
-  RecorderNode dst(sim);
+  sim::ShardContext ctx(sim);
+  RecorderNode src(ctx);
+  RecorderNode dst(ctx);
   src.add_port(10e9, sim::Time::zero(), PortQueue::Config{});
   src.port(0).connect(&dst, 0);
   src.port(0).send(data_packet(1500));
@@ -88,9 +92,10 @@ TEST(OutPort, ReEnableDrainsQueue) {
 
 TEST(OutPort, RetargetMidFlightDeliversToOriginalPeer) {
   sim::Simulator sim;
-  RecorderNode src(sim);
-  RecorderNode a(sim);
-  RecorderNode b(sim);
+  sim::ShardContext ctx(sim);
+  RecorderNode src(ctx);
+  RecorderNode a(ctx);
+  RecorderNode b(ctx);
   src.add_port(10e9, sim::Time::us(10), PortQueue::Config{});
   src.port(0).connect(&a, 0);
   src.port(0).send(data_packet(1500));
@@ -108,9 +113,10 @@ TEST(OutPort, RetargetMidFlightDeliversToOriginalPeer) {
 
 TEST(Switch, ForwardsByFunction) {
   sim::Simulator sim;
-  Switch sw(sim, "sw", 0);
-  RecorderNode out0(sim);
-  RecorderNode out1(sim);
+  sim::ShardContext ctx(sim);
+  Switch sw(ctx, "sw", 0);
+  RecorderNode out0(ctx);
+  RecorderNode out1(ctx);
   sw.add_port(10e9, sim::Time::zero(), PortQueue::Config{});
   sw.add_port(10e9, sim::Time::zero(), PortQueue::Config{});
   sw.port(0).connect(&out0, 0);
@@ -129,7 +135,8 @@ TEST(Switch, ForwardsByFunction) {
 
 TEST(Switch, DropHookFires) {
   sim::Simulator sim;
-  Switch sw(sim, "sw", 0);
+  sim::ShardContext ctx(sim);
+  Switch sw(ctx, "sw", 0);
   int drops = 0;
   sw.set_forward([](Switch&, const Packet&, int) { return -1; });
   sw.set_drop_hook([&](Switch&, const Packet&) { ++drops; });
@@ -140,7 +147,8 @@ TEST(Switch, DropHookFires) {
 
 TEST(Switch, InterceptConsumes) {
   sim::Simulator sim;
-  Switch sw(sim, "sw", 0);
+  sim::ShardContext ctx(sim);
+  Switch sw(ctx, "sw", 0);
   PacketPtr captured;
   sw.set_intercept([&](Switch&, PacketPtr& pkt, int) {
     captured = std::move(pkt);
@@ -156,7 +164,8 @@ TEST(Switch, InterceptConsumes) {
 
 TEST(Host, DispatchesByFlowAndDefault) {
   sim::Simulator sim;
-  Host host(sim, "h", 0, 0);
+  sim::ShardContext ctx(sim);
+  Host host(ctx, "h", 0, 0);
   host.add_port(10e9, sim::Time::zero(), PortQueue::Config{});
   int flow_hits = 0;
   int default_hits = 0;
@@ -173,8 +182,9 @@ TEST(Host, DispatchesByFlowAndDefault) {
 
 TEST(Host, PacerSpacesControl) {
   sim::Simulator sim;
-  Host host(sim, "h", 0, 0);
-  RecorderNode peer(sim);
+  sim::ShardContext ctx(sim);
+  Host host(ctx, "h", 0, 0);
+  RecorderNode peer(ctx);
   host.add_port(10e9, sim::Time::zero(), PortQueue::Config{});
   host.uplink().connect(&peer, 0);
   for (int i = 0; i < 3; ++i) {

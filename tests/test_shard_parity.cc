@@ -1,9 +1,10 @@
-// ShardParityTest — the sharded-core contract: an Opera run sharded over
-// N rack domains is bit-identical to the 1-shard run. Exercised at the
+// ShardParityTest — the sharded-core contract: a run sharded over N rack
+// domains is bit-identical to the 1-shard run. Opera is exercised at the
 // k=8 (16x4) and k=16 (24x8) test fabrics for threads ∈ {1, 2, 4}, over a
 // mixed workload (NDP low-latency mice plus RotorLB bulk elephants with
 // VLB relaying) and including a mid-run failure-recovery scenario
-// (uplink + rotor-switch failures with hello-protocol reconvergence).
+// (uplink + rotor-switch failures with hello-protocol reconvergence); the
+// parameterized suite runs the same workload on every packet fabric.
 //
 // "Bit-identical" is checked on everything the experiment layer reads:
 // the full completion stream (flow id, start, completion timestamp — in
@@ -15,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "core/fabric.h"
 #include "core/opera_network.h"
 #include "sim/rng.h"
 
@@ -49,22 +51,35 @@ core::OperaConfig small_opera(topo::Vertex racks, int u, int hosts_per_rack) {
   return cfg;
 }
 
-RunOutput run_opera(const core::OperaConfig& base, int threads, bool inject_failures) {
-  core::OperaConfig cfg = base;
-  cfg.threads = threads;
-  core::OperaNetwork net(cfg);
-  EXPECT_EQ(net.num_shards(), std::min<int>(threads, net.num_racks()));
-
+// 160 flows: NDP mice plus elephants (RotorLB bulk on the rotor fabrics).
+void submit_mixed_workload(core::Network& net) {
   sim::Rng wl(99);
   const auto hosts = static_cast<std::size_t>(net.num_hosts());
   for (int i = 0; i < 160; ++i) {
     const auto src = static_cast<std::int32_t>(wl.index(hosts));
     auto dst = static_cast<std::int32_t>(wl.index(hosts));
     while (dst == src) dst = static_cast<std::int32_t>(wl.index(hosts));
-    // Mix of NDP mice and RotorLB elephants.
     const std::int64_t bytes = (i % 4 == 0) ? 600'000 : 20'000;
     net.submit_flow(src, dst, bytes, sim::Time::us(5 * i));
   }
+}
+
+std::vector<Completion> completion_stream(const core::Network& net) {
+  std::vector<Completion> out;
+  for (const auto& rec : net.tracker().completions()) {
+    out.push_back(
+        Completion{rec.flow.id, rec.flow.start.picoseconds(), rec.end.picoseconds()});
+  }
+  return out;
+}
+
+RunOutput run_opera(const core::OperaConfig& base, int threads, bool inject_failures) {
+  core::OperaConfig cfg = base;
+  cfg.threads = threads;
+  core::OperaNetwork net(cfg);
+  EXPECT_EQ(net.num_shards(), std::min<int>(threads, net.num_racks()));
+
+  submit_mixed_workload(net);
   if (inject_failures) {
     // Mid-run, at fixed simulated times, with traffic in flight; the
     // second failure lands after the first recovery's reconvergence.
@@ -76,10 +91,7 @@ RunOutput run_opera(const core::OperaConfig& base, int threads, bool inject_fail
   net.run_until(sim::Time::ms(40));
 
   RunOutput out;
-  for (const auto& rec : net.tracker().completions()) {
-    out.completions.push_back(Completion{rec.flow.id, rec.flow.start.picoseconds(),
-                                         rec.end.picoseconds()});
-  }
+  out.completions = completion_stream(net);
   const auto stats = net.tor_stats();
   out.trims = stats.trims;
   out.drops = stats.drops;
@@ -134,6 +146,70 @@ TEST(ShardParityTest, EnvThreadsKnobResolvesIntoShardCount) {
   core::OperaNetwork clamped(cfg);
   EXPECT_EQ(clamped.num_shards(), 16);
 }
+
+// --- Every packet fabric ----------------------------------------------------
+
+struct FabricCase {
+  const char* name;
+  core::FabricKind kind;
+  bool hybrid;  // RotorNet only
+};
+
+class ShardParityTest : public ::testing::TestWithParam<FabricCase> {
+ protected:
+  // The parameter's fabric at 16 racks x 4 hosts, 100 KB bulk threshold.
+  [[nodiscard]] core::FabricConfig config(int threads) const {
+    auto cfg = core::FabricConfig::make(GetParam().kind);
+    cfg.rotornet.hybrid = GetParam().hybrid;
+    cfg.scale(16, 4);
+    cfg.bulk_threshold_bytes = 100'000;
+    cfg.threads = threads;
+    return cfg;
+  }
+};
+
+struct FabricRun {
+  std::vector<Completion> completions;
+  std::uint64_t events = 0;
+  std::uint64_t digest = 0;  // Network::fingerprint: every port's counters and queues
+};
+
+FabricRun run_fabric(const core::FabricConfig& cfg) {
+  const auto net = core::NetworkFactory::build(cfg);
+  EXPECT_EQ(net->num_shards(), std::min<int>(cfg.threads, net->num_racks()));
+  submit_mixed_workload(*net);
+  net->run_until(sim::Time::ms(40));
+  sim::Fingerprint fp;
+  net->fingerprint(fp);
+  return {completion_stream(*net), net->events_executed(), fp.digest()};
+}
+
+TEST_P(ShardParityTest, CompletionStreamAndEventCountBitIdentical) {
+  const FabricRun one = run_fabric(config(1));
+  ASSERT_FALSE(one.completions.empty());
+  for (const int threads : {2, 4}) {
+    const FabricRun sharded = run_fabric(config(threads));
+    ASSERT_EQ(one.completions.size(), sharded.completions.size())
+        << "threads=" << threads;
+    for (std::size_t i = 0; i < one.completions.size(); ++i) {
+      ASSERT_EQ(one.completions[i], sharded.completions[i])
+          << "threads=" << threads << ": completion " << i;
+    }
+    EXPECT_EQ(one.events, sharded.events) << "threads=" << threads;
+    EXPECT_EQ(one.digest, sharded.digest) << "threads=" << threads;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllFabrics, ShardParityTest,
+    ::testing::Values(FabricCase{"opera", core::FabricKind::kOpera, false},
+                      FabricCase{"clos", core::FabricKind::kFoldedClos, false},
+                      FabricCase{"expander", core::FabricKind::kExpander, false},
+                      FabricCase{"rotornet", core::FabricKind::kRotorNet, false},
+                      FabricCase{"rotornet_hybrid", core::FabricKind::kRotorNet, true}),
+    [](const ::testing::TestParamInfo<FabricCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace opera

@@ -134,7 +134,7 @@ TEST(ShardedSimulator, GlobalEventsRunBeforeShardEventsAtSameTime) {
 
 TEST(ShardedSimulator, RunUntilIsInclusiveAtHorizon) {
   ShardedSimulator engine(2, Time::us(1));
-  int fired = 0;
+  std::atomic<int> fired{0};  // both shards fire in one parallel phase
   engine.seed(0, Time::us(7), [&] { ++fired; });
   engine.seed(1, Time::us(7), [&] { ++fired; });
   engine.run_until(Time::us(7));

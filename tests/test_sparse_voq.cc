@@ -81,8 +81,8 @@ class AgentHarness {
   AgentHarness() {
     net::PortQueue::Config q;
     q.bulk_capacity_bytes = 100'000'000;
-    a = std::make_unique<net::Host>(sim, "a", 0, 0);
-    b = std::make_unique<net::Host>(sim, "b", 1, 1);
+    a = std::make_unique<net::Host>(ctx, "a", 0, 0);
+    b = std::make_unique<net::Host>(ctx, "b", 1, 1);
     a->add_port(10e9, sim::Time::ns(500), q);
     b->add_port(10e9, sim::Time::ns(500), q);
     a->uplink().connect(b.get(), 0);
@@ -105,6 +105,7 @@ class AgentHarness {
   }
 
   sim::Simulator sim;
+  sim::ShardContext ctx{sim};
   FlowTracker tracker;
   std::unique_ptr<net::Host> a;
   std::unique_ptr<net::Host> b;
