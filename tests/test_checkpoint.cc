@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -320,6 +321,12 @@ struct ReplayCase {
   // 3 ms, ...; gray injection spans 0-15 ms; skew from 2 ms).
   sim::Time mid;
 };
+
+// gtest's fallback printer dumps the struct's raw bytes, pointers included,
+// which would tie the discovered ctest names to ASLR and binary layout.
+void PrintTo(const ReplayCase& c, std::ostream* os) {
+  *os << "snapshot at " << c.mid.to_string();
+}
 
 class CheckpointReplay : public ::testing::TestWithParam<ReplayCase> {};
 

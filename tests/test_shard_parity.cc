@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -154,6 +155,10 @@ struct FabricCase {
   core::FabricKind kind;
   bool hybrid;  // RotorNet only
 };
+
+// Keeps the discovered ctest names free of the raw bytes (pointers
+// included) gtest's fallback printer would dump.
+void PrintTo(const FabricCase& c, std::ostream* os) { *os << c.name; }
 
 class ShardParityTest : public ::testing::TestWithParam<FabricCase> {
  protected:
