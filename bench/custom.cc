@@ -10,9 +10,9 @@
 // percentiles. --csv/--json choose the output rendering as usual.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
+#include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "exp/experiment.h"
@@ -26,28 +26,8 @@ namespace {
 
 using namespace opera;
 
-// --key=value parse helpers (CliOptions already swallows --csv etc.).
-const char* arg_value(int argc, char** argv, const char* key) {
-  const std::size_t len = std::strlen(key);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], key, len) == 0 && argv[i][len] == '=') {
-      return argv[i] + len + 1;
-    }
-  }
-  return nullptr;
-}
-double arg_double(int argc, char** argv, const char* key, double fallback) {
-  const char* v = arg_value(argc, argv, key);
-  return v != nullptr ? std::atof(v) : fallback;
-}
-long arg_long(int argc, char** argv, const char* key, long fallback) {
-  const char* v = arg_value(argc, argv, key);
-  return v != nullptr ? std::atol(v) : fallback;
-}
-std::string arg_string(int argc, char** argv, const char* key, const char* fallback) {
-  const char* v = arg_value(argc, argv, key);
-  return v != nullptr ? v : fallback;
-}
+// Strict --key=value getters: a malformed value exits 2 naming the flag.
+using Cli = exp::CliOptions;
 
 int usage() {
   std::fprintf(
@@ -98,35 +78,35 @@ int usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (exp::CliOptions::has_flag(argc, argv, "--help")) return usage();
+  if (Cli::has_flag(argc, argv, "--help")) return usage();
 
-  const std::string fabric_name = arg_string(argc, argv, "--fabric", "opera");
+  const std::string fabric_name = Cli::arg_string(argc, argv, "--fabric", "opera");
   const auto kind = core::parse_fabric_kind(fabric_name);
   if (!kind) {
     std::fprintf(stderr, "bench_custom: unknown fabric '%s'\n", fabric_name.c_str());
     return usage();
   }
-  const auto racks = static_cast<std::int32_t>(arg_long(argc, argv, "--racks", 108));
+  const auto racks = static_cast<std::int32_t>(Cli::arg_long(argc, argv, "--racks", 108));
   const auto hosts_per_rack =
-      static_cast<std::int32_t>(arg_long(argc, argv, "--hosts-per-rack", 6));
-  const std::string workload_name = arg_string(argc, argv, "--workload", "poisson");
-  const double load = arg_double(argc, argv, "--load", 0.10);
-  const std::string dist_name = arg_string(argc, argv, "--dist", "datamining");
-  const std::int64_t flow_bytes = arg_long(argc, argv, "--flow-kb", 100) * 1000;
-  const double duration_ms = arg_double(argc, argv, "--duration-ms", 1.0);
-  const double horizon_ms = arg_double(argc, argv, "--horizon-ms", 50.0);
-  const auto seed = static_cast<std::uint64_t>(arg_long(argc, argv, "--seed", 1));
-  const bool construct_only = exp::CliOptions::has_flag(argc, argv, "--construct-only");
-  const std::string scenario_str = arg_string(argc, argv, "--scenario", "");
+      static_cast<std::int32_t>(Cli::arg_long(argc, argv, "--hosts-per-rack", 6));
+  const std::string workload_name = Cli::arg_string(argc, argv, "--workload", "poisson");
+  const double load = Cli::arg_double(argc, argv, "--load", 0.10);
+  const std::string dist_name = Cli::arg_string(argc, argv, "--dist", "datamining");
+  const std::int64_t flow_bytes = Cli::arg_long(argc, argv, "--flow-kb", 100) * 1000;
+  const double duration_ms = Cli::arg_double(argc, argv, "--duration-ms", 1.0);
+  const double horizon_ms = Cli::arg_double(argc, argv, "--horizon-ms", 50.0);
+  const auto seed = static_cast<std::uint64_t>(Cli::arg_long(argc, argv, "--seed", 1));
+  const bool construct_only = Cli::has_flag(argc, argv, "--construct-only");
+  const std::string scenario_str = Cli::arg_string(argc, argv, "--scenario", "");
 
   // Run guardrails (exp::RunGuard). Any of these flags activates the
   // guarded driver; without them the legacy run path below is untouched.
   const double checkpoint_every_ms =
-      arg_double(argc, argv, "--checkpoint-every", 0.0);
-  const double max_wall_s = arg_double(argc, argv, "--max-wall-s", 0.0);
-  const double max_rss_mb = arg_double(argc, argv, "--max-rss-mb", 0.0);
-  const std::string resume_path = arg_string(argc, argv, "--resume", "");
-  std::string checkpoint_path = arg_string(argc, argv, "--checkpoint-to", "");
+      Cli::arg_double(argc, argv, "--checkpoint-every", 0.0);
+  const double max_wall_s = Cli::arg_double(argc, argv, "--max-wall-s", 0.0);
+  const double max_rss_mb = Cli::arg_double(argc, argv, "--max-rss-mb", 0.0);
+  const std::string resume_path = Cli::arg_string(argc, argv, "--resume", "");
+  std::string checkpoint_path = Cli::arg_string(argc, argv, "--checkpoint-to", "");
   const bool resuming = !resume_path.empty();
   const bool guard_active = resuming || checkpoint_every_ms > 0 ||
                             max_wall_s > 0 || max_rss_mb > 0;
@@ -140,7 +120,7 @@ int main(int argc, char** argv) {
   config.scale(racks, hosts_per_rack);
   config.seed = seed;
   config.slice_table_window =
-      static_cast<int>(arg_long(argc, argv, "--slice-window", 0));
+      static_cast<int>(Cli::arg_long(argc, argv, "--slice-window", 0));
   config.threads = ex.cli().threads;  // parsed by exp::CliOptions with the other shared flags
   if (!ex.cli().engine.empty()) {
     const auto engine = core::parse_engine_kind(ex.cli().engine);
@@ -206,7 +186,13 @@ int main(int argc, char** argv) {
   }
 
   const auto build_start = std::chrono::steady_clock::now();
-  auto net = core::NetworkFactory::build(config);
+  std::unique_ptr<core::Network> net;
+  try {
+    net = core::NetworkFactory::build(config);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "bench_custom: %s\n", e.what());
+    return 2;
+  }
   const double build_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - build_start)
           .count();
@@ -251,9 +237,14 @@ int main(int argc, char** argv) {
     const auto dist = dist_name == "websearch"  ? workload::FlowSizeDistribution::websearch()
                       : dist_name == "hadoop"   ? workload::FlowSizeDistribution::hadoop()
                                                 : workload::FlowSizeDistribution::datamining();
-    flows = workload::poisson_workload(dist, net->num_hosts(), load,
-                                       config.link.rate_bps,
-                                       sim::Time::from_us(duration_ms * 1000.0), rng);
+    try {
+      flows = workload::poisson_workload(dist, net->num_hosts(), load,
+                                         config.link.rate_bps,
+                                         sim::Time::from_us(duration_ms * 1000.0), rng);
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "bench_custom: %s\n", e.what());
+      return 2;
+    }
   } else if (workload_name == "permutation") {
     flows = workload::permutation_workload(net->num_hosts(), hosts_per_rack,
                                            flow_bytes, rng);
@@ -321,7 +312,9 @@ int main(int argc, char** argv) {
            static_cast<std::int64_t>(tor_stats.drops)});
     }
 
-    if (const auto* opera_net = dynamic_cast<const core::OperaNetwork*>(net.get())) {
+    // RotorNet runs on OperaNetwork too, but routes without slice tables.
+    const auto* opera_net = dynamic_cast<const core::OperaNetwork*>(net.get());
+    if (opera_net != nullptr && opera_net->slice_tables().num_slices() > 0) {
       const auto& cache = opera_net->slice_tables();
       const auto& st = cache.stats();
       ex.report().note(

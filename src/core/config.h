@@ -34,9 +34,24 @@ struct SliceParams {
   sim::Time drain_window = sim::Time::us(30);
 };
 
-// checkpoint:v1 fields=10
+// Where inter-rack low-latency traffic and control packets ride:
+//   kExpander      — Opera: per-slice ECMP tables over the settled
+//                    circuits (paper §4.3); bulk losses NACK in band;
+//   kPacketCore    — hybrid RotorNet: one extra ToR uplink to an
+//                    idealized non-blocking packet switch;
+//   kDirectCircuit — all-optical RotorNet: the current direct circuit,
+//                    if any.
+// The two RotorNet planes NACK bulk losses out of band (see
+// OperaNetwork::nack).
+enum class LowLatencyPlane : std::uint8_t { kExpander, kPacketCore, kDirectCircuit };
+
+// checkpoint:v1 fields=12
 struct OperaConfig {
   topo::OperaParams topology;  // defaults: 108 racks x 6 hosts (648 hosts)
+  // Opera is the offset schedule with the expander plane; RotorNet (paper
+  // §5, Fig. 7c) is the unison schedule with one of the other planes.
+  topo::RotorSchedule schedule = topo::RotorSchedule::kOffset;
+  LowLatencyPlane low_latency = LowLatencyPlane::kExpander;
   LinkParams link;
   SliceParams slice;
   transport::NdpConfig ndp;
@@ -83,19 +98,26 @@ struct OperaConfig {
     return q;
   }
 
+  // Start of each slice during which no uplink carries traffic: none when
+  // offset, the reconfiguration delay when unison (all rotors blink
+  // together). Bulk is granted once it ends.
+  [[nodiscard]] sim::Time dark_prefix() const {
+    return schedule == topo::RotorSchedule::kUnison ? slice.reconfiguration
+                                                    : sim::Time::zero();
+  }
+
   // Bytes one uplink can carry in the usable part of a slice.
   [[nodiscard]] std::int64_t slice_bulk_budget() const {
-    const sim::Time usable = slice.duration - slice.guard;
+    const sim::Time usable = slice.duration - slice.guard - dark_prefix();
     return static_cast<std::int64_t>(usable.to_seconds() * link.rate_bps / 8.0);
   }
   // Bytes one host link can source per slice (guard-adjusted so a burst
   // granted at a slice start drains before the boundary).
   [[nodiscard]] std::int64_t host_slice_budget() const { return slice_bulk_budget(); }
 
-  // Cycle time: one slice per matching (paper §4.1: 108 slices x ~99 us
-  // = 10.7 ms).
+  // Cycle time (paper §4.1: Opera's 108 slices x ~99 us = 10.7 ms).
   [[nodiscard]] sim::Time cycle_time() const {
-    return slice.duration * topology.num_racks;
+    return slice.duration * topo::schedule_slices(topology, schedule);
   }
 };
 

@@ -188,14 +188,20 @@ ExpanderNetConfig FabricConfig::expander_config() const {
   return cfg;
 }
 
-RotorNetConfig FabricConfig::rotornet_config() const {
-  RotorNetConfig cfg;
-  cfg.structure = rotornet;
-  cfg.hosts_per_rack = rotornet_hosts_per_rack;
+OperaConfig FabricConfig::rotornet_config() const {
+  OperaConfig cfg;
+  cfg.topology = {.num_racks = rotornet.num_racks,
+                  .num_switches = rotornet.num_switches - (rotornet.hybrid ? 1 : 0),
+                  .seed = rotornet.seed,
+                  .hosts_per_rack = rotornet_hosts_per_rack};
+  cfg.schedule = topo::RotorSchedule::kUnison;
+  cfg.low_latency = rotornet.hybrid ? LowLatencyPlane::kPacketCore
+                                    : LowLatencyPlane::kDirectCircuit;
   cfg.link = link;
   cfg.slice = slice;
   cfg.ndp = ndp;
-  cfg.bulk_threshold_bytes = bulk_threshold_bytes;
+  // Without the packet core every flow waits for circuits (RotorLB).
+  cfg.bulk_threshold_bytes = rotornet.hybrid ? bulk_threshold_bytes : 0;
   cfg.seed = seed;
   cfg.threads = threads;
   return cfg;
@@ -457,7 +463,7 @@ std::unique_ptr<Network> NetworkFactory::build(const FabricConfig& config) {
     case FabricKind::kExpander:
       return std::make_unique<ExpanderNetwork>(config.expander_config());
     case FabricKind::kRotorNet:
-      return std::make_unique<RotorNetNetwork>(config.rotornet_config());
+      return std::make_unique<OperaNetwork>(config.rotornet_config());
   }
   return std::make_unique<OperaNetwork>(config.opera_config());
 }

@@ -24,7 +24,6 @@
 #include "core/expander_network.h"
 #include "core/network.h"
 #include "core/opera_network.h"
-#include "core/rotornet_network.h"
 #include "sim/checkpoint.h"
 
 namespace opera::core {
@@ -33,7 +32,8 @@ enum class FabricKind : std::uint8_t {
   kOpera,       // rotor switches with offset reconfiguration (the paper's system)
   kFoldedClos,  // 3-tier oversubscribed folded Clos (§5 baseline)
   kExpander,    // static random u-regular expander (§5 baseline)
-  kRotorNet,    // synchronized rotor switches, optionally hybrid (§5 baseline)
+  kRotorNet,    // synchronized rotor switches, optionally hybrid (§5 baseline);
+                // built as OperaNetwork under the unison schedule
 };
 
 // Stable lower-case name ("opera", "clos", "expander", "rotornet").
@@ -111,7 +111,9 @@ struct FabricConfig {
   [[nodiscard]] OperaConfig opera_config() const;
   [[nodiscard]] ClosNetConfig clos_config() const;
   [[nodiscard]] ExpanderNetConfig expander_config() const;
-  [[nodiscard]] RotorNetConfig rotornet_config() const;
+  // RotorNet lowers to the Opera rotor fabric under the unison schedule,
+  // its low-latency plane the packet core (hybrid) or the direct circuits.
+  [[nodiscard]] OperaConfig rotornet_config() const;
 };
 
 class NetworkFactory {

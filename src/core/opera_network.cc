@@ -18,7 +18,7 @@ OperaNetwork::OperaNetwork(const OperaConfig& config)
                     .threads = config.threads,
                     .rotorlb_bulk = true}),
       config_(config),
-      topo_(config.topology),
+      topo_(config.topology, config.schedule),
       rng_(config.seed),
       failures_(topo::FailureSet::none(config.topology.num_racks,
                                        config.topology.num_switches)),
@@ -35,15 +35,18 @@ OperaNetwork::OperaNetwork(const OperaConfig& config)
   // is known at design time). Slices are independent, so tables build in
   // parallel. Eager mode precomputes all N up front — at k=24 scale (432
   // slices, ~840 MB) the auto window instead keeps a small set resident,
-  // prefetched ahead of the rotation at each slice boundary.
-  slice_tables_ = topo::SliceTableCache(
-      topo_.num_slices(),
-      {config_.slice_table_window, config_.slice_table_budget_bytes},
-      [this](int s) {
-        return topo_.slice_routes(
-            s, route_around_failures_ ? &table_failures_ : nullptr);
-      });
-  slice_tables_.set_concurrent(num_shards() > 1);
+  // prefetched ahead of the rotation at each slice boundary. Only the
+  // expander plane routes by them; the other planes keep the empty cache.
+  if (config_.low_latency == LowLatencyPlane::kExpander) {
+    slice_tables_ = topo::SliceTableCache(
+        topo_.num_slices(),
+        {config_.slice_table_window, config_.slice_table_budget_bytes},
+        [this](int s) {
+          return topo_.slice_routes(
+              s, route_around_failures_ ? &table_failures_ : nullptr);
+        });
+    slice_tables_.set_concurrent(num_shards() > 1);
+  }
 
   // Physical wiring of slice 0, then the slice clock. Slice rotation is a
   // *global* (barrier-aligned) event: it retargets circuits and allocates
@@ -61,12 +64,29 @@ void OperaNetwork::build_nodes() {
   const auto n = config_.topology.num_racks;
   const auto tor_q = config_.tor_queue_config();
   const auto host_q = config_.host_queue_config();
+  const double rate = config_.link.rate_bps;
+  const sim::Time prop = config_.link.propagation;
+
+  // Hybrid RotorNet's idealized non-blocking packet switch (a substitution
+  // that favors the baseline), one port per ToR, on shard 0.
+  net::Switch* core = nullptr;
+  if (config_.low_latency == LowLatencyPlane::kPacketCore) {
+    core = &add_switch(0, "core", 0);
+    for (topo::Vertex r = 0; r < n; ++r) core->add_port(rate, prop, tor_q);
+    core->set_forward([](net::Switch&, const net::Packet& pkt, int) {
+      return pkt.dst_rack;
+    });
+  }
 
   for (topo::Vertex r = 0; r < n; ++r) {
     net::Switch& tor = add_switch(shard_of_rack(r), "tor" + std::to_string(r), r);
-    // Downlinks then uplinks.
-    for (int i = 0; i < d + u; ++i) {
-      tor.add_port(config_.link.rate_bps, config_.link.propagation, tor_q);
+    // Downlinks, then uplinks, then the core port if any.
+    for (int i = 0; i < d + u + (core != nullptr ? 1 : 0); ++i) {
+      tor.add_port(rate, prop, tor_q);
+    }
+    if (core != nullptr) {
+      tor.port(core_port()).connect(core, r);
+      core->port(r).connect(&tor, -1);
     }
     relays_.push_back(std::make_unique<transport::RotorRelayBuffer>(n));
     tors_.push_back(&tor);
@@ -140,47 +160,53 @@ void OperaNetwork::on_slice_boundary(std::int64_t abs_slice) {
   abs_slice_ = abs_slice;
   current_slice_ = static_cast<int>(abs_slice % topo_.num_slices());
   const int slice = current_slice_;
-  const int sw_dn = topo_.reconfiguring_switch(slice);
-  const int next_slice = (slice + 1) % topo_.num_slices();
+  const auto [first, last] = topo_.retargeting_switches(slice);
 
-  // Take the reconfiguring switch's circuits down; anything still queued on
-  // those uplinks is lost (bulk gets NACKed back to the source host).
-  for (topo::Vertex r = 0; r < topo_.num_racks(); ++r) {
-    auto& port = tors_[static_cast<std::size_t>(r)]->port(uplink_port(sw_dn));
-    net::Switch& tor = *tors_[static_cast<std::size_t>(r)];
-    port.queue().flush([this, &tor](const net::Packet& pkt) {
-      if (pkt.type == net::PacketType::kData &&
-          pkt.tclass == net::TrafficClass::kBulk) {
-        tor.receive(net::make_control(pkt, net::PacketType::kNack), -1);
-      }
-    });
-    port.set_enabled(false);
+  // Take the retargeting switches' circuits down (one switch when offset,
+  // all of them when unison); anything still queued on those uplinks is
+  // lost (bulk gets NACKed back to the source host).
+  for (net::Switch* tor : tors_) {
+    for (int sw = first; sw < last; ++sw) {
+      auto& port = tor->port(uplink_port(sw));
+      port.queue().flush([this, tor](const net::Packet& pkt) { nack(*tor, pkt); });
+      port.set_enabled(false);
+    }
   }
 
-  // The rotor settles on its next matching after the reconfiguration delay
-  // (a global event: it touches ports in every shard). A skewed rotor
+  // The rotors settle on their new matchings after the reconfiguration
+  // delay (a global event: it touches ports in every shard). A skewed rotor
   // (inject_slice_skew) settles late, leaving its uplinks dark while the
   // drain-window rule already routes next-slice traffic into them.
-  sim::Time settle_delay = config_.slice.reconfiguration;
-  if (skew_remaining_[static_cast<std::size_t>(sw_dn)] > 0) {
-    --skew_remaining_[static_cast<std::size_t>(sw_dn)];
-    settle_delay += skew_extra_[static_cast<std::size_t>(sw_dn)];
+  sim::Time skew = sim::Time::zero();
+  for (int sw = first; sw < last; ++sw) {
+    if (skew_remaining_[static_cast<std::size_t>(sw)] > 0) {
+      --skew_remaining_[static_cast<std::size_t>(sw)];
+      skew = std::max(skew, skew_extra_[static_cast<std::size_t>(sw)]);
+    }
   }
-  sim().schedule_in(settle_delay, [this, sw_dn, next_slice] {
-    if (failures_.switch_failed[static_cast<std::size_t>(sw_dn)]) return;
+  // With a dark prefix no circuit exists before the settle, so bulk is
+  // granted there; otherwise at the boundary, below.
+  const bool grant_at_settle = config_.dark_prefix() > sim::Time::zero();
+  sim().schedule_in(config_.slice.reconfiguration + skew,
+                    [this, slice, first, last, grant_at_settle] {
     const int d = config_.topology.hosts_per_rack;
+    const int target = topo_.settle_slice(slice);
     for (topo::Vertex r = 0; r < topo_.num_racks(); ++r) {
-      const topo::Vertex peer = topo_.circuit_peer(sw_dn, r, next_slice);
-      auto& port = tors_[static_cast<std::size_t>(r)]->port(uplink_port(sw_dn));
-      if (peer == r ||
-          failures_.uplink_failed[static_cast<std::size_t>(r)]
-                                 [static_cast<std::size_t>(sw_dn)]) {
-        port.set_enabled(false);
-      } else {
-        port.connect(tors_[static_cast<std::size_t>(peer)], d + sw_dn);
-        port.set_enabled(true);
+      for (int sw = first; sw < last; ++sw) {
+        if (failures_.switch_failed[static_cast<std::size_t>(sw)]) continue;
+        const topo::Vertex peer = topo_.circuit_peer(sw, r, target);
+        auto& port = tors_[static_cast<std::size_t>(r)]->port(uplink_port(sw));
+        if (peer == r ||
+            failures_.uplink_failed[static_cast<std::size_t>(r)]
+                                   [static_cast<std::size_t>(sw)]) {
+          port.set_enabled(false);
+        } else {
+          port.connect(tors_[static_cast<std::size_t>(peer)], d + sw);
+          port.set_enabled(true);
+        }
       }
     }
+    if (grant_at_settle) allocate_bulk(slice);
   });
 
   // Keep the table window ahead of the rotation: build what the next
@@ -189,7 +215,7 @@ void OperaNetwork::on_slice_boundary(std::int64_t abs_slice) {
   // fell behind. Eager mode has everything resident already.
   if (!slice_tables_.eager()) slice_tables_.prefetch(slice);
 
-  allocate_bulk(slice);
+  if (!grant_at_settle) allocate_bulk(slice);
 
   sim().schedule_in(config_.slice.duration,
                                [this, abs_slice] { on_slice_boundary(abs_slice + 1); });
@@ -281,6 +307,66 @@ void OperaNetwork::allocate_bulk(int slice) {
 
 void OperaNetwork::install_forwarding() {
   const int d = config_.topology.hosts_per_rack;
+  // Wraps the plane's uplink choice for inter-rack low-latency traffic and
+  // control (`hop`) into a ToR forward function. Bulk data rides direct
+  // circuits only (§4.3's bulk table) on every plane. `hop` captures
+  // nothing, so the closure still fits std::function's inline storage (no
+  // extra indirection per packet).
+  const auto forward = [this, d](auto hop) -> net::Switch::ForwardFn {
+    return [this, d, hop](net::Switch& swch, const net::Packet& pkt, int) -> int {
+      const std::int32_t rack = swch.id();
+      const bool low_latency_path =
+          pkt.tclass == net::TrafficClass::kLowLatency ||
+          pkt.type != net::PacketType::kData;
+      if (low_latency_path) {
+        if (pkt.dst_rack == rack) return pkt.dst_host - rack * d;
+        return hop(*this, swch, pkt);
+      }
+      const std::int32_t target = pkt.vlb_relay ? pkt.relay_rack : pkt.dst_rack;
+      if (target == rack) return pkt.dst_host - rack * d;
+      const int sw = uplink_to(current_slice_, rack, target);
+      return sw < 0 ? -1 : uplink_port(sw);
+    };
+  };
+  // Chosen once here, so the per-packet path never branches on the plane.
+  net::Switch::ForwardFn fn;
+  switch (config_.low_latency) {
+    case LowLatencyPlane::kExpander:
+      fn = forward([](OperaNetwork& self, net::Switch& swch, const net::Packet& pkt) {
+        const std::int32_t rack = swch.id();
+        // The deciding clock is the ToR's own shard clock — identical to
+        // the global clock at this event's timestamp under any sharding.
+        const int rslice = self.routing_slice(swch.sim().now());
+        // peek() keeps the per-packet path free of cache bookkeeping; the
+        // boundary prefetch guarantees residency in steady state, and the
+        // get() fallback only fires on out-of-window reads.
+        const topo::EcmpTable* table = self.slice_tables_.peek(rslice);
+        if (table == nullptr) table = &self.slice_tables_.get(rslice);
+        const auto nexts = table->next_hops(rack, pkt.dst_rack);
+        if (nexts.empty()) return -1;
+        const topo::Vertex next = nexts[net::ecmp_pick(
+            pkt, net::ecmp_salt(self.config_.seed, static_cast<std::uint32_t>(rack),
+                                static_cast<std::uint32_t>(rslice)),
+            nexts.size())];
+        const int sw = self.uplink_to(rslice, rack, next);
+        return sw < 0 ? -1 : self.uplink_port(sw);
+      });
+      break;
+    case LowLatencyPlane::kPacketCore:
+      fn = forward([](OperaNetwork& self, net::Switch&, const net::Packet&) {
+        return self.core_port();
+      });
+      break;
+    case LowLatencyPlane::kDirectCircuit:
+      // No packet-switched path: control still needs to travel, so it
+      // rides the current circuits if one exists.
+      fn = forward([](OperaNetwork& self, net::Switch& swch, const net::Packet& pkt) {
+        const int sw = self.uplink_to(self.current_slice_, swch.id(), pkt.dst_rack);
+        return sw < 0 ? -1 : self.uplink_port(sw);
+      });
+      break;
+  }
+
   for (net::Switch* tor : tors_) {
     tor->set_intercept([this](net::Switch& swch, net::PacketPtr& pkt, int) {
       if (pkt->vlb_relay && pkt->relay_rack == swch.id() &&
@@ -290,55 +376,32 @@ void OperaNetwork::install_forwarding() {
       }
       return false;
     });
-
-    tor->set_forward([this, d](net::Switch& swch, const net::Packet& pkt, int) -> int {
-      const std::int32_t rack = swch.id();
-      const bool low_latency_path =
-          pkt.tclass == net::TrafficClass::kLowLatency ||
-          pkt.type != net::PacketType::kData;
-      if (low_latency_path) {
-        if (pkt.dst_rack == rack) return pkt.dst_host - rack * d;
-        // The deciding clock is the ToR's own shard clock — identical to
-        // the global clock at this event's timestamp under any sharding.
-        const int rslice = routing_slice(swch.sim().now());
-        // peek() keeps the per-packet path free of cache bookkeeping; the
-        // boundary prefetch guarantees residency in steady state, and the
-        // get() fallback only fires on out-of-window reads.
-        const topo::EcmpTable* table = slice_tables_.peek(rslice);
-        if (table == nullptr) table = &slice_tables_.get(rslice);
-        const auto nexts = table->next_hops(rack, pkt.dst_rack);
-        if (nexts.empty()) return -1;
-        const topo::Vertex next = nexts[net::ecmp_pick(
-            pkt, net::ecmp_salt(config_.seed, static_cast<std::uint32_t>(rack),
-                                static_cast<std::uint32_t>(rslice)),
-            nexts.size())];
-        const int sw = uplink_to(rslice, rack, next);
-        return sw < 0 ? -1 : uplink_port(sw);
-      }
-      // Bulk data rides direct circuits only (§4.3's bulk table).
-      const std::int32_t target = pkt.vlb_relay ? pkt.relay_rack : pkt.dst_rack;
-      if (target == rack) return pkt.dst_host - rack * d;
-      const int sw = uplink_to(current_slice_, rack, target);
-      return sw < 0 ? -1 : uplink_port(sw);
-    });
-
-    tor->set_drop_hook([](net::Switch& swch, const net::Packet& pkt) {
-      if (pkt.type == net::PacketType::kData &&
-          pkt.tclass == net::TrafficClass::kBulk) {
-        swch.receive(net::make_control(pkt, net::PacketType::kNack), -1);
-      }
-    });
+    tor->set_forward(fn);
+    tor->set_drop_hook(
+        [this](net::Switch& swch, const net::Packet& pkt) { nack(swch, pkt); });
 
     // Bulk overflow on any ToR queue NACKs the source (RotorLB, §4.2.2).
     // Downlinks matter too: direct and VLB-relayed traffic can converge on
     // one receiving host within a slice.
-    const int u = config_.topology.num_switches;
-    for (int p = 0; p < d + u; ++p) {
-      tor->port(p).queue().set_bulk_drop_handler([tor](const net::Packet& pkt) {
-        tor->receive(net::make_control(pkt, net::PacketType::kNack), -1);
-      });
+    for (int p = 0; p < tor->num_ports(); ++p) {
+      tor->port(p).queue().set_bulk_drop_handler(
+          [this, tor](const net::Packet& pkt) { nack(*tor, pkt); });
     }
   }
+}
+
+void OperaNetwork::nack(net::Switch& tor, const net::Packet& pkt) {
+  if (pkt.type != net::PacketType::kData || pkt.tclass != net::TrafficClass::kBulk) {
+    return;
+  }
+  if (config_.low_latency == LowLatencyPlane::kExpander) {
+    tor.receive(net::make_control(pkt, net::PacketType::kNack), -1);
+    return;
+  }
+  tor.ctx().post(host(pkt.src_host).ctx(), tor.ctx().now() + config_.link.propagation,
+                 [this, src = pkt.src_host, flow = pkt.flow_id, seq = pkt.seq] {
+                   agent(src).handle_nack(flow, seq);
+                 });
 }
 
 void OperaNetwork::inject_uplink_failure(std::int32_t rack, int rotor_switch) {
@@ -347,11 +410,8 @@ void OperaNetwork::inject_uplink_failure(std::int32_t rack, int rotor_switch) {
   // Anything queued on the dead uplink is lost now; NACK bulk back to the
   // sources over the (still connected) expander.
   net::Switch& t = tor(rack);
-  t.port(uplink_port(rotor_switch)).queue().flush([&t](const net::Packet& pkt) {
-    if (pkt.type == net::PacketType::kData && pkt.tclass == net::TrafficClass::kBulk) {
-      t.receive(net::make_control(pkt, net::PacketType::kNack), -1);
-    }
-  });
+  t.port(uplink_port(rotor_switch)).queue().flush(
+      [this, &t](const net::Packet& pkt) { nack(t, pkt); });
   t.port(uplink_port(rotor_switch)).set_enabled(false);
   // Hello-protocol dissemination: tables reconverge after one cycle (a
   // global event — recomputation touches every ToR's state).
@@ -362,12 +422,8 @@ void OperaNetwork::inject_switch_failure(int rotor_switch) {
   failures_.switch_failed[static_cast<std::size_t>(rotor_switch)] = true;
   for (topo::Vertex r = 0; r < topo_.num_racks(); ++r) {
     net::Switch& t = tor(r);
-    t.port(uplink_port(rotor_switch)).queue().flush([&t](const net::Packet& pkt) {
-      if (pkt.type == net::PacketType::kData &&
-          pkt.tclass == net::TrafficClass::kBulk) {
-        t.receive(net::make_control(pkt, net::PacketType::kNack), -1);
-      }
-    });
+    t.port(uplink_port(rotor_switch)).queue().flush(
+        [this, &t](const net::Packet& pkt) { nack(t, pkt); });
     t.port(uplink_port(rotor_switch)).set_enabled(false);
   }
   sim().schedule_in(config_.cycle_time(), [this] { recompute_after_failure(); });
@@ -458,12 +514,8 @@ void OperaNetwork::recompute_after_failure() {
       relay_reach_[static_cast<std::size_t>(r)][static_cast<std::size_t>(dst)] =
           reachable;
       if (reachable || relay.queued_bytes(dst) == 0) continue;
-      net::Switch& t = tor(r);
       for (auto& pkt : relay.take(dst, std::numeric_limits<std::int64_t>::max())) {
-        if (pkt->type == net::PacketType::kData &&
-            pkt->tclass == net::TrafficClass::kBulk) {
-          t.receive(net::make_control(*pkt, net::PacketType::kNack), -1);
-        }
+        nack(tor(r), *pkt);
       }
     }
   }
@@ -471,11 +523,9 @@ void OperaNetwork::recompute_after_failure() {
 
 OperaNetwork::TorStats OperaNetwork::tor_stats() const {
   TorStats stats;
-  const int d = config_.topology.hosts_per_rack;
-  const int u = config_.topology.num_switches;
   for (const net::Switch* tor : tors_) {
     stats.forward_drops += tor->forward_drops();
-    for (int p = 0; p < d + u; ++p) {
+    for (int p = 0; p < tor->num_ports(); ++p) {
       stats.trims += tor->port(p).queue().trims();
       stats.drops += tor->port(p).queue().drops();
       stats.wire_drops += static_cast<std::uint64_t>(tor->port(p).gray_drops());
@@ -518,9 +568,16 @@ std::string OperaNetwork::describe() const {
   // rows, and sharding must not change a byte of bench output (the
   // threads note carries the metadata instead).
   char buf[96];
-  std::snprintf(buf, sizeof buf, "Opera (%d racks x %d hosts, %d rotors)",
-                num_racks(), config_.topology.hosts_per_rack,
-                config_.topology.num_switches);
+  const int d = config_.topology.hosts_per_rack;
+  const int u = config_.topology.num_switches;
+  if (config_.schedule == topo::RotorSchedule::kUnison) {
+    const bool hybrid = config_.low_latency == LowLatencyPlane::kPacketCore;
+    std::snprintf(buf, sizeof buf, "RotorNet%s (%d racks x %d hosts, %d switches)",
+                  hybrid ? " hybrid" : "", num_racks(), d, u + (hybrid ? 1 : 0));
+  } else {
+    std::snprintf(buf, sizeof buf, "Opera (%d racks x %d hosts, %d rotors)",
+                  num_racks(), d, u);
+  }
   return buf;
 }
 

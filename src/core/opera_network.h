@@ -3,6 +3,12 @@
 // per-slice forwarding state, and rotor circuit switches realized as
 // retargetable ToR-to-ToR links driven by the slice schedule.
 //
+// It is also the RotorNet baseline (§5, Fig. 7c): the same rotor fabric
+// without Opera's two ideas, i.e. the unison schedule and no expander
+// plane (OperaConfig::schedule / low_latency, which FabricConfig's
+// rotornet_config() sets). Everything else — relay buffers, RotorLB grants,
+// the slice-boundary flush and settle — is shared.
+//
 // This is the library's primary public entry point:
 //
 //   core::OperaConfig cfg;                   // paper-scale defaults
@@ -130,10 +136,20 @@ class OperaNetwork : public PacketFabric {
   void on_slice_boundary(std::int64_t abs_slice);
   void allocate_bulk(int slice);
   void install_forwarding();
+  // RotorLB loss notification for a bulk data packet lost at `tor` (other
+  // packets are ignored). The expander plane sends it in band; the RotorNet
+  // planes have no always-on path (all rotors blink together), so the
+  // control plane tells the source agent directly, one propagation delay
+  // later, in the source host's domain.
+  void nack(net::Switch& tor, const net::Packet& pkt);
 
   // Uplink port index on a ToR for rotor switch `sw`.
   [[nodiscard]] int uplink_port(int sw) const {
     return config_.topology.hosts_per_rack + sw;
+  }
+  // The ToR port to the packet core (LowLatencyPlane::kPacketCore only).
+  [[nodiscard]] int core_port() const {
+    return config_.topology.hosts_per_rack + config_.topology.num_switches;
   }
   // The active uplink (rotor switch index) whose circuit currently reaches
   // `peer_rack` from `rack` in `slice`; -1 if none.

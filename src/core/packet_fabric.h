@@ -1,9 +1,10 @@
 // core::PacketFabric — the execution plumbing every packet-level fabric
-// (Opera, folded Clos, static expander, RotorNet) shares, so each fabric
-// class keeps only its own structure, forwarding, flow classification and
-// slice machinery.
+// shares: the rotor fabric (OperaNetwork, which runs both Opera and
+// RotorNet), folded Clos and the static expander. Each fabric class keeps
+// only its own structure, forwarding, flow classification and slice
+// machinery.
 //
-// All four run on one execution model: a sim::ShardedSimulator whose
+// All run on one execution model: a sim::ShardedSimulator whose
 // domains are racks (a ToR and its hosts; fabrics place any other switch
 // explicitly), with conservative lookahead = the link propagation delay,
 // the minimum cross-domain event latency. threads == 1 collapses to the

@@ -1,6 +1,9 @@
 #include "exp/output.h"
 
 #include <cassert>
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -31,6 +34,11 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
+[[noreturn]] void malformed_arg(char** argv, const char* key, const char* value) {
+  std::fprintf(stderr, "%s: malformed value for %s: '%s'\n", argv[0], key, value);
+  std::exit(2);
+}
+
 }  // namespace
 
 CliOptions CliOptions::parse(int argc, char** argv) {
@@ -41,14 +49,51 @@ CliOptions CliOptions::parse(int argc, char** argv) {
   } else if (has_flag(argc, argv, "--csv")) {
     opts.format = OutputFormat::kCsv;
   }
+  const long threads = arg_long(argc, argv, "--threads", 0);
+  if (threads < INT_MIN || threads > INT_MAX) {
+    malformed_arg(argv, "--threads", arg_value(argc, argv, "--threads"));
+  }
+  opts.threads = static_cast<int>(threads);
+  opts.engine = arg_string(argc, argv, "--engine", "");
+  return opts;
+}
+
+const char* CliOptions::arg_value(int argc, char** argv, const char* key) {
+  const std::size_t len = std::strlen(key);
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      opts.threads = std::atoi(argv[i] + 10);
-    } else if (std::strncmp(argv[i], "--engine=", 9) == 0) {
-      opts.engine = argv[i] + 9;
+    if (std::strncmp(argv[i], key, len) == 0 && argv[i][len] == '=') {
+      return argv[i] + len + 1;
     }
   }
-  return opts;
+  return nullptr;
+}
+
+long CliOptions::arg_long(int argc, char** argv, const char* key, long fallback) {
+  const char* v = arg_value(argc, argv, key);
+  if (v == nullptr) return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const long parsed = std::strtol(v, &end, 10);
+  if (end == v || *end != '\0' || errno == ERANGE) malformed_arg(argv, key, v);
+  return parsed;
+}
+
+double CliOptions::arg_double(int argc, char** argv, const char* key, double fallback) {
+  const char* v = arg_value(argc, argv, key);
+  if (v == nullptr) return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const double parsed = std::strtod(v, &end);
+  if (end == v || *end != '\0' || errno == ERANGE || !std::isfinite(parsed)) {
+    malformed_arg(argv, key, v);
+  }
+  return parsed;
+}
+
+std::string CliOptions::arg_string(int argc, char** argv, const char* key,
+                                   const char* fallback) {
+  const char* v = arg_value(argc, argv, key);
+  return v != nullptr ? v : fallback;
 }
 
 bool CliOptions::has_flag(int argc, char** argv, const char* flag) {

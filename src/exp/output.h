@@ -20,9 +20,9 @@ namespace opera::exp {
 enum class OutputFormat : std::uint8_t { kHuman, kCsv, kJson };
 
 // Flags shared by all bench binaries: --full (paper scale), --csv, --json,
-// --threads=N (sharded event loop; Opera fabrics), --engine=NAME
+// --threads=N (sharded event loop; any packet fabric), --engine=NAME
 // (simulation engine; Opera fabrics). Unknown arguments are ignored so
-// binaries can add their own.
+// binaries can add their own, read with the arg_* getters below.
 struct CliOptions {
   bool full = false;
   OutputFormat format = OutputFormat::kHuman;
@@ -37,6 +37,16 @@ struct CliOptions {
 
   static CliOptions parse(int argc, char** argv);
   static bool has_flag(int argc, char** argv, const char* flag);
+
+  // `--key=value` getters. The raw value, or null when the flag is absent.
+  static const char* arg_value(int argc, char** argv, const char* key);
+  // Typed getters return `fallback` when the flag is absent. A value that
+  // does not parse in full ("--racks=sixteen", "--load=abc", "--load=")
+  // prints the flag name to stderr and exits 2.
+  static long arg_long(int argc, char** argv, const char* key, long fallback);
+  static double arg_double(int argc, char** argv, const char* key, double fallback);
+  static std::string arg_string(int argc, char** argv, const char* key,
+                                const char* fallback);
 };
 
 // Peak resident-set size of this process in bytes (Linux VmHWM; 0 where

@@ -26,7 +26,8 @@ bool FailureSet::any() const {
   return false;
 }
 
-OperaTopology::OperaTopology(const OperaParams& params) : params_(params) {
+OperaTopology::OperaTopology(const OperaParams& params, RotorSchedule schedule)
+    : params_(params), schedule_(schedule) {
   const Vertex n = params_.num_racks;
   const int u = params_.num_switches;
   if (n < 2 || u < 1) {
@@ -69,6 +70,7 @@ OperaTopology::OperaTopology(const OperaParams& params) : params_(params) {
     for (std::size_t i = 0; i < deal.size(); ++i) {
       assignment_[i / per_switch].push_back(deal[i]);
     }
+    if (schedule_ == RotorSchedule::kUnison) return;
 
     // Testing every slice is O(N^2) BFS; beyond a few hundred racks sample
     // one slice per switch phase instead.
@@ -100,12 +102,15 @@ OperaTopology::OperaTopology(const OperaParams& params) : params_(params) {
 
 std::size_t OperaTopology::matching_index(int sw, int slice) const {
   assert(sw >= 0 && sw < params_.num_switches);
+  const auto& mine = assignment_[static_cast<std::size_t>(sw)];
+  if (schedule_ == RotorSchedule::kUnison) {
+    return mine[static_cast<std::size_t>(slice) % mine.size()];
+  }
   assert(slice >= 0 && slice < num_slices());
   const int u = params_.num_switches;
   // Switch sw reconfigures during slices {sw, sw+u, sw+2u, ...}. Its
   // matching advances when a reconfiguration completes, so by slice `slice`
   // it has advanced floor((slice - sw - 1)/u) + 1 times (0 if slice <= sw).
-  const auto& mine = assignment_[static_cast<std::size_t>(sw)];
   int advances = 0;
   if (slice > sw) advances = (slice - sw - 1) / u + 1;
   return mine[static_cast<std::size_t>(advances) % mine.size()];

@@ -7,6 +7,12 @@
 // cycle. Every slice is the union of u-1 active matchings — an expander
 // with high probability — and across a full cycle every rack pair is
 // directly connected at least once.
+//
+// The same rotor structure under the unison schedule is the RotorNet
+// baseline (paper §2.3, §5; Mellette et al., SIGCOMM 2017): all switches
+// retarget together at every boundary, so each slice instantiates u
+// simultaneous matchings, a cycle needs only N/u slices, and the whole
+// fabric blinks during reconfiguration.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +38,31 @@ struct OperaParams {
   }
 };
 
+// RotorNet's user-facing structure (core::FabricConfig::rotornet); it
+// lowers to OperaParams under RotorSchedule::kUnison.
+// checkpoint:v1 fields=4
+struct RotorNetParams {
+  Vertex num_racks = 108;
+  int num_switches = 6;     // rotor switches (hybrid: one fewer carries bulk)
+  bool hybrid = false;      // donate one uplink to a packet-switched core
+  std::uint64_t seed = 1;
+};
+
+// When the rotor switches reconfigure (paper §3.1.1, Fig. 3):
+//   kOffset — Opera: one switch per slice, in turn; the other u-1 carry
+//             an always-on expander. N slices per cycle.
+//   kUnison — RotorNet: every switch at every boundary, onto its next
+//             matching; the fabric is dark for the reconfiguration delay.
+//             N/u slices per cycle.
+enum class RotorSchedule : std::uint8_t { kOffset, kUnison };
+
+// Slices per cycle: N (offset) or N/u (unison).
+[[nodiscard]] inline int schedule_slices(const OperaParams& params,
+                                         RotorSchedule schedule) {
+  const int n = static_cast<int>(params.num_racks);
+  return schedule == RotorSchedule::kUnison ? n / params.num_switches : n;
+}
+
 // Failed components for fault-tolerance analysis (paper §5.5, Fig. 11/18).
 struct FailureSet {
   std::vector<bool> rack_failed;                  // size N
@@ -55,22 +86,44 @@ struct FailureSet {
 
 class OperaTopology {
  public:
-  explicit OperaTopology(const OperaParams& params);
+  // The unison schedule skips the expander generate-and-test below (its
+  // slices are not routed over), so it keeps the first realization.
+  explicit OperaTopology(const OperaParams& params,
+                         RotorSchedule schedule = RotorSchedule::kOffset);
 
   [[nodiscard]] const OperaParams& params() const { return params_; }
   [[nodiscard]] Vertex num_racks() const { return params_.num_racks; }
   [[nodiscard]] int num_switches() const { return params_.num_switches; }
 
-  // One slice per matching: a full cycle has N slices.
-  [[nodiscard]] int num_slices() const { return static_cast<int>(matchings_.size()); }
+  [[nodiscard]] int num_slices() const { return schedule_slices(params_, schedule_); }
 
-  // The rotor switch that is reconfiguring (down) during `slice`.
+  // The rotor switch that is reconfiguring (down) during `slice`, or -1
+  // under the unison schedule, where every switch settles onto this
+  // slice's matching and so carries the slice.
   [[nodiscard]] int reconfiguring_switch(int slice) const {
-    return slice % params_.num_switches;
+    return schedule_ == RotorSchedule::kUnison ? -1 : slice % params_.num_switches;
+  }
+
+  // The rotor switches [first, last) that go dark at the start of `slice`:
+  // {slice % u} when offset, all u when unison.
+  struct SwitchRange {
+    int first;
+    int last;
+  };
+  [[nodiscard]] SwitchRange retargeting_switches(int slice) const {
+    if (schedule_ == RotorSchedule::kUnison) return {0, params_.num_switches};
+    return {slice % params_.num_switches, slice % params_.num_switches + 1};
+  }
+  // The slice whose matchings those switches settle onto: the next one
+  // when offset (they are that slice's fresh circuits), `slice` itself
+  // when unison.
+  [[nodiscard]] int settle_slice(int slice) const {
+    return schedule_ == RotorSchedule::kUnison ? slice : (slice + 1) % num_slices();
   }
 
   // Index into matchings() of the matching switch `sw` implements during
-  // `slice`. A switch advances to its next matching when a reconfiguration
+  // `slice`. Unison: switches advance together, one matching per slice.
+  // Offset: a switch advances to its next matching when a reconfiguration
   // completes, i.e. in the slice after it was the reconfiguring switch;
   // during its reconfiguration slice this returns the outgoing matching
   // (the switch carries no traffic then either way).
@@ -83,7 +136,8 @@ class OperaTopology {
 
   // Union of the u-1 active matchings in `slice` (u matchings if
   // `include_reconfiguring` — used to model the instant after the switch
-  // settles). Optional failures remove racks/switches/uplinks.
+  // settles — and always u under the unison schedule). Optional failures
+  // remove racks/switches/uplinks.
   [[nodiscard]] Graph slice_graph(int slice,
                                   const FailureSet* failures = nullptr,
                                   bool include_reconfiguring = false) const;
@@ -111,6 +165,7 @@ class OperaTopology {
 
  private:
   OperaParams params_;
+  RotorSchedule schedule_;
   std::vector<Matching> matchings_;
   std::vector<std::vector<std::size_t>> assignment_;  // [switch] -> matching ids
 };

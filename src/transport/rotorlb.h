@@ -9,9 +9,9 @@
 // direct circuit (once-relayed traffic has priority). ToR-level drops are
 // recovered with NACKs that re-enqueue the packet at the source host.
 //
-// Grant allocation is performed by the network controller (the Opera or
-// RotorNet network classes in core/), which models the paper's
-// polling-based host admission.
+// Grant allocation is performed by the network controller
+// (core::OperaNetwork, which also runs RotorNet), which models the
+// paper's polling-based host admission.
 #pragma once
 
 #include <cstdint>

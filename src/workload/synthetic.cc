@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <numeric>
 #include <span>
+#include <stdexcept>
 
 namespace opera::workload {
 
@@ -13,7 +14,12 @@ std::vector<FlowSpec> poisson_workload(const FlowSizeDistribution& dist,
                                        std::int32_t num_hosts, double load,
                                        double link_rate_bps, sim::Time duration,
                                        sim::Rng& rng) {
-  assert(load > 0.0 && num_hosts >= 2);
+  // Checked in every build: at load 0 the mean inter-arrival time is
+  // infinite and the arrival loop below would never end.
+  if (!(load > 0.0)) throw std::invalid_argument("poisson_workload: load must be > 0");
+  if (num_hosts < 2) {
+    throw std::invalid_argument("poisson_workload: need at least 2 hosts");
+  }
   const double aggregate_bps = link_rate_bps * num_hosts;
   const double lambda =
       load * aggregate_bps / (8.0 * dist.mean_bytes());  // flows per second

@@ -29,7 +29,8 @@ struct FlowSpec {
 // link bandwidth (paper: "100% load means all hosts are driving their edge
 // links at full capacity"); the flow arrival rate is
 //   lambda = load * num_hosts * link_rate / (8 * mean_flow_size).
-// Sources and destinations are uniform over distinct hosts.
+// Sources and destinations are uniform over distinct hosts. Throws
+// std::invalid_argument unless load > 0 and num_hosts >= 2.
 [[nodiscard]] std::vector<FlowSpec> poisson_workload(
     const FlowSizeDistribution& dist, std::int32_t num_hosts, double load,
     double link_rate_bps, sim::Time duration, sim::Rng& rng);

@@ -6,13 +6,12 @@
 
 #include "core/clos_network.h"
 #include "core/expander_network.h"
+#include "core/fabric.h"
 #include "core/opera_network.h"
-#include "core/rotornet_network.h"
 #include "topo/expander.h"
 #include "topo/folded_clos.h"
 #include "topo/graph.h"
 #include "topo/opera_topology.h"
-#include "topo/rotornet.h"
 
 namespace opera {
 namespace {
@@ -45,12 +44,12 @@ TEST(BuildSanity, OperaTopology) {
 }
 
 TEST(BuildSanity, RotorNetTopology) {
-  topo::RotorNetParams p;
+  topo::OperaParams p;
   p.num_racks = 8;
   p.num_switches = 4;
-  const topo::RotorNetTopology topo(p);
-  EXPECT_EQ(topo.num_rotor_switches(), 4);
-  EXPECT_GT(topo.num_slices(), 0);
+  const topo::OperaTopology topo(p, topo::RotorSchedule::kUnison);
+  EXPECT_EQ(topo.num_switches(), 4);
+  EXPECT_EQ(topo.num_slices(), 2);
   const auto g = topo.slice_graph(0);
   EXPECT_EQ(g.num_vertices(), 8);
   EXPECT_GT(g.num_edges(), 0u);
@@ -95,11 +94,11 @@ TEST(BuildSanity, PacketNetworksBuild) {
   EXPECT_EQ(opera_net.num_hosts(), 16);
   EXPECT_EQ(opera_net.num_racks(), 8);
 
-  core::RotorNetConfig rotor_cfg;
-  rotor_cfg.structure.num_racks = 8;
-  rotor_cfg.structure.num_switches = 4;
-  rotor_cfg.hosts_per_rack = 2;
-  core::RotorNetNetwork rotor_net(rotor_cfg);
+  auto rotor_cfg = core::FabricConfig::make(core::FabricKind::kRotorNet);
+  rotor_cfg.rotornet.num_racks = 8;
+  rotor_cfg.rotornet.num_switches = 4;
+  rotor_cfg.rotornet_hosts_per_rack = 2;
+  core::OperaNetwork rotor_net(rotor_cfg.rotornet_config());
   EXPECT_EQ(rotor_net.num_hosts(), 16);
 
   core::ClosNetConfig clos_cfg;

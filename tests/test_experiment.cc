@@ -33,6 +33,43 @@ TEST(CliOptions, ParsesFlags) {
   EXPECT_FALSE(CliOptions::parse(2, argv2).full);
 }
 
+TEST(CliOptions, StrictValueGetters) {
+  char threads[] = "--threads=3";
+  char racks[] = "--racks=16";
+  char load[] = "--load=0.25";
+  char fabric[] = "--fabric=rotornet";
+  char* argv[] = {kProg, threads, racks, load, fabric};
+  EXPECT_EQ(CliOptions::parse(5, argv).threads, 3);
+  EXPECT_EQ(CliOptions::arg_long(5, argv, "--racks", 108), 16);
+  EXPECT_EQ(CliOptions::arg_long(5, argv, "--rack", 108), 108);  // no prefix match
+  EXPECT_DOUBLE_EQ(CliOptions::arg_double(5, argv, "--load", 0.1), 0.25);
+  EXPECT_DOUBLE_EQ(CliOptions::arg_double(5, argv, "--horizon-ms", 50.0), 50.0);
+  EXPECT_EQ(CliOptions::arg_string(5, argv, "--fabric", "opera"), "rotornet");
+  EXPECT_EQ(CliOptions::arg_value(5, argv, "--seed"), nullptr);
+}
+
+TEST(CliOptionsDeathTest, MalformedValueNamesTheFlagAndExits2) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  char two[] = "--threads=two";
+  char* threads_argv[] = {kProg, two};
+  EXPECT_EXIT(CliOptions::parse(2, threads_argv), ::testing::ExitedWithCode(2),
+              "--threads");
+  char sixteen[] = "--racks=sixteen";
+  char trailing[] = "--seed=7x";
+  char abc[] = "--load=abc";
+  char empty[] = "--load=";
+  char* argv[] = {kProg, sixteen, trailing, abc};
+  EXPECT_EXIT(CliOptions::arg_long(4, argv, "--racks", 108),
+              ::testing::ExitedWithCode(2), "--racks");
+  EXPECT_EXIT(CliOptions::arg_long(4, argv, "--seed", 1), ::testing::ExitedWithCode(2),
+              "--seed");
+  EXPECT_EXIT(CliOptions::arg_double(4, argv, "--load", 0.1),
+              ::testing::ExitedWithCode(2), "--load");
+  char* empty_argv[] = {kProg, empty};
+  EXPECT_EXIT(CliOptions::arg_double(2, empty_argv, "--load", 0.1),
+              ::testing::ExitedWithCode(2), "--load");
+}
+
 TEST(Value, Renderings) {
   EXPECT_EQ(Value(3.14159, 2).text(), "3.14");
   EXPECT_EQ(Value(static_cast<std::int64_t>(42)).text(), "42");

@@ -101,7 +101,7 @@ TEST(NetworkFactory, ExpanderParity) {
 
 TEST(NetworkFactory, RotorNetParity) {
   const auto cfg = small_fabric(FabricKind::kRotorNet);
-  RotorNetNetwork direct(cfg.rotornet_config());
+  OperaNetwork direct(cfg.rotornet_config());
   const auto built = NetworkFactory::build(cfg);
   expect_identical_fcts(direct, *built);
 }

@@ -6,8 +6,8 @@
 
 #include "core/clos_network.h"
 #include "core/expander_network.h"
+#include "core/fabric.h"
 #include "core/opera_network.h"
-#include "core/rotornet_network.h"
 #include "workload/synthetic.h"
 
 namespace opera::core {
@@ -108,13 +108,13 @@ TEST(PaperClaims, NonHybridRotorNetShortFlowsWaitForCircuits) {
   ASSERT_EQ(opera.tracker().completed(), 1u);
   const double opera_fct = opera.tracker().completions()[0].fct().to_us();
 
-  RotorNetConfig rcfg;
-  rcfg.structure.num_racks = 16;
-  rcfg.structure.num_switches = 4;
-  rcfg.structure.hybrid = false;
-  rcfg.structure.seed = 3;
-  rcfg.hosts_per_rack = 4;
-  RotorNetNetwork rotor(rcfg);
+  auto rcfg = FabricConfig::make(FabricKind::kRotorNet);
+  rcfg.rotornet.num_racks = 16;
+  rcfg.rotornet.num_switches = 4;
+  rcfg.rotornet.hybrid = false;
+  rcfg.rotornet.seed = 3;
+  rcfg.rotornet_hosts_per_rack = 4;
+  OperaNetwork rotor(rcfg.rotornet_config());
   rotor.submit_flow(0, 60, 1'000, sim::Time::zero());
   rotor.run_until(sim::Time::ms(30));
   ASSERT_EQ(rotor.tracker().completed(), 1u);

@@ -1,46 +1,55 @@
-#include "topo/rotornet.h"
-
+// The RotorNet topology: the Opera rotor structure under the unison
+// schedule (every switch retargets at every boundary).
 #include <gtest/gtest.h>
 
 #include <set>
 
+#include "core/fabric.h"
+#include "topo/opera_topology.h"
+
 namespace opera::topo {
 namespace {
 
-RotorNetParams small_params() {
-  RotorNetParams p;
+OperaParams small_params() {
+  OperaParams p;
   p.num_racks = 16;
   p.num_switches = 4;
   p.seed = 3;
   return p;
 }
 
+OperaTopology unison(const OperaParams& p) {
+  return OperaTopology(p, RotorSchedule::kUnison);
+}
+
 TEST(RotorNet, SliceCount) {
-  const RotorNetTopology topo(small_params());
+  const OperaTopology topo = unison(small_params());
   // All switches rotate together: N/u slices per cycle.
-  EXPECT_EQ(topo.num_rotor_switches(), 4);
+  EXPECT_EQ(topo.num_switches(), 4);
   EXPECT_EQ(topo.num_slices(), 4);
 }
 
 TEST(RotorNet, HybridEvenSplit) {
-  RotorNetParams p;
-  p.num_racks = 15;
-  p.num_switches = 4;  // 3 rotors after hybrid donation
-  p.hybrid = true;
-  const RotorNetTopology topo(p);
-  EXPECT_EQ(topo.num_rotor_switches(), 3);
+  auto cfg = core::FabricConfig::make(core::FabricKind::kRotorNet);
+  cfg.rotornet.num_racks = 15;
+  cfg.rotornet.num_switches = 4;  // 3 rotors after hybrid donation
+  cfg.rotornet.hybrid = true;
+  const core::OperaConfig lowered = cfg.rotornet_config();
+  const OperaTopology topo = unison(lowered.topology);
+  EXPECT_EQ(topo.num_switches(), 3);
   EXPECT_EQ(topo.num_slices(), 5);
+  EXPECT_EQ(lowered.cycle_time(), lowered.slice.duration * 5);
 }
 
 TEST(RotorNet, RejectsUnevenSplit) {
-  RotorNetParams p;
+  OperaParams p;
   p.num_racks = 16;
   p.num_switches = 3;
-  EXPECT_THROW(RotorNetTopology topo(p), std::invalid_argument);
+  EXPECT_THROW(unison(p), std::invalid_argument);
 }
 
 TEST(RotorNet, AllSwitchesAdvanceTogether) {
-  const RotorNetTopology topo(small_params());
+  const OperaTopology topo = unison(small_params());
   for (int sw = 0; sw < 4; ++sw) {
     const auto m0 = topo.matching_index(sw, 0);
     const auto m1 = topo.matching_index(sw, 1);
@@ -48,10 +57,19 @@ TEST(RotorNet, AllSwitchesAdvanceTogether) {
     // Wraps around after num_slices.
     EXPECT_EQ(topo.matching_index(sw, topo.num_slices()), m0);
   }
+  for (int s = 0; s < topo.num_slices(); ++s) {
+    // Every switch retargets at every boundary, onto this slice's matching,
+    // and none is left down for the slice.
+    const auto [first, last] = topo.retargeting_switches(s);
+    EXPECT_EQ(first, 0);
+    EXPECT_EQ(last, 4);
+    EXPECT_EQ(topo.settle_slice(s), s);
+    EXPECT_EQ(topo.reconfiguring_switch(s), -1);
+  }
 }
 
 TEST(RotorNet, CycleCoversAllMatchings) {
-  const RotorNetTopology topo(small_params());
+  const OperaTopology topo = unison(small_params());
   std::set<std::size_t> seen;
   for (int s = 0; s < topo.num_slices(); ++s) {
     for (int sw = 0; sw < 4; ++sw) {
@@ -62,7 +80,7 @@ TEST(RotorNet, CycleCoversAllMatchings) {
 }
 
 TEST(RotorNet, EveryRackPairGetsDirectCircuit) {
-  const RotorNetTopology topo(small_params());
+  const OperaTopology topo = unison(small_params());
   std::set<std::pair<Vertex, Vertex>> connected;
   for (int s = 0; s < topo.num_slices(); ++s) {
     for (int sw = 0; sw < 4; ++sw) {
@@ -76,7 +94,7 @@ TEST(RotorNet, EveryRackPairGetsDirectCircuit) {
 }
 
 TEST(RotorNet, SliceGraphIsUnionOfUMatchings) {
-  const RotorNetTopology topo(small_params());
+  const OperaTopology topo = unison(small_params());
   for (int s = 0; s < topo.num_slices(); ++s) {
     const Graph g = topo.slice_graph(s);
     for (Vertex v = 0; v < 16; ++v) {

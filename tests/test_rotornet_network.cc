@@ -1,23 +1,26 @@
-#include "core/rotornet_network.h"
-
+// RotorNet on the packet engine: OperaNetwork built from
+// FabricConfig::rotornet_config() (unison schedule, no expander plane).
 #include <gtest/gtest.h>
+
+#include "core/fabric.h"
+#include "sim/checkpoint.h"
 
 namespace opera::core {
 namespace {
 
-RotorNetConfig small_config(bool hybrid) {
-  RotorNetConfig cfg;
-  cfg.structure.num_racks = 16;
-  cfg.structure.num_switches = hybrid ? 5 : 4;  // 4 rotors either way
-  cfg.structure.hybrid = hybrid;
-  cfg.structure.seed = 21;
-  cfg.hosts_per_rack = 4;
+OperaConfig small_config(bool hybrid) {
+  auto cfg = FabricConfig::make(FabricKind::kRotorNet);
+  cfg.rotornet.num_racks = 16;
+  cfg.rotornet.num_switches = hybrid ? 5 : 4;  // 4 rotors either way
+  cfg.rotornet.hybrid = hybrid;
+  cfg.rotornet.seed = 21;
+  cfg.rotornet_hosts_per_rack = 4;
   cfg.seed = 22;
-  return cfg;
+  return cfg.rotornet_config();
 }
 
 TEST(RotorNetNetwork, NonHybridBulkCompletes) {
-  RotorNetNetwork net(small_config(false));
+  OperaNetwork net(small_config(false));
   net.submit_flow(0, 60, 5'000'000, sim::Time::zero());
   net.run_until(sim::Time::ms(60));
   ASSERT_EQ(net.tracker().completed(), 1u);
@@ -27,7 +30,7 @@ TEST(RotorNetNetwork, NonHybridShortFlowWaitsForCircuits) {
   // The all-optical RotorNet's key weakness (paper Fig. 7c): even a tiny
   // flow waits for a direct/VLB circuit, so FCT is on the slice/cycle
   // scale (hundreds of us), orders beyond Opera's expander path.
-  RotorNetNetwork net(small_config(false));
+  OperaNetwork net(small_config(false));
   net.submit_flow(0, 60, 1'000, sim::Time::zero());
   net.run_until(sim::Time::ms(20));
   ASSERT_EQ(net.tracker().completed(), 1u);
@@ -35,7 +38,7 @@ TEST(RotorNetNetwork, NonHybridShortFlowWaitsForCircuits) {
 }
 
 TEST(RotorNetNetwork, HybridShortFlowFast) {
-  RotorNetNetwork net(small_config(true));
+  OperaNetwork net(small_config(true));
   net.submit_flow(0, 60, 1'000, sim::Time::zero());
   net.run_until(sim::Time::ms(5));
   ASSERT_EQ(net.tracker().completed(), 1u);
@@ -43,7 +46,7 @@ TEST(RotorNetNetwork, HybridShortFlowFast) {
 }
 
 TEST(RotorNetNetwork, HybridMixedTraffic) {
-  RotorNetNetwork net(small_config(true));
+  OperaNetwork net(small_config(true));
   net.submit_flow(0, 60, 20'000'000, sim::Time::zero());  // bulk via rotors
   for (int i = 0; i < 10; ++i) {
     net.submit_flow(1, 61, 5'000, sim::Time::us(100 * i));  // NDP via core
@@ -55,7 +58,7 @@ TEST(RotorNetNetwork, HybridMixedTraffic) {
 }
 
 TEST(RotorNetNetwork, IntraRackIsImmediate) {
-  RotorNetNetwork net(small_config(false));
+  OperaNetwork net(small_config(false));
   net.submit_flow(0, 1, 50'000, sim::Time::zero());
   net.run_until(sim::Time::ms(1));
   ASSERT_EQ(net.tracker().completed(), 1u);
@@ -63,13 +66,35 @@ TEST(RotorNetNetwork, IntraRackIsImmediate) {
 }
 
 TEST(RotorNetNetwork, UniformBulkLoadCompletes) {
-  RotorNetNetwork net(small_config(false));
+  OperaNetwork net(small_config(false));
   // One 500 KB bulk flow from each rack to the next (ring pattern).
   for (int r = 0; r < 16; ++r) {
     net.submit_flow(r * 4, ((r + 1) % 16) * 4, 500'000, sim::Time::zero());
   }
   net.run_until(sim::Time::ms(60));
   EXPECT_EQ(net.tracker().completed(), 16u);
+}
+
+// The checkpoint fingerprint must cover the coordinator's grant-order rng
+// and the slice rotation, not just the ports: an idle fabric's ports look
+// the same under any network seed, but a restored run with a different rng
+// cursor would grant in a different order.
+TEST(RotorNetNetwork, FingerprintCoversGrantOrderAndSliceRotation) {
+  const auto digest = [](bool hybrid, std::uint64_t seed) {
+    auto cfg = FabricConfig::make(FabricKind::kRotorNet);
+    cfg.rotornet.hybrid = hybrid;
+    cfg.scale(16, 4);
+    cfg.seed = seed;
+    const auto net = NetworkFactory::build(cfg);
+    net->run_until(sim::Time::ms(1));
+    sim::Fingerprint fp;
+    net->fingerprint(fp);
+    return fp.digest();
+  };
+  for (const bool hybrid : {false, true}) {
+    EXPECT_NE(digest(hybrid, 1), digest(hybrid, 2)) << "hybrid=" << hybrid;
+    EXPECT_EQ(digest(hybrid, 1), digest(hybrid, 1)) << "hybrid=" << hybrid;
+  }
 }
 
 }  // namespace

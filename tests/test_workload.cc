@@ -93,6 +93,21 @@ TEST(Poisson, ArrivalsSorted) {
   }
 }
 
+// Regression: load 0 (also what a non-numeric --load used to become) made
+// the mean inter-arrival time infinite, and the arrival loop never ended
+// once the assert was compiled out.
+TEST(Poisson, RejectsNonPositiveLoadAndTooFewHosts) {
+  const auto dist = FlowSizeDistribution::hadoop();
+  sim::Rng rng(4);
+  const auto duration = sim::Time::ms(1);
+  EXPECT_THROW((void)poisson_workload(dist, 16, 0.0, 10e9, duration, rng),
+               std::invalid_argument);
+  EXPECT_THROW((void)poisson_workload(dist, 16, -0.1, 10e9, duration, rng),
+               std::invalid_argument);
+  EXPECT_THROW((void)poisson_workload(dist, 1, 0.2, 10e9, duration, rng),
+               std::invalid_argument);
+}
+
 TEST(Shuffle, ExcludesRackLocal) {
   sim::Rng rng(5);
   const auto flows = shuffle_workload(16, 4, 100'000, sim::Time::zero(), rng);
