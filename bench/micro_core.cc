@@ -32,15 +32,17 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleRun)->Arg(1'000)->Arg(100'000);
 
+// One fixed seed: the sampler's restart count, and so its time, varies
+// by orders of magnitude from seed to seed. Seed 1 is what OperaTopology's
+// first realization draws with; Arg(432) is the k=24 scale.
 void BM_OneFactorization(benchmark::State& state) {
   const auto n = static_cast<topo::Vertex>(state.range(0));
-  std::uint64_t seed = 1;
   for (auto _ : state) {
-    sim::Rng rng(seed++);
+    sim::Rng rng(1);
     benchmark::DoNotOptimize(topo::random_factorization(n, rng));
   }
 }
-BENCHMARK(BM_OneFactorization)->Arg(16)->Arg(108);
+BENCHMARK(BM_OneFactorization)->Arg(16)->Arg(108)->Arg(432)->Unit(benchmark::kMillisecond);
 
 void BM_SliceRoutes(benchmark::State& state) {
   topo::OperaParams p;

@@ -1,5 +1,6 @@
 #include "topo/one_factorization.h"
 
+#include <bit>
 #include <cassert>
 #include <cstdio>
 #include <stdexcept>
@@ -98,47 +99,58 @@ std::vector<Matching> circle_factorization(Vertex n) {
   return out;
 }
 
-void alternating_cycle_swap(Matching& a, Matching& b, Vertex start) {
-  // Walk the alternating cycle start -a- v1 -b- v2 -a- ... until we return
-  // to start. Unions of two disjoint perfect matchings decompose into even
-  // cycles, so the walk terminates back at `start` on a b-edge.
-  std::vector<std::pair<Vertex, Vertex>> a_edges;
-  std::vector<std::pair<Vertex, Vertex>> b_edges;
-  Vertex cur = start;
-  bool use_a = true;
-  do {
-    const Vertex nxt = use_a ? a[static_cast<std::size_t>(cur)] : b[static_cast<std::size_t>(cur)];
-    (use_a ? a_edges : b_edges).emplace_back(cur, nxt);
-    cur = nxt;
-    use_a = !use_a;
-  } while (cur != start);
-  for (const auto& [p, q] : a_edges) {
-    b[static_cast<std::size_t>(p)] = q;
-    b[static_cast<std::size_t>(q)] = p;
-  }
-  for (const auto& [p, q] : b_edges) {
-    a[static_cast<std::size_t>(p)] = q;
-    a[static_cast<std::size_t>(q)] = p;
-  }
+UsedPairs::UsedPairs(Vertex num_vertices)
+    : n(num_vertices),
+      words((static_cast<std::size_t>(num_vertices) + 63) / 64),
+      bits(static_cast<std::size_t>(num_vertices) * words, 0) {
+  for (Vertex v = 0; v < n; ++v) set(v, v);
 }
+
+void UsedPairs::mark(const Matching& m) {
+  for (Vertex v = 0; v < n; ++v) set(v, m[static_cast<std::size_t>(v)]);
+}
+
+namespace {
+
+// Position of the r-th (0-based) set bit of x; requires r < popcount(x).
+int select_bit(std::uint64_t x, std::size_t r) {
+  for (; r > 0; --r) x &= x - 1;
+  return std::countr_zero(x);
+}
+
+}  // namespace
 
 // Uses randomized greedy matching with a local repair step: when a vertex
 // has no unmatched compatible partner left, it steals a compatible matched
 // vertex and releases that vertex's partner back into the pool. Returns an
 // empty matching on failure (repair budget exhausted or a vertex ran out
 // of compatible partners entirely).
-Matching random_disjoint_matching(Vertex n, const std::vector<std::uint8_t>& used,
-                                  sim::Rng& rng) {
+//
+// The pool keeps stale entries (vertices matched after they were pushed)
+// and duplicates (a released vertex pushed again while an older entry of
+// it remains); a candidate is drawn by its position among the compatible
+// entries in pool order, so both shape the draw and are preserved exactly.
+Matching random_disjoint_matching(const UsedPairs& used, sim::Rng& rng) {
+  const Vertex n = used.n;
   const auto sz = static_cast<std::size_t>(n);
+  const std::size_t words = used.words;
   Matching match(sz, kNoVertex);
+  std::vector<std::uint64_t> matched(words, 0);  // bit w: match[w] != kNoVertex
+  std::vector<std::uint64_t> free_for_v(words);  // bit w: unmatched, (v, w) unused
   std::vector<Vertex> pool;
   pool.reserve(sz);
   for (Vertex v = 0; v < n; ++v) pool.push_back(v);
   rng.shuffle(std::span<Vertex>{pool});
 
+  const auto pair_up = [&](Vertex a, Vertex b) {
+    match[static_cast<std::size_t>(a)] = b;
+    match[static_cast<std::size_t>(b)] = a;
+    matched[static_cast<std::size_t>(a) >> 6] |= std::uint64_t{1} << (a & 63);
+    matched[static_cast<std::size_t>(b) >> 6] |= std::uint64_t{1} << (b & 63);
+  };
+
   std::int64_t repair_budget = 40LL * n;
-  std::vector<Vertex> candidates;
-  candidates.reserve(sz);
+  std::vector<Vertex> candidates(sz);
   while (!pool.empty()) {
     // Pop a random unmatched vertex (entries may be stale after repairs).
     const std::size_t vi = rng.index(pool.size());
@@ -146,37 +158,45 @@ Matching random_disjoint_matching(Vertex n, const std::vector<std::uint8_t>& use
     pool[vi] = pool.back();
     pool.pop_back();
     if (match[static_cast<std::size_t>(v)] != kNoVertex) continue;
-    const std::uint8_t* v_used = used.data() + static_cast<std::size_t>(v) * sz;
+    const std::uint64_t* v_used = used.row(v);
 
-    // Preferred: a compatible unmatched partner. (w == v cannot occur: v
-    // was popped from the pool and the diagonal is marked used anyway.)
-    candidates.clear();
+    // Preferred: a compatible unmatched partner, in pool order. The scan is
+    // branchless: every entry is written, and the cursor advances only past
+    // compatible ones. (w == v cannot qualify: the diagonal is used.)
+    for (std::size_t i = 0; i < words; ++i) free_for_v[i] = ~(matched[i] | v_used[i]);
+    std::size_t count = 0;
     for (const Vertex w : pool) {
-      if (match[static_cast<std::size_t>(w)] == kNoVertex &&
-          v_used[static_cast<std::size_t>(w)] == 0) {
-        candidates.push_back(w);
-      }
+      candidates[count] = w;
+      count += (free_for_v[static_cast<std::size_t>(w) >> 6] >> (w & 63)) & 1U;
     }
-    if (!candidates.empty()) {
-      const Vertex w = candidates[rng.index(candidates.size())];
-      match[static_cast<std::size_t>(v)] = w;
-      match[static_cast<std::size_t>(w)] = v;
+    if (count > 0) {
+      pair_up(v, candidates[rng.index(count)]);
       continue;
     }
 
-    // Repair: steal a compatible matched vertex w from its partner x.
-    for (Vertex w = 0; w < n; ++w) {
-      if (match[static_cast<std::size_t>(w)] != kNoVertex &&
-          v_used[static_cast<std::size_t>(w)] == 0) {
-        candidates.push_back(w);
-      }
+    // Repair: steal a compatible matched vertex w from its partner x; w is
+    // the k-th such vertex in ascending order.
+    count = 0;
+    for (std::size_t i = 0; i < words; ++i) {
+      count += static_cast<std::size_t>(std::popcount(matched[i] & ~v_used[i]));
     }
-    if (candidates.empty() || --repair_budget < 0) return {};  // failure
-    const Vertex w = candidates[rng.index(candidates.size())];
+    if (count == 0 || --repair_budget < 0) return {};  // failure
+    std::size_t k = rng.index(count);
+    std::size_t word = 0;
+    for (;; ++word) {
+      const std::uint64_t stealable = matched[word] & ~v_used[word];
+      const auto here = static_cast<std::size_t>(std::popcount(stealable));
+      if (k < here) {
+        k = static_cast<std::size_t>(select_bit(stealable, k));
+        break;
+      }
+      k -= here;
+    }
+    const auto w = static_cast<Vertex>(word * 64 + k);
     const Vertex x = match[static_cast<std::size_t>(w)];
-    match[static_cast<std::size_t>(v)] = w;
-    match[static_cast<std::size_t>(w)] = v;
     match[static_cast<std::size_t>(x)] = kNoVertex;
+    matched[static_cast<std::size_t>(x) >> 6] &= ~(std::uint64_t{1} << (x & 63));
+    pair_up(v, w);
     pool.push_back(x);
   }
   return match;
@@ -194,8 +214,7 @@ std::vector<Matching> random_factorization_even_once(
     Vertex n, sim::Rng& rng, const FactorizationBudget& budget) {
   const auto sz = static_cast<std::size_t>(n);
   for (int restart = 0; restart < budget.max_restarts; ++restart) {
-    std::vector<std::uint8_t> used(sz * sz, 0);
-    for (std::size_t v = 0; v < sz; ++v) used[v * sz + v] = 1;  // diagonal
+    UsedPairs used(n);
     std::vector<Matching> out;
     Matching ident(sz);
     for (Vertex v = 0; v < n; ++v) ident[static_cast<std::size_t>(v)] = v;
@@ -205,12 +224,9 @@ std::vector<Matching> random_factorization_even_once(
     for (Vertex round = 0; round + 1 < n && ok; ++round) {
       ok = false;
       for (int retry = 0; retry < budget.matching_retries; ++retry) {
-        Matching m = random_disjoint_matching(n, used, rng);
+        Matching m = random_disjoint_matching(used, rng);
         if (m.empty()) continue;
-        for (Vertex v = 0; v < n; ++v) {
-          const Vertex w = m[static_cast<std::size_t>(v)];
-          used[static_cast<std::size_t>(v) * sz + static_cast<std::size_t>(w)] = 1;
-        }
+        used.mark(m);
         out.push_back(std::move(m));
         ok = true;
         break;

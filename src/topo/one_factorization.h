@@ -2,18 +2,20 @@
 //
 // Opera's topology starts by factoring the N x N all-ones matrix into N
 // disjoint symmetric matchings — i.e., N involutive permutations whose
-// union covers every (src, dst) pair, diagonal included. For even N this
-// is the classic circle-method 1-factorization of K_N (N-1 perfect
-// matchings) plus the identity matching (rack "connected" to itself — a
-// slot that carries no traffic). For odd N each matching leaves exactly
-// one rack unmatched.
+// union covers every (src, dst) pair, diagonal included. For even N that
+// is N-1 perfect matchings of K_N plus the identity matching (rack
+// "connected" to itself — a slot that carries no traffic). For odd N each
+// matching leaves exactly one rack unmatched.
 //
-// The paper randomizes the factorization; we apply a random vertex
-// relabeling and shuffle the matching order, seeded deterministically.
-// The paper also uses *graph lifting* to build large factorizations from
-// small ones; `lift_double()` implements the doubling construction.
+// circle_factorization() is the deterministic circle method. The paper
+// randomizes the factorization: random_factorization() draws the N-1
+// perfect matchings one after another, each over the pairs no earlier
+// matching used, and shuffles the matching order. The paper also uses
+// *graph lifting* to build large factorizations from small ones;
+// `lift_double()` implements the doubling construction.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -55,31 +57,43 @@ struct FactorizationBudget {
   int seed_bumps = 8;         // independent reseeded reruns of the above
 };
 
-// Uniformly-mixed random factorization (the paper's "randomly factor").
-// Starts from the circle factorization, then mixes with alternating-cycle
-// color swaps: pick two perfect matchings, find an alternating cycle in
-// their union, and exchange the cycle's edges between them. Each swap
-// preserves the factorization property while destroying the circle
-// method's algebraic structure (which would otherwise yield circulant-like
-// slice unions with poor expansion). Finishes with a random vertex
-// relabeling and a shuffle of the matching order.
+// Random factorization (the paper's "randomly factor"). Even N: the
+// identity matching plus N-1 random perfect matchings drawn in sequence by
+// random_disjoint_matching, each avoiding every pair an earlier one used;
+// when the tail wedges (the remainder has no perfect matching) the whole
+// construction restarts. Odd N: factor N+1 and strip the dummy vertex, so
+// its partner in each matching becomes self-matched. Finishes with a
+// shuffle of the matching order.
 [[nodiscard]] std::vector<Matching> random_factorization(
     Vertex n, sim::Rng& rng, const FactorizationBudget& budget = {});
 
-// One alternating-cycle swap between perfect matchings `a` and `b` through
-// vertex `start` (exposed for testing). Both matchings must be perfect on
-// the cycle through `start`.
-void alternating_cycle_swap(Matching& a, Matching& b, Vertex start);
+// The pairs earlier matchings already took, as an n x n bit matrix: row v
+// has bit w set when (v, w) is used. The diagonal starts set, so a vertex
+// is never matched to itself. Rows are 64-bit words so the sampler tests a
+// whole row with a few AND/popcount operations.
+struct UsedPairs {
+  explicit UsedPairs(Vertex num_vertices);
 
-// Draws one random perfect matching on n (even) vertices that avoids the
-// edges marked in `used` (row-major n*n byte map — bytes, not
-// vector<bool>, because the sampler's inner loops scan whole rows and the
-// bit extraction dominated large-N factorization), via randomized greedy
-// matching with steal-repair. Returns an empty vector on failure. This is
-// the workhorse behind random_factorization and random_regular_graph.
-[[nodiscard]] Matching random_disjoint_matching(Vertex n,
-                                                const std::vector<std::uint8_t>& used,
-                                                sim::Rng& rng);
+  [[nodiscard]] const std::uint64_t* row(Vertex v) const {
+    return bits.data() + static_cast<std::size_t>(v) * words;
+  }
+  void set(Vertex v, Vertex w) {
+    bits[static_cast<std::size_t>(v) * words + (static_cast<std::size_t>(w) >> 6)] |=
+        std::uint64_t{1} << (w & 63);
+  }
+  // Marks (v, m[v]) for every v.
+  void mark(const Matching& m);
+
+  Vertex n;
+  std::size_t words;                // per row: ceil(n / 64)
+  std::vector<std::uint64_t> bits;  // row-major, n * words
+};
+
+// Draws one random perfect matching on used.n (even) vertices that avoids
+// the pairs marked in `used`, by randomized greedy matching with
+// steal-repair. Returns an empty vector on failure. This is the sampler
+// behind random_factorization and random_regular_graph.
+[[nodiscard]] Matching random_disjoint_matching(const UsedPairs& used, sim::Rng& rng);
 
 // Graph lifting: build a factorization of the all-ones 2N x 2N matrix from
 // one of the N x N matrix. Within-copy pairs reuse the small factorization

@@ -4,9 +4,26 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 
+#include "sim/parallel.h"
+
 namespace opera::topo {
+
+std::vector<int> acceptance_slices(Vertex num_racks, int num_switches) {
+  // Testing every slice is O(N^2) BFS per slice; beyond a few hundred
+  // racks sample instead. A step sharing a factor with u would only ever
+  // land on the down phases of u / gcd(step, u) switches.
+  int step = 1;
+  if (num_racks > 256) {
+    step = std::max(1, static_cast<int>(num_racks) / (4 * num_switches));
+    while (std::gcd(step, num_switches) != 1) ++step;
+  }
+  std::vector<int> out;
+  for (int s = 0; s < static_cast<int>(num_racks); s += step) out.push_back(s);
+  return out;
+}
 
 FailureSet FailureSet::none(Vertex num_racks, int num_switches) {
   FailureSet f;
@@ -72,16 +89,21 @@ OperaTopology::OperaTopology(const OperaParams& params, RotorSchedule schedule)
     }
     if (schedule_ == RotorSchedule::kUnison) return;
 
-    // Testing every slice is O(N^2) BFS; beyond a few hundred racks sample
-    // one slice per switch phase instead.
-    const bool exhaustive = n <= 256;
-    const int step = exhaustive ? 1 : std::max(1, num_slices() / (4 * u));
+    // The sampled slices are independent BFS sweeps; reduce them in slice
+    // order so the verdict does not depend on the thread count.
+    const std::vector<int> tested = acceptance_slices(n, u);
+    std::vector<PathStats> stats(tested.size());
+    sim::parallel_for(tested.size(), [&](std::size_t i) {
+      stats[i] = all_pairs_path_stats(slice_graph(tested[i]));
+    });
     bool connected = true;
     int worst = 0;
-    for (int s = 0; s < num_slices() && connected; s += step) {
-      const auto stats = all_pairs_path_stats(slice_graph(s));
-      if (stats.disconnected_pairs > 0) connected = false;
-      worst = std::max(worst, static_cast<int>(stats.worst));
+    for (const PathStats& st : stats) {
+      if (st.disconnected_pairs > 0) {
+        connected = false;
+        break;
+      }
+      worst = std::max(worst, static_cast<int>(st.worst));
     }
     if (!connected) continue;
     if (worst <= diameter_bound) return;  // accepted

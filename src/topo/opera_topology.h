@@ -63,6 +63,12 @@ enum class RotorSchedule : std::uint8_t { kOffset, kUnison };
   return schedule == RotorSchedule::kUnison ? n / params.num_switches : n;
 }
 
+// The slices OperaTopology's design-time acceptance test checks: every one
+// up to 256 racks; beyond that about four per rotor switch, spaced by a
+// step coprime to u, so that every switch's down phase (slice % u) is
+// among them.
+[[nodiscard]] std::vector<int> acceptance_slices(Vertex num_racks, int num_switches);
+
 // Failed components for fault-tolerance analysis (paper §5.5, Fig. 11/18).
 struct FailureSet {
   std::vector<bool> rack_failed;                  // size N

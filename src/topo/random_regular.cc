@@ -10,6 +10,29 @@ namespace opera::topo {
 
 namespace {
 
+// `used` with vertex `skip` deleted: rows and columns above it shift down
+// by one, the index compaction the odd-n layers sample on.
+UsedPairs without_vertex(const UsedPairs& used, Vertex skip) {
+  UsedPairs out(used.n - 1);
+  const auto cut = static_cast<std::size_t>(skip);
+  for (Vertex a = 0; a < out.n; ++a) {
+    const std::uint64_t* in = used.row(a < skip ? a : a + 1);
+    std::uint64_t* dst = out.bits.data() + static_cast<std::size_t>(a) * out.words;
+    for (std::size_t i = 0; i < out.words; ++i) {
+      const std::uint64_t next = i + 1 < used.words ? in[i + 1] : 0;
+      const std::uint64_t shifted = (in[i] >> 1) | (next << 63);
+      // Columns below `skip` keep their bit; the rest take their right
+      // neighbour's.
+      const std::size_t lo = i * 64;
+      const std::uint64_t keep = cut >= lo + 64 ? ~std::uint64_t{0}
+                                 : cut <= lo    ? 0
+                                                : (std::uint64_t{1} << (cut - lo)) - 1;
+      dst[i] = (in[i] & keep) | (shifted & ~keep);
+    }
+  }
+  return out;
+}
+
 // One full restart-budgeted attempt on `rng`. Returns an empty (0-vertex)
 // graph when the budget is exhausted — the caller decides whether to bump
 // the seed or give up.
@@ -30,8 +53,7 @@ Graph random_regular_graph_once(Vertex n, Vertex u, sim::Rng& rng,
 
   for (int restart = 0; restart < budget.max_restarts; ++restart) {
     Graph g(n);
-    std::vector<std::uint8_t> used(sz * sz, 0);
-    for (std::size_t v = 0; v < sz; ++v) used[v * sz + v] = 1;
+    UsedPairs used(n);
     bool ok = true;
     for (Vertex layer = 0; layer < u && ok; ++layer) {
       ok = false;
@@ -42,21 +64,12 @@ Graph random_regular_graph_once(Vertex n, Vertex u, sim::Rng& rng,
           // other n-1 (even) vertices via an index compaction, then map
           // back with the skipped vertex self-matched.
           const auto skip = static_cast<Vertex>(rng.index(sz));
-          const auto small_n = n - 1;
-          const auto small_sz = static_cast<std::size_t>(small_n);
+          const auto small_sz = sz - 1;
           std::vector<Vertex> to_full(small_sz);
           for (Vertex v = 0, j = 0; v < n; ++v) {
             if (v != skip) to_full[static_cast<std::size_t>(j++)] = v;
           }
-          std::vector<std::uint8_t> small_used(small_sz * small_sz, 0);
-          for (std::size_t a = 0; a < small_sz; ++a) {
-            for (std::size_t b = 0; b < small_sz; ++b) {
-              small_used[a * small_sz + b] =
-                  used[static_cast<std::size_t>(to_full[a]) * sz +
-                       static_cast<std::size_t>(to_full[b])];
-            }
-          }
-          const Matching small = random_disjoint_matching(small_n, small_used, rng);
+          const Matching small = random_disjoint_matching(without_vertex(used, skip), rng);
           if (small.empty()) continue;
           m.assign(sz, kNoVertex);
           m[static_cast<std::size_t>(skip)] = skip;
@@ -65,14 +78,14 @@ Graph random_regular_graph_once(Vertex n, Vertex u, sim::Rng& rng,
                 to_full[static_cast<std::size_t>(small[a])];
           }
         } else {
-          m = random_disjoint_matching(n, used, rng);
+          m = random_disjoint_matching(used, rng);
         }
         if (m.empty()) continue;
         for (Vertex v = 0; v < n; ++v) {
           const Vertex w = m[static_cast<std::size_t>(v)];
           if (v < w) g.add_edge(v, w);
-          used[static_cast<std::size_t>(v) * sz + static_cast<std::size_t>(w)] = 1;
         }
+        used.mark(m);
         ok = true;
         break;
       }

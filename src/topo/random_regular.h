@@ -20,11 +20,13 @@ struct RegularGraphBudget {
   int seed_bumps = 8;
 };
 
-// Generates a connected simple u-regular graph on n vertices using the
-// configuration (pairing) model with restarts: pair up n*u port stubs at
-// random, reject self-loops/multi-edges/disconnected outcomes and retry.
-// Requires n*u even and u < n. With u >= 3 the result is an expander with
-// high probability, so only a handful of restarts are ever needed.
+// Generates a connected simple u-regular graph on n vertices as the union
+// of u pairwise-disjoint random matchings (random_disjoint_matching in
+// one_factorization.h), restarting when a layer cannot be drawn or the
+// union is disconnected. Requires n*u even and u < n. For odd n each layer
+// leaves one random vertex out, so those vertices end short of degree u. With
+// u >= 3 the result is an expander with high probability, so only a
+// handful of restarts are ever needed.
 [[nodiscard]] Graph random_regular_graph(Vertex n, Vertex u, sim::Rng& rng,
                                          const RegularGraphBudget& budget = {});
 

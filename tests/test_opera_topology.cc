@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
 
 namespace opera::topo {
 namespace {
@@ -166,6 +167,29 @@ TEST(OperaTopology, PaperScale108Racks) {
     EXPECT_EQ(stats.disconnected_pairs, 0u);
     EXPECT_LE(stats.worst, 6);
   }
+}
+
+TEST(OperaTopology, AcceptanceTestCoversEveryDownSwitch) {
+  // Slice s has switch s % u down. At k=24 (432 racks, u = 12) and k=32
+  // (768, u = 16) a sampling step sharing a factor with u would test only
+  // 4 of the u switches' down phases.
+  for (const auto& [racks, switches] :
+       {std::pair<Vertex, int>{108, 6}, {432, 12}, {768, 16}, {300, 6}, {1024, 8}}) {
+    const auto slices = acceptance_slices(racks, switches);
+    EXPECT_LE(slices.size(), static_cast<std::size_t>(racks));
+    std::vector<bool> down_tested(static_cast<std::size_t>(switches), false);
+    for (const int s : slices) {
+      ASSERT_GE(s, 0);
+      ASSERT_LT(s, racks);
+      down_tested[static_cast<std::size_t>(s % switches)] = true;
+    }
+    for (int sw = 0; sw < switches; ++sw) {
+      EXPECT_TRUE(down_tested[static_cast<std::size_t>(sw)])
+          << "racks=" << racks << " u=" << switches << " switch " << sw;
+    }
+  }
+  // Up to 256 racks every slice is tested.
+  EXPECT_EQ(acceptance_slices(256, 8).size(), 256u);
 }
 
 // Property sweep over sizes and seeds: all slices connected, full direct
