@@ -9,6 +9,7 @@
 #include "sim/event_queue.h"
 #include "sim/parallel.h"
 #include "sim/rng.h"
+#include "sim/simulator.h"
 #include "topo/one_factorization.h"
 #include "topo/opera_topology.h"
 
@@ -31,6 +32,34 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_EventQueueScheduleRun)->Arg(1'000)->Arg(100'000);
+
+// Arg ports serialize in lockstep: each hash-keyed event re-arms itself
+// 1.2 us after it fires, so every timestamp holds an Arg-event run. This
+// is the path the fabrics take (schedule_keyed with causal hash keys);
+// BM_EventQueueScheduleRun's counter keys never tie out of order.
+struct Lockstep {
+  sim::EventQueue q;
+  std::uint64_t fired = 0;
+  explicit Lockstep(std::uint32_t ports) {
+    for (std::uint32_t p = 0; p < ports; ++p) arm(p, sim::Time::ns(1200));
+  }
+  void arm(std::uint32_t port, sim::Time at) {
+    q.schedule_keyed(at, sim::mix64((fired << 16) | port), [this, port, at] {
+      ++fired;
+      arm(port, at + sim::Time::ns(1200));
+    });
+  }
+};
+
+void BM_EventQueueLockstep(benchmark::State& state) {
+  constexpr std::uint64_t kEvents = 200'000;
+  for (auto _ : state) {
+    Lockstep lockstep(static_cast<std::uint32_t>(state.range(0)));
+    while (lockstep.fired < kEvents) lockstep.q.run_next();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kEvents));
+}
+BENCHMARK(BM_EventQueueLockstep)->Arg(64)->Arg(648)->Arg(4'096);
 
 // One fixed seed: the sampler's restart count, and so its time, varies
 // by orders of magnitude from seed to seed. Seed 1 is what OperaTopology's

@@ -30,7 +30,7 @@ void EventQueueImpl::link_sorted(std::uint32_t id) {
   }
   // Most inserts carry the latest (time, key) in their bucket, so walk
   // backward from the tail; counter-keyed equal times append O(1) because
-  // the key increases (hash-keyed ties pay a short walk).
+  // the key increases.
   if (!before(id, t)) {
     meta[id].prev = t;
     meta[id].next = kNoSlot;
@@ -38,19 +38,40 @@ void EventQueueImpl::link_sorted(std::uint32_t id) {
     b.tail = id;
     return;
   }
-  std::uint32_t cur = meta[t].prev;
+  // Hash-keyed ties land anywhere in their run. Past kTieWalk equal-time
+  // steps into a run the pop front has not reached, stop: append at the
+  // end of the run and flag it for sort_run().
+  const Time at = meta[id].at;
+  const bool bounded = at.picoseconds() > front_at;
   std::uint32_t nxt = t;
-  std::uint32_t steps = 0;
+  std::uint32_t cur = meta[t].prev;
+  // The run's last slot, once the walk reaches the run.
+  std::uint32_t run_last = meta[t].at == at ? t : kNoSlot;
+  std::uint32_t ties = run_last == kNoSlot ? 0 : 1;
+  std::uint32_t steps = 0;  // across later timestamps
   while (cur != kNoSlot && before(id, cur)) {
+    if (meta[cur].at == at) {
+      if (run_last == kNoSlot) run_last = cur;
+      if (++ties > kTieWalk && bounded) {
+        cur = run_last;
+        nxt = meta[run_last].next;
+        if (!meta[id].unsorted) {
+          meta[id].unsorted = true;
+          ++unsorted_pending;
+        }
+        break;
+      }
+    } else {
+      ++steps;
+    }
     nxt = cur;
     cur = meta[cur].prev;
-    ++steps;
   }
   if (steps > 16) ++long_walks;
   meta[id].prev = cur;
   meta[id].next = nxt;
   if (cur == kNoSlot) b.head = id; else meta[cur].next = id;
-  meta[nxt].prev = id;
+  if (nxt == kNoSlot) b.tail = id; else meta[nxt].prev = id;
 }
 
 void EventQueueImpl::unlink(std::uint32_t id) {
@@ -66,28 +87,83 @@ void EventQueueImpl::find_min() {
   // Walk buckets forward from the last known lower bound. Bucket windows
   // partition time, so the first head that lies inside its current window
   // is the global minimum.
+  std::uint32_t best = kNoSlot;
   std::uint64_t gb = static_cast<std::uint64_t>(scan_from) >> width_shift;
   for (std::uint32_t i = 0; i < nb; ++i, ++gb) {
     const std::uint32_t h = buckets[gb & bucket_mask].head;
     if (h != kNoSlot &&
         static_cast<std::uint64_t>(meta[h].at.picoseconds()) < ((gb + 1) << width_shift)) {
-      min_slot = h;
-      scan_from = meta[h].at.picoseconds();
       if (i > 32) ++long_scans;
+      best = h;
+      break;
+    }
+  }
+  if (best == kNoSlot) {
+    ++long_scans;
+    // Nothing within one calendar year of scan_from: the pending events
+    // are sparse. Take the minimum over all bucket heads and jump to it.
+    for (std::uint32_t b = 0; b < nb; ++b) {
+      const std::uint32_t h = buckets[b].head;
+      if (h != kNoSlot && (best == kNoSlot || before(h, best))) best = h;
+    }
+    assert(best != kNoSlot);
+  }
+  const std::int64_t at_ps = meta[best].at.picoseconds();
+  if (at_ps != front_at) {
+    // The pop front reaches a new run: later inserts into it walk in full,
+    // and any flagged event in it must be sorted in first.
+    front_at = at_ps;
+    if (unsorted_pending > 0) best = sort_run(best);
+  }
+  min_slot = best;
+  scan_from = at_ps;
+}
+
+std::uint32_t EventQueueImpl::sort_run(std::uint32_t head) {
+  const Time at = meta[head].at;
+  run_scratch.clear();
+  bool flagged = false;
+  std::uint32_t after = head;
+  for (; after != kNoSlot && meta[after].at == at; after = meta[after].next) {
+    flagged |= meta[after].unsorted;
+    run_scratch.push_back(
+        {meta[after].key, static_cast<std::uint32_t>(run_scratch.size()), after});
+  }
+  if (!flagged) return head;
+  std::sort(run_scratch.begin(), run_scratch.end(),
+            [](const RunEntry& x, const RunEntry& y) {
+              return x.key != y.key ? x.key < y.key : x.pos < y.pos;
+            });
+  // Relink the run in place between its outer neighbors.
+  Bucket& b = buckets[bucket_of(at.picoseconds())];
+  std::uint32_t prev = meta[head].prev;
+  for (const RunEntry& e : run_scratch) {
+    Meta& m = meta[e.id];
+    if (m.unsorted) {
+      m.unsorted = false;
+      --unsorted_pending;
+    }
+    m.prev = prev;
+    if (prev == kNoSlot) b.head = e.id; else meta[prev].next = e.id;
+    prev = e.id;
+  }
+  meta[prev].next = after;
+  if (after == kNoSlot) b.tail = prev; else meta[after].prev = prev;
+  return run_scratch.front().id;
+}
+
+void EventQueueImpl::pass_flag(std::uint32_t id) {
+  Meta& m = meta[id];
+  m.unsorted = false;
+  // An unflagged neighbor in the same run inherits the flag; otherwise the
+  // count drops.
+  for (const std::uint32_t n : {m.prev, m.next}) {
+    if (n != kNoSlot && meta[n].at == m.at && !meta[n].unsorted) {
+      meta[n].unsorted = true;
       return;
     }
   }
-  ++long_scans;
-  // Nothing within one calendar year of scan_from: the pending events are
-  // sparse. Take the minimum over all bucket heads and jump to it.
-  std::uint32_t best = kNoSlot;
-  for (std::uint32_t b = 0; b < nb; ++b) {
-    const std::uint32_t h = buckets[b].head;
-    if (h != kNoSlot && (best == kNoSlot || before(h, best))) best = h;
-  }
-  assert(best != kNoSlot);
-  min_slot = best;
-  scan_from = meta[best].at.picoseconds();
+  --unsorted_pending;
 }
 
 void EventQueueImpl::resize() {
@@ -115,8 +191,12 @@ void EventQueueImpl::resize() {
   } else if (count > 1 && max_at > min_at) {
     w = static_cast<std::uint64_t>(max_at - min_at) / count * 2;
   }
-  const auto shift = static_cast<unsigned>(
-      std::bit_width(std::max<std::uint64_t>(w, 1)) - 1);
+  const unsigned shift = std::min(
+      static_cast<unsigned>(std::bit_width(std::max<std::uint64_t>(w, 1)) - 1), 62u);
+  // The drift detectors can ask for the calendar the queue already has;
+  // relinking it would change nothing.
+  if (target == nb && shift == width_shift) return;
+  ++rebuilds;
 
   std::vector<std::uint32_t> pending;
   pending.reserve(count);
@@ -125,7 +205,7 @@ void EventQueueImpl::resize() {
       pending.push_back(id);
     }
   }
-  set_buckets(target, std::min(shift, 62u));
+  set_buckets(target, shift);
   for (const std::uint32_t id : pending) link_sorted(id);
   min_slot = kNoSlot;
 }
@@ -170,6 +250,9 @@ void retire_impl(EventQueueImpl* impl) {
     impl->long_scans = 0;
     impl->long_walks = 0;
     impl->min_at = impl->max_at = 0;
+    impl->rebuilds = 0;
+    impl->front_at = EventQueueImpl::kNoFront;
+    impl->unsorted_pending = 0;
     g_impl_pool.retired.push_back(impl);
     return;
   }
@@ -184,6 +267,8 @@ void retire_impl(EventQueueImpl* impl) {
   impl->buckets.shrink_to_fit();
   impl->free_slots.clear();
   impl->free_slots.shrink_to_fit();
+  impl->run_scratch.clear();
+  impl->run_scratch.shrink_to_fit();
   if (--impl->refs == 0) delete impl;
 }
 
@@ -193,6 +278,7 @@ void EventHandle::cancel() {
   if (impl_ == nullptr || !impl_->queue_alive) return;
   if (slot_ >= impl_->meta.size()) return;
   if (impl_->meta[slot_].generation != generation_) return;  // fired or cancelled
+  if (impl_->meta[slot_].unsorted) impl_->pass_flag(slot_);
   impl_->unlink(slot_);
   impl_->fns[slot_].reset();
   impl_->release(slot_);
@@ -218,6 +304,7 @@ EventHandle EventQueue::schedule_keyed(Time at, std::uint64_t key, Callback fn) 
   detail::EventQueueImpl::Meta& m = q.meta[id];
   m.at = at;
   m.key = key;
+  m.unsorted = false;  // link_sorted() keeps flags, so resize() can too
   q.fns[id] = std::move(fn);
   q.link_sorted(id);
   ++q.count;
@@ -261,6 +348,7 @@ EventQueue::Callback EventQueue::take_next(Time* at, std::uint64_t* key) {
   // slot.
   Callback fn = std::move(q.fns[id]);
   q.fns[id].reset();
+  assert(!q.meta[id].unsorted);  // find_min() sorted its run
   q.unlink(id);
   q.release(id);
   --q.count;
@@ -296,6 +384,7 @@ void EventQueue::clear() {
   }
   q.count = 0;
   q.min_slot = detail::kNoSlot;
+  q.unsorted_pending = 0;
 }
 
 }  // namespace opera::sim

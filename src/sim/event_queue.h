@@ -20,10 +20,23 @@
 //     working set of ordering operations small;
 //   * slots are threaded into a calendar of time buckets (Brown '88, the
 //     structure htsim-class simulators use): bucket = (t / width) mod nb,
-//     each bucket a doubly-linked list sorted by (time, key). Schedule and
-//     cancel are O(1) expected; pop scans forward from the last-popped
-//     time and the bucket count/width self-tune to the pending-event
-//     density, so dequeue is O(1) amortized rather than O(log n);
+//     each bucket a doubly-linked list sorted by (time, key), except that
+//     a run the pop front has not reached may be out of key order (next
+//     item). Schedule and cancel are O(1) expected; pop scans forward from
+//     the last-popped time and the bucket count/width self-tune to the
+//     pending-event density, so dequeue is O(1) amortized rather than
+//     O(log n);
+//   * equal-time runs (a *run* is all pending events at one timestamp)
+//     stay cheap when their keys are hashes, as the sharded simulator's
+//     causal keys are. An insert into a run later than the one being
+//     popped walks at most kTieWalk equal-time steps, then appends at the
+//     end of its run and is flagged. When the pop front reaches a run
+//     holding a flag, the run is sorted once by (key, list position) and
+//     relinked. List position among equal (time, key) is schedule order,
+//     so the order stays exact. A count of pending flags gates the check,
+//     so queues with short runs never walk one. The width-drift detector
+//     counts only walk steps across distinct timestamps, since no bucket
+//     width splits a run;
 //   * cancellation unlinks the slot eagerly — size(), empty() and
 //     next_time() are exact, with no lazy-drop pass;
 //   * handles address their slot by {id, generation}; a stale generation
@@ -34,6 +47,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "sim/small_callback.h"
@@ -60,7 +74,11 @@ struct EventQueueImpl {
     std::uint32_t prev = kNoSlot;
     std::uint32_t next = kNoSlot;
     std::uint32_t generation = 0;
+    // Set by a bounded tie walk: this event's run may be out of key order
+    // (see kTieWalk). Fits in the padding after `generation`.
+    bool unsorted = false;
   };
+  static_assert(sizeof(Meta) == 32);
   struct Bucket {
     std::uint32_t head = kNoSlot;
     std::uint32_t tail = kNoSlot;
@@ -84,11 +102,29 @@ struct EventQueueImpl {
   // Width-drift detectors (the width only self-tunes on rebuild, and a
   // steady-state queue never crosses the size thresholds): pops whose
   // bucket scan ran long mean the width is too narrow for the event
-  // spacing; schedules whose sorted-insert walk ran long mean it is too
-  // wide (events piling into few buckets). Either way, rebuild.
+  // spacing; schedules whose sorted-insert walk crossed many *distinct*
+  // timestamps mean it is too wide (events piling into few buckets).
+  // Either way, rebuild. Equal-time steps do not count: no width splits a
+  // run.
   std::uint32_t long_scans = 0;
   std::uint32_t long_walks = 0;
   std::int64_t min_at = 0, max_at = 0;  // pending-time range (monotone approx)
+  std::uint64_t rebuilds = 0;           // resize() calls that relinked
+
+  // Equal-time runs. `front_at` is the timestamp of the run being popped
+  // (the last one find_min() reached); every flagged event lies later.
+  // `unsorted_pending` counts pending flagged events; find_min() walks a
+  // newly reached run only while it is nonzero.
+  static constexpr std::uint32_t kTieWalk = 16;
+  static constexpr std::int64_t kNoFront = std::numeric_limits<std::int64_t>::min();
+  std::int64_t front_at = kNoFront;
+  std::size_t unsorted_pending = 0;
+  struct RunEntry {
+    std::uint64_t key;
+    std::uint32_t pos;  // list position: schedule order among equal keys
+    std::uint32_t id;
+  };
+  std::vector<RunEntry> run_scratch;  // sort_run()'s buffer, reused
 
   std::uint32_t refs = 1;  // queue + live handles
   bool queue_alive = true;
@@ -121,6 +157,12 @@ struct EventQueueImpl {
   }
   // Ensures min_slot names the earliest pending event (count > 0).
   void find_min();
+  // Sorts the run starting at `head` if it holds a flagged event; returns
+  // the run's (possibly new) first slot.
+  std::uint32_t sort_run(std::uint32_t head);
+  // Drops `id`'s flag before it leaves the queue, handing it to a run
+  // neighbor so the rest of the run is still sorted when reached.
+  void pass_flag(std::uint32_t id);
   void resize();
 };
 
@@ -224,6 +266,10 @@ class EventQueue {
 
   // Drops all pending events.
   void clear();
+
+  // Calendar rebuilds so far (grow, shrink and width-drift). Read-only: an
+  // observation for tests and profiles, not a tuning knob.
+  [[nodiscard]] std::uint64_t rebuilds() const { return impl_->rebuilds; }
 
  private:
   detail::EventQueueImpl* impl_;

@@ -5,7 +5,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <random>
+#include <set>
+#include <tuple>
 #include <vector>
+
+#include "sim/simulator.h"
 
 namespace opera::sim {
 namespace {
@@ -207,6 +211,102 @@ TEST(EventQueue, OrderMatchesReferenceUnderChurn) {
   for (std::size_t i = 0; i < fired.size(); ++i) {
     EXPECT_EQ(fired[i], expected[i].id) << "at index " << i;
   }
+}
+
+// One seed of KeyedEqualTimeBurstsMatchReference.
+void run_keyed_bursts(std::uint64_t seed) {
+  // Exact pop order: (time, key, schedule #).
+  using Ref = std::tuple<std::int64_t, std::uint64_t, std::uint64_t>;
+  EventQueue q;
+  std::mt19937_64 rng(seed);
+  std::set<Ref> reference;
+  std::vector<std::pair<EventHandle, Ref>> live;
+  std::uint64_t next_seq = 0;
+  Ref fired{};
+  std::int64_t now = 0;
+  const auto push = [&](std::int64_t at) {
+    // About a quarter of the keys are small, so equal (time, key) pairs
+    // recur and must fire in schedule order.
+    const std::uint64_t key = rng() % 4 == 0 ? rng() % 4 : rng();
+    const Ref r{at, key, next_seq++};
+    live.emplace_back(q.schedule_keyed(Time::ps(at), key, [&fired, r] { fired = r; }), r);
+    reference.insert(r);
+  };
+  for (int round = 0; round < 40; ++round) {
+    // A burst over three shared timestamps: runs of ~15-320 events, far
+    // past the queue's bounded tie walk.
+    const auto base = now + 1 + static_cast<std::int64_t>(rng() % 3000);
+    const std::int64_t times[3] = {base, base + 1200, base + 2400};
+    const auto n = static_cast<int>(50 + rng() % 901);
+    for (int i = 0; i < n; ++i) push(times[rng() % 3]);
+    for (int c = 0; c < n / 8; ++c) {
+      auto& [handle, r] = live[rng() % live.size()];
+      if (handle.pending()) {
+        handle.cancel();
+        reference.erase(r);
+      }
+    }
+    // Pop part of the queue; every fourth round drains it, shrinking the
+    // calendar. Some pops schedule into the run being popped (zero delay)
+    // or into a later burst's run.
+    std::size_t pops = round % 4 == 3 ? q.size() : rng() % (q.size() + 1);
+    for (; pops > 0; --pops) {
+      const Time at = q.run_next();
+      ASSERT_EQ(fired, *reference.begin()) << "round " << round;
+      ASSERT_EQ(at.picoseconds(), std::get<0>(fired));
+      reference.erase(reference.begin());
+      now = at.picoseconds();
+      const auto roll = rng() % 8;
+      if (roll == 0) push(now);
+      if (roll == 1) push(now + 1200);
+    }
+    ASSERT_EQ(q.size(), reference.size()) << "round " << round;
+    std::erase_if(live, [](const auto& e) { return !e.first.pending(); });
+  }
+  while (!q.empty()) {
+    q.run_next();
+    ASSERT_EQ(fired, *reference.begin());
+    reference.erase(reference.begin());
+  }
+  EXPECT_TRUE(reference.empty());
+}
+
+TEST(EventQueue, KeyedEqualTimeBurstsMatchReference) {
+  // Lockstep fabrics put hundreds of hash-keyed events on one timestamp.
+  // Every pop must match an online reference of the exact order through
+  // duplicate keys, cancels, schedules at the current time, and calendar
+  // grows and shrinks. The reference is online because events join runs
+  // that are already being popped.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE(seed);
+    run_keyed_bursts(seed);
+    if (HasFatalFailure()) return;
+  }
+}
+
+// `ports` hash-keyed events, each re-armed 1.2 us after it fires: every
+// timestamp holds a run of `ports` events, as when switch ports serialize
+// MTU packets in lockstep.
+struct Lockstep {
+  EventQueue q;
+  std::uint64_t fired = 0;
+  explicit Lockstep(std::uint32_t ports) {
+    for (std::uint32_t p = 0; p < ports; ++p) arm(p, Time::ns(1200));
+  }
+  void arm(std::uint32_t port, Time at) {
+    q.schedule_keyed(at, mix64((fired << 16) | port), [this, port, at] {
+      ++fired;
+      arm(port, at + Time::ns(1200));
+    });
+  }
+};
+
+TEST(EventQueue, LockstepTiesDoNotThrashRebuilds) {
+  // No bucket width splits an equal-time run, so long walks within one
+  // must not read as a too-wide calendar and trigger rebuilds.
+  Lockstep lockstep(648);
+  while (lockstep.fired < 100'000) lockstep.q.run_next();
+  EXPECT_LE(lockstep.q.rebuilds(), 16u);
 }
 
 }  // namespace
