@@ -73,11 +73,14 @@ void BM_OneFactorization(benchmark::State& state) {
 }
 BENCHMARK(BM_OneFactorization)->Arg(16)->Arg(108)->Arg(432)->Unit(benchmark::kMillisecond);
 
+// One slice table per iteration, cycling through the slices. Keep slices
+// comfortably connected: u=4 at toy scale, u=6 beyond; Arg(432) is the
+// opera_k24_websearch shape (u=12, 12 hosts per rack).
 void BM_SliceRoutes(benchmark::State& state) {
   topo::OperaParams p;
   p.num_racks = static_cast<topo::Vertex>(state.range(0));
-  // Keep slices comfortably connected: u=4 at toy scale, u=6 beyond.
   p.num_switches = p.num_racks >= 32 ? 6 : 4;
+  if (p.num_racks >= 432) p.num_switches = p.hosts_per_rack = 12;
   p.seed = 1;
   const topo::OperaTopology topo(p);
   int slice = 0;
@@ -86,7 +89,12 @@ void BM_SliceRoutes(benchmark::State& state) {
     slice = (slice + 1) % topo.num_slices();
   }
 }
-BENCHMARK(BM_SliceRoutes)->Arg(16)->Arg(48)->Arg(108);
+BENCHMARK(BM_SliceRoutes)
+    ->Unit(benchmark::kMicrosecond)
+    ->Arg(16)
+    ->Arg(48)
+    ->Arg(108)
+    ->Arg(432);
 
 // All N per-slice tables built through the parallel construction path the
 // OperaNetwork constructor uses (sim::parallel_for over slices). Arg(108)

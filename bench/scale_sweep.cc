@@ -4,9 +4,9 @@
 //
 //   quick  : the 16x4 laptop testbed (CI per-PR run)
 //   --full : k=24 — 432 racks x 12 hosts (5184 hosts), the ROADMAP's
-//            paper-scale target. Only feasible with the windowed
-//            slice-table cache: 432 eager tables cost ~840 MB, the
-//            auto-sized window stays under the 256 MB table budget.
+//            paper-scale target. Its 432 slice tables (~173 MB of
+//            next-hop masks) fit the 256 MB table budget, so the
+//            slice-table cache resolves eager.
 //
 // Both modes also run a construction + short-sweep "scale probe" one rung
 // above the sweep scale: quick probes k=12 (24 racks x 6 hosts), --full

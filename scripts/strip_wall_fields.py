@@ -2,8 +2,9 @@
 """Blank the wall-clock fields of a bench CSV so two runs of the same
 simulation can be diffed bit-for-bit.
 
-Simulation output is deterministic; wall-clock measurements (construct_s,
-wall_s, the `# peak RSS` note) are not. The crash-resume check compares an
+Simulation output is deterministic; host measurements (the construct_s,
+wall_s and sweep_wall_s wall clocks, the peak_rss_mb column and the
+`# peak RSS` note) are not. The crash-resume check compares an
 interrupted+resumed run against an uninterrupted reference, so those — and
 only those — fields are neutralized:
 
@@ -13,21 +14,43 @@ only those — fields are neutralized:
 Wall-clock columns are located by name from each table's header row (CSV
 schema: header rows lead with the literal field "table", data rows with the
 table id — docs/BENCH_OUTPUT.md), so this keeps working when columns move.
+A header belongs to the table of the first data row after it, and stays
+that table's header: a bench that streams rows of several tables (for
+example bench_scale_sweep's per-pattern run rows) does not repeat them.
 """
 
 import csv
 import io
 import sys
 
-WALL_COLUMNS = {"construct_s", "wall_s"}
+WALL_COLUMNS = {"construct_s", "wall_s", "sweep_wall_s", "peak_rss_mb"}
 DROP_NOTE_PREFIXES = ("# peak RSS",)
+
+
+class Headers:
+    """Resolves the header row that names a data row's columns.
+
+    Column names line up with data-row fields (index 0 is the
+    "table"/table-id field in both).
+    """
+
+    def __init__(self):
+        self.by_table = {}
+        self.pending = None  # header row not yet claimed by a data row
+
+    def header(self, row):
+        self.pending = row
+
+    def columns(self, row):
+        if self.pending is not None:
+            self.by_table[row[0]] = self.pending
+            self.pending = None
+        return self.by_table.get(row[0], [])
 
 
 def strip(lines):
     """Yield output lines with wall-clock cells blanked."""
-    # Column names of the most recent header row, aligned with data-row
-    # fields (index 0 is the "table"/table-id field in both).
-    columns = []
+    headers = Headers()
     for line in lines:
         line = line.rstrip("\n")
         if line.startswith("#"):
@@ -39,9 +62,10 @@ def strip(lines):
             yield line
             continue
         if row[0] == "table":
-            columns = row
+            headers.header(row)
             yield line
             continue
+        columns = headers.columns(row)
         if columns:
             for i, name in enumerate(columns):
                 if name in WALL_COLUMNS and i < len(row):

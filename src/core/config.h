@@ -64,8 +64,9 @@ struct OperaConfig {
   // Windowed slice-table cache (topo/slice_table_cache.h): number of
   // per-slice ECMP tables kept resident. 0 = auto — eager (all slices,
   // the historical behavior) while the full set fits the memory budget,
-  // otherwise the largest window that does. At paper scale (N=108,
-  // ~35 MB total) auto stays eager; at k=24 (N=432, ~840 MB) it windows.
+  // otherwise the largest window that does. Up to k=24 (N=432, ~173 MB
+  // of next-hop masks) auto stays eager; at k=32 (N=768, ~940 MB) it
+  // windows.
   int slice_table_window = 0;
   std::size_t slice_table_budget_bytes = topo::SliceTableCache::kDefaultBudgetBytes;
 

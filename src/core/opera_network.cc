@@ -33,10 +33,11 @@ OperaNetwork::OperaNetwork(const OperaConfig& config)
 
   // Per-slice low-latency forwarding tables (paper §4.3: all routing state
   // is known at design time). Slices are independent, so tables build in
-  // parallel. Eager mode precomputes all N up front — at k=24 scale (432
-  // slices, ~840 MB) the auto window instead keeps a small set resident,
-  // prefetched ahead of the rotation at each slice boundary. Only the
-  // expander plane routes by them; the other planes keep the empty cache.
+  // parallel. Eager mode precomputes all N up front (through k=24: 432
+  // slices, ~173 MB); a fabric whose tables overflow the budget (k=32)
+  // keeps a window resident instead, prefetched ahead of the rotation at
+  // each slice boundary. Only the expander plane routes by them; the other
+  // planes keep the empty cache.
   if (config_.low_latency == LowLatencyPlane::kExpander) {
     slice_tables_ = topo::SliceTableCache(
         topo_.num_slices(),

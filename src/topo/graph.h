@@ -3,9 +3,10 @@
 // 11, 16, 17, 18-20).
 #pragma once
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <vector>
 
 namespace opera::topo {
@@ -17,6 +18,10 @@ class Graph {
  public:
   Graph() = default;
   explicit Graph(Vertex n) : adj_(static_cast<std::size_t>(n)) {}
+  // Reserves room for `degree` neighbours per vertex up front.
+  Graph(Vertex n, Vertex degree) : Graph(n) {
+    for (auto& nbrs : adj_) nbrs.reserve(static_cast<std::size_t>(degree));
+  }
 
   [[nodiscard]] Vertex num_vertices() const { return static_cast<Vertex>(adj_.size()); }
   [[nodiscard]] std::size_t num_edges() const { return num_edges_; }
@@ -45,40 +50,83 @@ class Graph {
 // BFS hop distances from `src`; unreachable vertices get -1.
 [[nodiscard]] std::vector<Vertex> bfs_distances(const Graph& g, Vertex src);
 
-// All-pairs shortest-path next-hop sets: next_hops(src, dst) lists every
-// neighbor of `src` that lies on some shortest src->dst path (the ECMP
+// The ECMP next hops of one (src, dst) cell: the set bits of the cell's
+// mask, bit j naming neighbors(src)[j]. Iteration and operator[] both run
+// in neighbour-list order, so the k-th next hop is the one named by the
+// k-th set bit. A cheap value type (mask + row pointer) that borrows the
+// table's neighbour row.
+class NextHops {
+ public:
+  NextHops(std::uint16_t mask, const Vertex* neighbors) : mask_(mask), nbrs_(neighbors) {}
+
+  [[nodiscard]] std::size_t size() const {
+    return static_cast<std::size_t>(std::popcount(mask_));
+  }
+  [[nodiscard]] bool empty() const { return mask_ == 0; }
+  [[nodiscard]] std::uint16_t mask() const { return mask_; }
+
+  // The k-th next hop; k < size().
+  [[nodiscard]] Vertex operator[](std::size_t k) const {
+    unsigned m = mask_;
+    for (; k > 0; --k) m &= m - 1;
+    return nbrs_[std::countr_zero(m)];
+  }
+
+  class iterator {
+   public:
+    iterator(unsigned mask, const Vertex* nbrs) : mask_(mask), nbrs_(nbrs) {}
+    Vertex operator*() const { return nbrs_[std::countr_zero(mask_)]; }
+    iterator& operator++() {
+      mask_ &= mask_ - 1;
+      return *this;
+    }
+    bool operator==(const iterator& other) const { return mask_ == other.mask_; }
+
+   private:
+    unsigned mask_;
+    const Vertex* nbrs_;
+  };
+  [[nodiscard]] iterator begin() const { return {mask_, nbrs_}; }
+  [[nodiscard]] iterator end() const { return {0, nbrs_}; }
+
+ private:
+  std::uint16_t mask_;
+  const Vertex* nbrs_;
+};
+
+// All-pairs shortest-path next-hop sets: next_hops(src, dst) holds every
+// neighbour of `src` that lies on some shortest src->dst path (the ECMP
 // set), in neighbors(src) order.
 //
-// Storage is a flat CSR layout — one offsets array indexed by src*N+dst
-// into one contiguous next-hop array — instead of the former
-// vector<vector<vector<Vertex>>>: a forwarding lookup is two loads with no
-// pointer chasing, and building a table is two dense passes rather than
-// N^2 inner-vector allocations. At the paper's N=108 a table is ~260 KB;
-// at k=24 scale (N=432) ~4 MB, still far under the nested layout's
-// allocator overhead.
+// Storage is one uint16_t mask per (src, dst) cell plus each source's
+// neighbour list: a next-hop set is always a subset of the source's
+// neighbours, so bit j of the mask says whether neighbors(src)[j] is in
+// it. A forwarding lookup is one mask load plus one neighbour-row load.
+// At k=24 (N=432, degree <= 12) a table is ~400 KB, so all 432 slice
+// tables fit the slice-table cache's default budget (~173 MB). Graphs with
+// a vertex of degree above kMaxDegree cannot be represented and are
+// rejected at build time.
 class EcmpTable {
  public:
+  static constexpr Vertex kMaxDegree = 16;
+
   EcmpTable() = default;
 
   [[nodiscard]] Vertex num_vertices() const { return n_; }
 
   // Next hops from src toward dst (empty when dst is unreachable or
   // src == dst).
-  [[nodiscard]] std::span<const Vertex> next_hops(Vertex src, Vertex dst) const {
-    const auto cell = static_cast<std::size_t>(src) * static_cast<std::size_t>(n_) +
-                      static_cast<std::size_t>(dst);
-    return {hops_.data() + offsets_[cell],
-            static_cast<std::size_t>(offsets_[cell + 1] - offsets_[cell])};
+  [[nodiscard]] NextHops next_hops(Vertex src, Vertex dst) const {
+    const auto s = static_cast<std::size_t>(src);
+    return {masks_[s * static_cast<std::size_t>(n_) + static_cast<std::size_t>(dst)],
+            nbrs_.data() + s * static_cast<std::size_t>(kMaxDegree)};
   }
-
-  // Total number of stored next-hop entries (the routing-state footprint).
-  [[nodiscard]] std::size_t total_entries() const { return hops_.size(); }
 
   // Heap + object bytes held by this table (drives the slice-table cache's
   // memory-budgeted window sizing; see topo/slice_table_cache.h).
   [[nodiscard]] std::size_t memory_bytes() const {
-    return sizeof(*this) + offsets_.capacity() * sizeof(std::uint32_t) +
-           hops_.capacity() * sizeof(Vertex);
+    return sizeof(*this) + masks_.capacity() * sizeof(std::uint16_t) +
+           nbrs_.capacity() * sizeof(Vertex);
   }
 
   friend bool operator==(const EcmpTable&, const EcmpTable&) = default;
@@ -86,16 +134,19 @@ class EcmpTable {
  private:
   friend EcmpTable all_pairs_ecmp_next_hops(const Graph& g);
   Vertex n_ = 0;
-  std::vector<std::uint32_t> offsets_;  // size n*n+1
-  std::vector<Vertex> hops_;
+  std::vector<std::uint16_t> masks_;  // [src * n + dst]
+  std::vector<Vertex> nbrs_;  // [src * kMaxDegree + j] = neighbors(src)[j]
 };
 
-// Builds the full table with one flat-array BFS per source vertex:
-// O(V * (V + E)) time, no per-pair allocations.
+// Builds the full table from an all-sources bit-parallel BFS (a byte
+// distance matrix) and a 16-lane byte compare per neighbour row, about
+// V * E / 8 vector operations with no per-source queues. Throws
+// std::invalid_argument, naming the vertex, when a vertex's degree exceeds
+// EcmpTable::kMaxDegree.
 [[nodiscard]] EcmpTable all_pairs_ecmp_next_hops(const Graph& g);
 
-// Reference implementation with the seed's nested-vector layout; kept for
-// the CSR parity tests (see tests/test_routing_parity.cc).
+// Reference implementation: one queue BFS per destination into nested
+// vectors. The parity oracle for EcmpTable (tests/test_routing_parity.cc).
 using NestedEcmpTable = std::vector<std::vector<std::vector<Vertex>>>;
 [[nodiscard]] NestedEcmpTable all_pairs_ecmp_next_hops_reference(const Graph& g);
 
@@ -107,7 +158,8 @@ struct PathStats {
   std::vector<std::size_t> hop_histogram;  // [h] = #ordered pairs at h hops
 };
 
-// All-pairs path statistics by repeated BFS. `alive` (optional) restricts
+// All-pairs path statistics from one all-sources bit-row BFS (the one
+// all_pairs_ecmp_next_hops runs). `alive` (optional) restricts
 // the analysis to a subset of vertices (used for failure analysis, where
 // failed ToRs are excluded from the connectivity-loss denominator).
 [[nodiscard]] PathStats all_pairs_path_stats(

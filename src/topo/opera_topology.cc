@@ -147,7 +147,7 @@ Graph OperaTopology::slice_graph(int slice, const FailureSet* failures,
                                  bool include_reconfiguring) const {
   const Vertex n = params_.num_racks;
   const int u = params_.num_switches;
-  Graph g(n);
+  Graph g(n, u);
   const int down = reconfiguring_switch(slice);
   for (int sw = 0; sw < u; ++sw) {
     if (sw == down && !include_reconfiguring) continue;

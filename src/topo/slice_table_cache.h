@@ -1,6 +1,12 @@
-// topo::SliceTableCache — windowed, LRU-evicted cache of per-slice ECMP
-// tables (the k=24 unlock: 432 eager tables cost ~840 MB, a 32-slice
-// window ~60 MB).
+// topo::SliceTableCache — the per-slice ECMP tables of an Opera fabric,
+// eager or windowed with LRU eviction.
+//
+// When every table fits the memory budget (the default 256 MB), the cache
+// is eager: all tables are built in parallel at construction and slice
+// boundaries build nothing. With next-hop mask tables (topo/graph.h) that
+// covers every scale through k=24 (432 tables, ~0.4 MB each, ~173 MB).
+// Larger fabrics — k=32's 768 tables are ~1.23 MB each, ~940 MB in all —
+// keep a window of the budget's size instead.
 //
 // The rotation schedule makes slice access almost perfectly predictable:
 // forwarding only ever reads the current slice's table (or the next one,

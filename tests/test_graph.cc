@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 namespace opera::topo {
 namespace {
 
@@ -78,6 +81,61 @@ TEST(Graph, PathStatsCountsDisconnected) {
   const auto stats = all_pairs_path_stats(g);
   EXPECT_EQ(stats.connected_pairs, 4u);
   EXPECT_EQ(stats.disconnected_pairs, 8u);
+}
+
+// Path statistics against one queue BFS per source, on graphs beyond the
+// 64-vertex bit-row width: a long path (diameter 599), a ring with an
+// alive mask, a disconnected random-ish graph.
+TEST(Graph, PathStatsMatchPerSourceBfs) {
+  Graph path(600);
+  for (Vertex v = 0; v + 1 < 600; ++v) path.add_edge(v, v + 1);
+  Graph split(150);
+  for (Vertex v = 0; v < 150; ++v) {
+    if (v % 50 != 49) split.add_edge(v, v + 1);
+    split.add_edge(v, (v * 7 + 3) % 50 + 50 * (v / 50));
+  }
+  std::vector<bool> some(200, true);
+  for (std::size_t v = 0; v < some.size(); v += 3) some[v] = false;
+  const struct {
+    const char* name;
+    Graph g;
+    const std::vector<bool>* alive;
+  } cases[] = {{"path600", path, nullptr}, {"ring200+alive", ring(200), &some},
+               {"split150", split, nullptr}};
+  for (const auto& c : cases) {
+    PathStats want;
+    double hop_sum = 0.0;
+    const Vertex n = c.g.num_vertices();
+    const auto counted = [&](Vertex v) {
+      return c.alive == nullptr || (*c.alive)[static_cast<std::size_t>(v)];
+    };
+    for (Vertex src = 0; src < n; ++src) {
+      if (!counted(src)) continue;
+      const auto dist = bfs_distances(c.g, src);
+      for (Vertex dst = 0; dst < n; ++dst) {
+        if (dst == src || !counted(dst)) continue;
+        const Vertex d = dist[static_cast<std::size_t>(dst)];
+        if (d == kNoVertex) {
+          ++want.disconnected_pairs;
+          continue;
+        }
+        ++want.connected_pairs;
+        hop_sum += d;
+        want.worst = std::max(want.worst, d);
+        if (static_cast<std::size_t>(d) >= want.hop_histogram.size()) {
+          want.hop_histogram.resize(static_cast<std::size_t>(d) + 1, 0);
+        }
+        ++want.hop_histogram[static_cast<std::size_t>(d)];
+      }
+    }
+    want.average = hop_sum / static_cast<double>(want.connected_pairs);
+    const PathStats got = all_pairs_path_stats(c.g, c.alive);
+    EXPECT_EQ(got.connected_pairs, want.connected_pairs) << c.name;
+    EXPECT_EQ(got.disconnected_pairs, want.disconnected_pairs) << c.name;
+    EXPECT_EQ(got.worst, want.worst) << c.name;
+    EXPECT_EQ(got.hop_histogram, want.hop_histogram) << c.name;
+    EXPECT_EQ(got.average, want.average) << c.name;
+  }
 }
 
 TEST(Graph, UnionWith) {

@@ -1,9 +1,9 @@
 // Routing parity, two layers:
-//  * CSR tables: the flat EcmpTable built by all_pairs_ecmp_next_hops must
-//    be bit-identical — same next hops, same order — to the seed's
-//    nested-vector implementation (kept as
-//    all_pairs_ecmp_next_hops_reference) on every topology family the
-//    packet-level fabrics route over, including under failures.
+//  * Mask tables: the EcmpTable built by all_pairs_ecmp_next_hops must hold
+//    exactly the next hops of the queue-BFS oracle
+//    (all_pairs_ecmp_next_hops_reference) in the same order — the k-th set
+//    bit of a cell's mask names the oracle's k-th hop — on every topology
+//    family the packet-level fabrics route over, including under failures.
 //  * Slice-table windowing: an OperaNetwork running on a small windowed
 //    slice-table cache must produce bit-identical flow completions to the
 //    eager all-slices precompute — table content is a pure function of
@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/opera_network.h"
@@ -24,25 +26,30 @@ namespace opera::topo {
 namespace {
 
 void expect_parity(const Graph& g, const std::string& label) {
-  const EcmpTable csr = all_pairs_ecmp_next_hops(g);
+  const EcmpTable table = all_pairs_ecmp_next_hops(g);
   const NestedEcmpTable ref = all_pairs_ecmp_next_hops_reference(g);
-  ASSERT_EQ(csr.num_vertices(), g.num_vertices()) << label;
-  std::size_t ref_entries = 0;
+  ASSERT_EQ(table.num_vertices(), g.num_vertices()) << label;
   for (Vertex src = 0; src < g.num_vertices(); ++src) {
+    const auto& nbrs = g.neighbors(src);
     for (Vertex dst = 0; dst < g.num_vertices(); ++dst) {
-      const auto span = csr.next_hops(src, dst);
+      const NextHops hops = table.next_hops(src, dst);
       const auto& nested =
           ref[static_cast<std::size_t>(src)][static_cast<std::size_t>(dst)];
-      ref_entries += nested.size();
-      ASSERT_EQ(span.size(), nested.size())
+      ASSERT_EQ(hops.size(), nested.size())
           << label << ": cell (" << src << ", " << dst << ")";
-      for (std::size_t i = 0; i < nested.size(); ++i) {
-        ASSERT_EQ(span[i], nested[i])
-            << label << ": cell (" << src << ", " << dst << ") entry " << i;
+      ASSERT_EQ(hops.mask() >> nbrs.size(), 0u)
+          << label << ": cell (" << src << ", " << dst << ") names a missing neighbour";
+      // The k-th hop two ways: indexed (the forward path) and iterated.
+      std::size_t k = 0;
+      for (const Vertex hop : hops) {
+        ASSERT_EQ(hop, nested[k]) << label << ": cell (" << src << ", " << dst
+                                  << ") iterated hop " << k;
+        ASSERT_EQ(hops[k], nested[k]) << label << ": cell (" << src << ", " << dst
+                                      << ") indexed hop " << k;
+        ++k;
       }
     }
   }
-  EXPECT_EQ(csr.total_entries(), ref_entries) << label;
 }
 
 TEST(RoutingParity, OperaSlicesSmall) {
@@ -107,6 +114,57 @@ TEST(RoutingParity, Expander) {
     const ExpanderTopology topo(p);
     expect_parity(topo.graph(), "expander " + std::to_string(tors));
     EXPECT_EQ(topo.routes(), all_pairs_ecmp_next_hops(topo.graph()));
+  }
+}
+
+// k=24 scale (432 racks, u=12): the eager-resolving fabric of
+// opera_k24_websearch. A plain slice, one under a switch plus an uplink
+// failure, and one with the reconfiguring switch included (degree 12).
+TEST(RoutingParity, OperaK24Slices) {
+  OperaParams p;
+  p.num_racks = 432;
+  p.num_switches = 12;
+  p.hosts_per_rack = 12;
+  p.seed = 1;
+  const OperaTopology topo(p);
+  expect_parity(topo.slice_graph(5), "opera432 slice 5");
+
+  auto failures = FailureSet::none(p.num_racks, p.num_switches);
+  failures.switch_failed[3] = true;
+  failures.uplink_failed[100][7] = true;
+  expect_parity(topo.slice_graph(200, &failures), "opera432+failures slice 200");
+
+  const Graph full = topo.slice_graph(431, nullptr, true);
+  Vertex max_degree = 0;
+  for (Vertex v = 0; v < full.num_vertices(); ++v) {
+    max_degree = std::max(max_degree, full.degree(v));
+  }
+  EXPECT_EQ(max_degree, 12);
+  expect_parity(full, "opera432 slice 431 +reconfiguring");
+}
+
+TEST(RoutingParity, RejectsDegreeAboveMaskWidth) {
+  // The k=24 folded Clos switch graph has degree-24 switches: too wide for
+  // a 16-bit next-hop mask, so the build must fail loudly, naming one.
+  ClosParams p;
+  p.radix = 24;
+  p.oversubscription = 3;
+  const FoldedClos clos(p);
+  const Graph& g = clos.switch_graph();
+  Vertex wide = kNoVertex;
+  for (Vertex v = 0; v < g.num_vertices() && wide == kNoVertex; ++v) {
+    if (g.degree(v) > EcmpTable::kMaxDegree) wide = v;
+  }
+  ASSERT_NE(wide, kNoVertex);
+  try {
+    (void)all_pairs_ecmp_next_hops(g);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("vertex " + std::to_string(wide) + " has degree " +
+                        std::to_string(g.degree(wide))),
+              std::string::npos)
+        << what;
   }
 }
 
@@ -238,6 +296,27 @@ TEST(SliceWindowParity, WindowedCacheActuallyEvicts) {
   EXPECT_LE(cache.stats().resident, 4u);
   EXPECT_GT(cache.stats().evictions, 0u);
   EXPECT_GT(cache.stats().prefetch_builds, 0u);
+}
+
+TEST(SliceWindowParity, K24DefaultBudgetResolvesEager) {
+  // At 432 racks the whole table set fits the default budget, so the auto
+  // window is every slice: all tables are built at construction and slice
+  // boundaries never build, demand-build or evict.
+  core::OperaConfig cfg;
+  cfg.topology.num_racks = 432;
+  cfg.topology.num_switches = 12;
+  cfg.topology.hosts_per_rack = 12;
+  cfg.topology.seed = 1;
+  core::OperaNetwork net(cfg);
+  const auto& cache = net.slice_tables();
+  ASSERT_TRUE(cache.eager());
+  EXPECT_LE(cache.stats().peak_resident_bytes, cfg.slice_table_budget_bytes);
+  const auto built = cache.stats().prefetch_builds;
+  net.run_until(cfg.slice.duration * 6);
+  EXPECT_GE(net.current_slice(), 5);
+  EXPECT_EQ(cache.stats().prefetch_builds, built);
+  EXPECT_EQ(cache.stats().demand_builds, 0u);
+  EXPECT_EQ(cache.stats().evictions, 0u);
 }
 
 TEST(RoutingParity, DisconnectedAndTrivialGraphs) {
