@@ -1,7 +1,10 @@
 // Microbenchmarks (google-benchmark) of the simulation substrate: event
 // queue throughput, per-slice routing construction, one-factorization,
-// queue operations, and end-to-end simulated-packet rate.
+// queue operations, the shard epoch barrier, and end-to-end
+// simulated-packet rate.
 #include <benchmark/benchmark.h>
+
+#include <functional>
 
 #include "core/fabric.h"
 #include "core/opera_network.h"
@@ -9,6 +12,7 @@
 #include "sim/event_queue.h"
 #include "sim/parallel.h"
 #include "sim/rng.h"
+#include "sim/sharded.h"
 #include "sim/simulator.h"
 #include "topo/one_factorization.h"
 #include "topo/opera_topology.h"
@@ -198,10 +202,31 @@ void BM_ShardedOperaEndToEnd(benchmark::State& state) {
     }
     net.run_until(sim::Time::ms(5));
     benchmark::DoNotOptimize(net.tracker().completed());
+    state.counters["epochs"] = static_cast<double>(net.engine().epochs());
+    state.counters["mail"] = static_cast<double>(net.engine().mail_delivered());
   }
   state.SetLabel("16 racks, 100 flows, 5 ms simulated, sharded");
 }
 BENCHMARK(BM_ShardedOperaEndToEnd)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
+
+// The shard barrier alone: S shards, each with one trivial event per
+// lookahead window, so every epoch is a full dispatch + barrier round trip
+// with no work and no mail. per_epoch is the wall time of one round trip.
+void BM_EpochBarrier(benchmark::State& state) {
+  const int shards = static_cast<int>(state.range(0));
+  const sim::Time lookahead = sim::Time::ns(500);
+  constexpr std::int64_t kEpochs = 10'000;
+  sim::ShardedSimulator engine(shards, lookahead);
+  std::function<void(int)> tick = [&](int s) {
+    engine.shard(s).schedule_in(lookahead, [&tick, s] { tick(s); });
+  };
+  for (int s = 0; s < shards; ++s) engine.seed(s, lookahead / 2, [&tick, s] { tick(s); });
+  for (auto _ : state) engine.run_until(engine.now() + lookahead * kEpochs);
+  state.counters["per_epoch"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * kEpochs),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_EpochBarrier)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 

@@ -6,11 +6,16 @@ namespace opera::net {
 
 namespace {
 
-// Thread-local packet free list. Unbounded on purpose: it grows to the
-// simulation's peak in-flight packet count and then every make_packet()
-// is a pop + reset.
+// Thread-local packet free list. It keeps at most as many packets as this
+// thread has itself allocated: on one thread that never binds (the list
+// grows to the peak in-flight count, then every make_packet() is a pop +
+// reset), but in a sharded run a shard that frees more packets than it
+// makes — on a pinned thread, for the whole run — would otherwise hoard
+// them while the shards feeding it keep allocating. Its surplus goes back
+// to the heap, where the allocating threads reuse it.
 struct PacketPool {
   std::vector<Packet*> free_list;
+  std::size_t allocated = 0;
   ~PacketPool() {
     for (Packet* p : free_list) delete p;
   }
@@ -20,12 +25,19 @@ thread_local PacketPool g_packet_pool;
 }  // namespace
 
 void PacketDeleter::operator()(Packet* p) const noexcept {
-  g_packet_pool.free_list.push_back(p);
+  if (g_packet_pool.free_list.size() < g_packet_pool.allocated) {
+    g_packet_pool.free_list.push_back(p);
+  } else {
+    delete p;
+  }
 }
 
 PacketPtr make_packet() {
   auto& pool = g_packet_pool.free_list;
-  if (pool.empty()) return PacketPtr{new Packet};
+  if (pool.empty()) {
+    ++g_packet_pool.allocated;
+    return PacketPtr{new Packet};
+  }
   Packet* p = pool.back();
   pool.pop_back();
   *p = Packet{};

@@ -40,10 +40,10 @@ struct Packet {
   std::int32_t relay_rack = -1;
 };
 
-// Packets are pooled: destroying a PacketPtr returns the object to a
-// thread-local free list and make_packet() reuses it, so steady-state
-// forwarding performs no heap allocation. The simulation (and therefore
-// every packet) lives on one thread.
+// Packets are pooled: destroying a PacketPtr returns the object to the
+// destroying thread's free list and make_packet() reuses it, so
+// steady-state forwarding performs no heap allocation. A sharded run
+// allocates a packet on one shard's thread and may free it on another's.
 struct PacketDeleter {
   void operator()(Packet* p) const noexcept;
 };

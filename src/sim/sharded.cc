@@ -104,7 +104,8 @@ void ShardedSimulator::drain_inboxes(int dst) {
 
 void ShardedSimulator::run_phase(Time end, bool inclusive) {
   const int S = num_shards();
-  swap_mailboxes();
+  mail_delivered_ += swap_mailboxes();
+  ++epochs_;
   phase_end_ = end;
   in_phase_ = true;
   if (S == 1) {
@@ -112,14 +113,13 @@ void ShardedSimulator::run_phase(Time end, bool inclusive) {
     drain_inboxes(0);
     shards_[0]->run_window(end, inclusive);
   } else {
-    WorkerPool::shared().run(
-        static_cast<std::size_t>(S),
-        [&](std::size_t s) {
-          const ShardScope scope(static_cast<int>(s));
-          drain_inboxes(static_cast<int>(s));
-          shards_[s]->run_window(end, inclusive);
-        },
-        static_cast<unsigned>(S));
+    // Pinned: shard s runs on the same pool thread every epoch, so its
+    // queue, its nodes and the thread-local free lists it feeds stay warm.
+    WorkerPool::shared().run_pinned(static_cast<std::size_t>(S), [&](std::size_t s) {
+      const ShardScope scope(static_cast<int>(s));
+      drain_inboxes(static_cast<int>(s));
+      shards_[s]->run_window(end, inclusive);
+    });
   }
   in_phase_ = false;
   if (barrier_hook_) barrier_hook_();

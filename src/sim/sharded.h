@@ -135,6 +135,12 @@ class ShardedSimulator {
 
   [[nodiscard]] std::uint64_t events_executed() const;
 
+  // Epoch phases run and cross-shard mailbox entries delivered so far.
+  // Read-only observations for tests and profiles. Both depend on the
+  // shard partition, so they never enter fingerprint().
+  [[nodiscard]] std::uint64_t epochs() const { return epochs_; }
+  [[nodiscard]] std::uint64_t mail_delivered() const { return mail_delivered_; }
+
   // Checkpoint hook. Only partition-invariant aggregates: the committed
   // global clock and the total dispatch count (each logical event runs
   // exactly once regardless of the shard partition). Per-shard clocks and
@@ -182,6 +188,8 @@ class ShardedSimulator {
   Time phase_end_ = Time::zero();  // current epoch horizon (lookahead assert)
   bool in_phase_ = false;
   std::uint64_t seed_count_ = 0;
+  std::uint64_t epochs_ = 0;
+  std::uint64_t mail_delivered_ = 0;
   std::function<void()> barrier_hook_;
 };
 

@@ -5,23 +5,38 @@
 // each spawning its own thread set (the failure mode of the old ad-hoc
 // std::thread-per-call parallel_for).
 //
-// Model: run(n, fn) executes fn(i) for i in [0, n); the calling thread
-// participates, so a pool of size S provides S-way parallelism with S-1
-// resident threads. Work is claimed through a shared atomic counter, so
-// uneven iteration costs balance automatically. Calls from inside a pool
-// task degrade to inline execution (no deadlock, no nested fan-out). The
-// first exception thrown by an iteration is rethrown on the caller.
+// Model: a pool of size S provides S-way parallelism with S-1 resident
+// threads; the calling thread always participates. Two dispatches share
+// those threads:
+//   - run(n, fn) executes fn(i) for i in [0, n), claimed through a shared
+//     atomic counter, so uneven iteration costs balance automatically;
+//   - run_pinned(n, fn) executes index i on thread i % S every time (the
+//     caller is thread 0), so per-index state — a shard's calendar queue,
+//     its nodes, the thread-local packet and queue free lists it feeds —
+//     stays in one core's caches from call to call.
+// Calls from inside a pool task, or while another thread's call is in
+// flight, run inline (no deadlock, no nested fan-out). The first
+// exception thrown by an iteration is rethrown on the caller.
 //
-// run() publishes the job under a mutex and wakes the resident workers;
-// idle workers cost nothing. The per-call overhead is a few microseconds,
-// which the epoch loop amortizes by batching every shard's events for a
-// lookahead window into one run() (see sim/sharded.h).
+// Wake and barrier. Each resident thread has its own generation word; a
+// call bumps the words of the threads it needs and counts them into a
+// done counter, which each one decrements on finishing. A waiting side
+// (a worker on its word, the caller on the done counter) pause-spins
+// briefly, then yields between checks, and parks on the word
+// (std::atomic::wait) once kSpin (30 us) has passed. The epoch loop calls
+// run_pinned once per lookahead window — ~56k times in a paper-scale
+// websearch run — with a few microseconds of coordinator work between
+// calls, so back-to-back calls find the workers still awake: an idle
+// 4-shard epoch round trip is ~2 us (BM_EpochBarrier). Workers idle for
+// longer than kSpin are parked and cost nothing, so none is left spinning
+// once a run returns.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <type_traits>
@@ -55,36 +70,55 @@ class WorkerPool {
   template <typename Fn>
   void run(std::size_t n, Fn&& fn, unsigned max_workers = 0) {
     using F = std::remove_reference_t<Fn>;
-    run_raw(
-        n, [](void* ctx, std::size_t i) { (*static_cast<F*>(ctx))(i); },
-        const_cast<std::remove_const_t<F>*>(&fn), max_workers);
+    dispatch(n, &invoke<F>, const_cast<std::remove_const_t<F>*>(&fn), max_workers,
+             /*pinned=*/false);
+  }
+
+  // Like run(), but index i always executes on the same thread: i % size(),
+  // where the caller is thread 0.
+  template <typename Fn>
+  void run_pinned(std::size_t n, Fn&& fn) {
+    using F = std::remove_reference_t<Fn>;
+    dispatch(n, &invoke<F>, const_cast<std::remove_const_t<F>*>(&fn), 0, /*pinned=*/true);
   }
 
  private:
   using RawFn = void (*)(void* ctx, std::size_t i);
 
+  template <typename F>
+  static void invoke(void* ctx, std::size_t i) {
+    (*static_cast<F*>(ctx))(i);
+  }
+
   struct Job {
     RawFn fn = nullptr;
     void* ctx = nullptr;
     std::size_t n = 0;
-    unsigned max_workers = 0;
-    std::atomic<std::size_t> next{0};      // work-claim cursor
-    std::atomic<unsigned> participants{0};
-    std::exception_ptr error;              // first failure (under pool mutex)
+    bool pinned = false;
+    std::atomic<std::size_t> next{0};  // work-claim cursor (unpinned)
+    std::mutex error_mutex;
+    std::exception_ptr error;          // first failure
   };
 
-  void run_raw(std::size_t n, RawFn fn, void* ctx, unsigned max_workers);
-  void work_on(Job& job);
-  void worker_loop();
+  // One resident thread. `go` is bumped to hand it the current job; own
+  // cache line, so a worker spinning on it shares the line with nobody.
+  struct alignas(64) Worker {
+    std::atomic<std::uint32_t> go{0};
+    std::thread thread;
+  };
 
-  std::mutex mutex_;
-  std::condition_variable wake_;   // workers: new job or shutdown
-  std::condition_variable done_;   // caller: all participants retired
-  Job* job_ = nullptr;             // null when no job is accepting entrants
-  std::uint64_t generation_ = 0;
-  unsigned active_ = 0;            // workers currently inside job_
+  void dispatch(std::size_t n, RawFn fn, void* ctx, unsigned max_workers, bool pinned);
+  // Runs thread `slot`'s share of `job` (slot 0 = the caller).
+  void work_on(Job& job, unsigned slot);
+  void worker_loop(Worker& self, unsigned slot);
+
+  std::vector<std::unique_ptr<Worker>> workers_;
+  // Published to a worker by the release of its `go` bump; rewritten only
+  // once every worker handed the previous job has counted itself done.
+  Job* job_ = nullptr;
   bool shutdown_ = false;
-  std::vector<std::thread> workers_;
+  std::atomic<bool> busy_{false};                  // a call is in flight
+  alignas(64) std::atomic<std::uint32_t> pending_{0};  // workers still in job_
 };
 
 }  // namespace opera::sim

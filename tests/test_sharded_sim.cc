@@ -4,9 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "sim/parallel.h"
@@ -39,6 +44,29 @@ TEST(WorkerPool, PropagatesFirstException) {
         if (i == 13) throw std::runtime_error("boom");
       }),
       std::runtime_error);
+}
+
+TEST(WorkerPool, RunPinnedKeepsEachIndexOnOneThread) {
+  // Index i runs on thread i % size() on every call; the caller is thread 0.
+  WorkerPool pool(3);
+  constexpr std::size_t kN = 7;
+  std::vector<std::thread::id> first(kN);
+  std::vector<int> moved(kN, 0);
+  for (int call = 0; call < 50; ++call) {
+    pool.run_pinned(kN, [&](std::size_t i) {
+      const std::thread::id self = std::this_thread::get_id();
+      if (call == 0) first[i] = self;
+      if (first[i] != self) ++moved[i];
+    });
+  }
+  EXPECT_EQ(moved, std::vector<int>(kN, 0));
+  EXPECT_EQ(first[0], std::this_thread::get_id());
+  for (std::size_t i = 0; i < kN; ++i) {
+    for (std::size_t j = 0; j < kN; ++j) {
+      EXPECT_EQ(first[i] == first[j], i % pool.size() == j % pool.size())
+          << i << "," << j;
+    }
+  }
 }
 
 TEST(ParallelFor, StillCoversRangeOnSharedPool) {
@@ -194,6 +222,70 @@ TEST(ShardedSimulator, SeededRootsKeepSubmissionOrderAtEqualTimes) {
     std::iota(expect.begin(), expect.end(), 0);
     EXPECT_EQ(order, expect) << "shards=" << shards;
   }
+}
+
+// A cross-shard hop workload: kDomains logical nodes, domain d on shard
+// d % shards. Every event logs (time, tag) on its own shard, then hands
+// one hop to another domain a lookahead plus a tag-derived jitter later.
+// Tags come from the causal key derivation, so the sorted log is the same
+// under every partition. An event on `throw_on_shard` past 50 us throws.
+using Trace = std::vector<std::pair<std::int64_t, std::uint64_t>>;
+
+Trace run_hops(int shards, int throw_on_shard = -1) {
+  constexpr int kDomains = 8;
+  const Time lookahead = Time::ns(500);
+  const Time end = Time::us(200);
+  ShardedSimulator engine(shards, lookahead);
+  std::vector<Trace> logs(static_cast<std::size_t>(shards));
+  std::function<void(int)> hop = [&](int d) {
+    ShardContext& here = engine.shard(d % shards);
+    const Time now = here.now();
+    const std::uint64_t tag = here.sim().derive_key();
+    logs[static_cast<std::size_t>(here.shard())].emplace_back(now.picoseconds(), tag);
+    if (here.shard() == throw_on_shard && now > Time::us(50)) {
+      throw std::runtime_error("hop failed");
+    }
+    if (now > end) return;
+    const int next = (d * 5 + static_cast<int>(tag % 3) + 1) % kDomains;
+    here.post(engine.shard(next % shards),
+              now + lookahead + Time::ns(static_cast<std::int64_t>(tag % 700)),
+              [&hop, next] { hop(next); });
+  };
+  for (int d = 0; d < kDomains; ++d) {
+    engine.seed(d % shards, Time::ns(100 * d), [&hop, d] { hop(d); });
+  }
+  engine.run_until(end + Time::us(10));
+  Trace all;
+  for (const Trace& log : logs) all.insert(all.end(), log.begin(), log.end());
+  std::sort(all.begin(), all.end());
+  return all;
+}
+
+TEST(ShardedSimulator, ShardPhaseExceptionPropagates) {
+  // A failing event on a resident worker's shard surfaces on the caller,
+  // and leaves no worker hung or orphaned: the engine destructs, and a
+  // fresh engine on the same pool still runs bit-identically.
+  EXPECT_THROW(run_hops(4, /*throw_on_shard=*/2), std::runtime_error);
+  const Trace reference = run_hops(1);
+  ASSERT_GT(reference.size(), 1000u);
+  EXPECT_EQ(run_hops(4), reference);
+}
+
+TEST(ShardedSimulator, MoreShardsThanPoolThreads) {
+  // 8 shards on the shared pool: shard s runs on thread s % size(), several
+  // shards to a thread when the pool is smaller — the mapping --threads
+  // above the core count uses. Same (time, key) trace as 1 shard.
+  EXPECT_EQ(run_hops(8), run_hops(1));
+}
+
+TEST(ShardedSimulator, CountsEpochsAndDeliveredMail) {
+  ShardedSimulator engine(2, Time::us(1));
+  engine.seed(0, Time::us(1), [&engine] {
+    engine.shard(0).post(engine.shard(1), Time::us(3), [] {});
+  });
+  engine.run_until(Time::us(5));
+  EXPECT_EQ(engine.mail_delivered(), 1u);
+  EXPECT_GE(engine.epochs(), 2u);
 }
 
 }  // namespace
