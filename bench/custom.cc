@@ -8,10 +8,10 @@
 // construction wall-clock, and (unless --construct-only) drives one of the
 // standard synthetic workloads through it and reports completion and FCT
 // percentiles. --csv/--json choose the output rendering as usual.
-#include <chrono>
+// Fresh and resumed runs take one path: Experiment::build, then
+// Experiment::drive under the guard limits the flags below set.
 #include <cstdio>
 #include <limits>
-#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -71,7 +71,8 @@ int usage() {
       "                    + exit 43 after S seconds\n"
       "  --max-rss-mb=M    memory guard: degrade (shrink slice window),\n"
       "                    then checkpoint + partial report + exit 44\n"
-      "  SIGINT/SIGTERM    checkpoint + partial report + exit 42\n");
+      "  SIGINT/SIGTERM    partial report + exit 42 (+ checkpoint when a\n"
+      "                    guard flag names one)\n");
   return 2;
 }
 
@@ -99,8 +100,8 @@ int main(int argc, char** argv) {
   const bool construct_only = Cli::has_flag(argc, argv, "--construct-only");
   const std::string scenario_str = Cli::arg_string(argc, argv, "--scenario", "");
 
-  // Run guardrails (exp::RunGuard). Any of these flags activates the
-  // guarded driver; without them the legacy run path below is untouched.
+  // Run guardrails (exp::RunGuard). Any of these flags names a checkpoint
+  // destination; a plain run writes none.
   const double checkpoint_every_ms =
       Cli::arg_double(argc, argv, "--checkpoint-every", 0.0);
   const double max_wall_s = Cli::arg_double(argc, argv, "--max-wall-s", 0.0);
@@ -108,9 +109,8 @@ int main(int argc, char** argv) {
   const std::string resume_path = Cli::arg_string(argc, argv, "--resume", "");
   std::string checkpoint_path = Cli::arg_string(argc, argv, "--checkpoint-to", "");
   const bool resuming = !resume_path.empty();
-  const bool guard_active = resuming || checkpoint_every_ms > 0 ||
-                            max_wall_s > 0 || max_rss_mb > 0;
-  if (checkpoint_path.empty()) {
+  if (checkpoint_path.empty() &&
+      (resuming || checkpoint_every_ms > 0 || max_wall_s > 0 || max_rss_mb > 0)) {
     checkpoint_path = resuming ? resume_path : "bench_custom.ckpt";
   }
 
@@ -121,22 +121,15 @@ int main(int argc, char** argv) {
   config.seed = seed;
   config.slice_table_window =
       static_cast<int>(Cli::arg_long(argc, argv, "--slice-window", 0));
-  config.threads = ex.cli().threads;  // parsed by exp::CliOptions with the other shared flags
-  if (!ex.cli().engine.empty()) {
-    const auto engine = core::parse_engine_kind(ex.cli().engine);
-    if (!engine) {
-      std::fprintf(stderr, "bench_custom: unknown engine '%s'\n",
-                   ex.cli().engine.c_str());
-      return usage();
-    }
-    config.engine = *engine;
-  }
+  // Scenario validation below needs the engine the run will use.
+  config.engine = ex.cli().engine.value_or(core::EngineKind::kPacket);
 
   // Resume: run parameters come from the checkpoint (the recipe), not the
   // CLI — replaying a different workload against a restored time marker
   // could only produce garbage. --threads stays an override (the restored
   // run is bit-identical at any shard count).
   exp::RunRecipe recipe;
+  std::vector<workload::FlowSpec> flows;
   sim::Time resume_time;
   std::uint64_t resume_digest = 0;
   if (resuming) {
@@ -146,7 +139,7 @@ int main(int argc, char** argv) {
                    "scenario suite is recorded in the checkpoint)\n");
       return 2;
     }
-    if (!ex.cli().engine.empty()) {
+    if (ex.cli().engine) {
       std::fprintf(stderr,
                    "bench_custom: --engine conflicts with --resume (the "
                    "engine is recorded in the checkpoint)\n");
@@ -166,66 +159,48 @@ int main(int argc, char** argv) {
     }
     if (ex.cli().threads != 0) recipe.config.threads = ex.cli().threads;
     config = recipe.config;
+  } else {
+    recipe.run_label = workload_name;
+    recipe.fabric_label = fabric_name;
+    recipe.load_pct = load * 100.0;
+    recipe.scenario = scenario_str;
+    recipe.horizon = sim::Time::from_us(horizon_ms * 1000.0);
   }
-  const std::string scenario_suite = resuming ? recipe.scenario : scenario_str;
 
   std::vector<exp::ScenarioSpec> scenarios;
-  if (!scenario_suite.empty()) {
-    auto parsed = exp::parse_scenarios(scenario_suite);
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "bench_custom: %s\n", parsed.error.c_str());
-      return usage();
-    }
-    scenarios = std::move(parsed.specs);
-    for (const auto& s : scenarios) {
-      if (const std::string err = exp::validate_scenario(s, config); !err.empty()) {
-        std::fprintf(stderr, "bench_custom: invalid scenario — %s\n", err.c_str());
-        return 2;
-      }
-    }
+  if (const std::string err = exp::load_scenarios(recipe.scenario, config, &scenarios);
+      !err.empty()) {
+    std::fprintf(stderr, "bench_custom: %s\n", err.c_str());
+    return 2;
   }
 
-  const auto build_start = std::chrono::steady_clock::now();
-  std::unique_ptr<core::Network> net;
+  exp::Experiment::RunResult run;
   try {
-    net = core::NetworkFactory::build(config);
+    run = ex.build(recipe.fabric_label, config);
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "bench_custom: %s\n", e.what());
     return 2;
   }
-  const double build_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - build_start)
-          .count();
-  // Record the *resolved* shard count (covers the OPERA_TEST_THREADS env
-  // default, not just --threads) so CSV artifacts label sharded walls.
-  if (net->num_shards() > 1) ex.report().note("threads=%d", net->num_shards());
-  if (config.engine != core::EngineKind::kPacket) {
-    ex.report().note("engine=%s", core::engine_kind_name(config.engine));
-  }
-
+  auto& net = run.net;
   auto& build_table = ex.report().table(
       "build", {"fabric", "racks", "hosts", "construct_s"});
   build_table.row({net->describe(), net->num_racks(), net->num_hosts(),
-                   exp::Value(build_seconds, 3)});
+                   exp::Value(run.build_seconds, 3)});
   if (construct_only) return 0;
 
   // Scenario wiring: a workload scenario replaces --workload; failure
   // scenarios arm coordinator-phase events before the run starts.
-  std::string run_label = workload_name;
   const exp::ScenarioSpec* workload_scenario = nullptr;
   for (const auto& s : scenarios) {
     ex.report().note("scenario: %s", exp::describe(s).c_str());
     if (exp::scenario_is_workload(s)) workload_scenario = &s;
-    else exp::arm_scenario(s, *net);  // engine-dispatching overload
   }
 
   sim::Rng rng(seed + 1);
-  std::vector<workload::FlowSpec> flows;
   if (resuming) {
-    run_label = recipe.run_label;
-    flows = recipe.flows;
+    flows = std::move(recipe.flows);
   } else if (workload_scenario != nullptr) {
-    run_label = exp::scenario_kind_name(workload_scenario->kind);
+    recipe.run_label = exp::scenario_kind_name(workload_scenario->kind);
     std::string err;
     flows = exp::scenario_flows(*workload_scenario, config, &err);
     if (!err.empty()) {
@@ -270,27 +245,16 @@ int main(int argc, char** argv) {
     return usage();
   }
 
-  // Labels and horizon: from the recipe on resume, from the CLI otherwise.
-  const std::string fct_label = resuming ? recipe.fabric_label : fabric_name;
-  const double load_pct = resuming ? recipe.load_pct : load * 100.0;
-  const sim::Time horizon =
-      resuming ? recipe.horizon : sim::Time::from_us(horizon_ms * 1000.0);
-
-  const auto run_start = std::chrono::steady_clock::now();
-  for (const auto& f : flows) {
-    net->submit_remapped(f.src_host, f.dst_host, f.size_bytes, f.start);
-  }
-
   // Result tail, shared between normal completion and the guard's
   // partial-report exit path (SIGINT/watchdog/memory).
   const auto emit_results = [&](sim::Time ended_at, double run_seconds) {
     auto& run_table = ex.report().table(
         "run", {"workload", "flows", "completed", "sim_ms", "wall_s", "events"});
-    run_table.row({run_label, static_cast<std::int64_t>(flows.size()),
+    run_table.row({recipe.run_label, static_cast<std::int64_t>(flows.size()),
                    static_cast<std::int64_t>(net->tracker().completed()),
                    exp::Value(ended_at.to_ms(), 3), exp::Value(run_seconds, 3),
                    static_cast<std::int64_t>(net->events_executed())});
-    ex.emit_fct_rows(fct_label, load_pct, *net);
+    ex.emit_fct_rows(recipe.fabric_label, recipe.load_pct, *net);
 
     if (!scenarios.empty()) {
       const auto fct =
@@ -304,7 +268,7 @@ int main(int argc, char** argv) {
           {"scenario", "flows", "completed", "p50_us", "p99_us", "wire_drops",
            "tor_drops"});
       scenario_table.row(
-          {scenario_suite, static_cast<std::int64_t>(flows.size()),
+          {recipe.scenario, static_cast<std::int64_t>(flows.size()),
            static_cast<std::int64_t>(net->tracker().completed()),
            exp::Value(fct.empty() ? 0.0 : fct.percentile(50), 1),
            exp::Value(fct.empty() ? 0.0 : fct.percentile(99), 1),
@@ -329,42 +293,24 @@ int main(int argc, char** argv) {
     ex.report().note("peak RSS %.1f MB", exp::peak_rss_bytes() / 1e6);
   };
 
-  core::Network::RunStatus status{};
-  if (guard_active) {
-    if (!resuming) {
-      recipe.run_label = run_label;
-      recipe.fabric_label = fct_label;
-      recipe.load_pct = load_pct;
-      recipe.scenario = scenario_suite;
-      recipe.config = config;
-      recipe.flows = flows;
-      recipe.horizon = horizon;
-    }
-    exp::RunGuardOptions gopts;
-    gopts.checkpoint_every = sim::Time::from_us(checkpoint_every_ms * 1000.0);
-    gopts.checkpoint_path = checkpoint_path;
-    gopts.max_wall_s = max_wall_s;
-    gopts.max_rss_bytes = static_cast<std::size_t>(max_rss_mb * 1e6);
-    gopts.resume_time = resume_time;
-    gopts.resume_digest = resume_digest;
-    gopts.partial_report = [&](const char* reason) {
-      ex.report().note("PARTIAL RUN: %s", reason);
-      const double run_seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        run_start)
-              .count();
-      emit_results(net->sim().now(), run_seconds);
-      ex.report().finish();
-    };
-    exp::RunGuard guard(std::move(recipe), std::move(gopts));
-    status = guard.drive(*net);
-  } else {
-    status = net->run_to_completion(horizon);
-  }
-  const double run_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - run_start)
-          .count();
-
-  emit_results(status.ended_at, run_seconds);
+  exp::Experiment::RunOptions opts;
+  opts.horizon = recipe.horizon;
+  opts.setup = [&scenarios](core::Network& n) {
+    for (const auto& s : scenarios) exp::arm_scenario(s, n);
+  };
+  exp::RunGuardOptions guard;
+  guard.checkpoint_every = sim::Time::from_us(checkpoint_every_ms * 1000.0);
+  guard.checkpoint_path = checkpoint_path;
+  guard.max_wall_s = max_wall_s;
+  guard.max_rss_bytes = static_cast<std::size_t>(max_rss_mb * 1e6);
+  guard.resume_time = resume_time;
+  guard.resume_digest = resume_digest;
+  guard.partial_report = [&](const char*, double wall_s) {
+    emit_results(net->sim().now(), wall_s);
+  };
+  // drive() fills in the recipe's config, horizon and (for checkpoints)
+  // flows; the labels and scenario suite come from here.
+  ex.drive(run, flows, opts, std::move(guard), recipe);
+  emit_results(run.status.ended_at, run.wall_seconds);
   return 0;
 }

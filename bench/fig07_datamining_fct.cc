@@ -23,11 +23,11 @@ int main(int argc, char** argv) {
                    static_cast<long long>(size_cap / 1'000'000));
 
   exp::Experiment::FctSweep sweep;
-  sweep.fabrics = {{"Opera", tb.opera(), {}},
-                   {"Clos3:1", tb.clos(), {}},
-                   {"Expander", tb.expander(), {}},
-                   {"RotorNet", tb.rotornet(false), {}},
-                   {"RotorHyb", tb.rotornet(true), {}}};
+  sweep.fabrics = {{"Opera", tb.opera()},
+                   {"Clos3:1", tb.clos()},
+                   {"Expander", tb.expander()},
+                   {"RotorNet", tb.rotornet(false)},
+                   {"RotorHyb", tb.rotornet(true)}};
   sweep.loads = ex.full() ? std::vector<double>{0.01, 0.10, 0.25}
                           : std::vector<double>{0.01, 0.10};
   sweep.horizon = horizon;

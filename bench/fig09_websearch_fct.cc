@@ -13,9 +13,9 @@ int main(int argc, char** argv) {
   const auto dist = workload::FlowSizeDistribution::websearch();
 
   exp::Experiment::FctSweep sweep;
-  sweep.fabrics = {{"Opera", tb.opera(), {}},
-                   {"Clos3:1", tb.clos(), {}},
-                   {"Expander", tb.expander(), {}}};
+  sweep.fabrics = {{"Opera", tb.opera()},
+                   {"Clos3:1", tb.clos()},
+                   {"Expander", tb.expander()}};
   sweep.loads = {0.01, 0.05, 0.10};
   sweep.horizon = horizon;
   sweep.make_flows = [&](double load) {

@@ -17,7 +17,6 @@
 // All modes emit the same table shapes (the baseline row fingerprint is
 // scale-independent): per-pattern run and slice-cache rows, the standard
 // FCT buckets, the scale-probe row, and a process-wide peak-RSS row.
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -143,30 +142,20 @@ int main(int argc, char** argv) {
         "scenarios", {"scenario", "flows", "completed", "sim_ms", "wall_s",
                       "p50_us", "p99_us", "wire_drops", "tor_drops"});
     for (const auto& r : runs) {
-      const auto parsed = exp::parse_scenarios(r.suite);
-      if (!parsed.ok()) {
-        std::fprintf(stderr, "bench_scale_sweep: bad scenario suite '%s': %s\n",
-                     r.suite, parsed.error.c_str());
+      std::vector<exp::ScenarioSpec> suite;
+      if (const std::string err = exp::load_scenarios(r.suite, config, &suite);
+          !err.empty()) {
+        std::fprintf(stderr, "bench_scale_sweep: %s\n", err.c_str());
         return 1;
       }
       std::vector<workload::FlowSpec> flows;
-      for (const auto& spec : parsed.specs) {
-        if (const std::string err = exp::validate_scenario(spec, config);
-            !err.empty()) {
-          std::fprintf(stderr, "bench_scale_sweep: %s\n", err.c_str());
-          return 1;
-        }
-        if (exp::scenario_is_workload(spec)) {
-          flows = exp::scenario_flows(spec, config);
-        }
+      for (const auto& spec : suite) {
+        if (exp::scenario_is_workload(spec)) flows = exp::scenario_flows(spec, config);
       }
       exp::Experiment::RunOptions opts;
       opts.horizon = sim::Time::ms(r.horizon_ms);
-      opts.setup = [&parsed](core::Network& net) {
-        auto& opera_net = dynamic_cast<core::OperaNetwork&>(net);
-        for (const auto& spec : parsed.specs) {
-          if (!exp::scenario_is_workload(spec)) exp::arm_scenario(spec, opera_net);
-        }
+      opts.setup = [&suite](core::Network& net) {
+        for (const auto& spec : suite) exp::arm_scenario(spec, net);
       };
       const auto result = ex.run(r.label, config, flows, opts);
       const auto fct = result.net->tracker().fct_us(
@@ -252,13 +241,8 @@ int main(int argc, char** argv) {
     const std::int32_t probe_hpr = full ? 16 : 6;
     core::FabricConfig probe =
         core::FabricConfig::make(core::FabricKind::kOpera).scale(probe_racks, probe_hpr);
-    probe.threads = ex.cli().threads;  // the probe honors --threads too
-
-    const auto build_start = std::chrono::steady_clock::now();
-    auto net = core::NetworkFactory::build(probe);
-    const double construct_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - build_start)
-            .count();
+    auto run = ex.build("scale_probe", probe);
+    const auto& net = run.net;
 
     sim::Rng rng(21);
     // Datamining's heavy tail means ~7 MB mean flow size: these loads and
@@ -268,28 +252,23 @@ int main(int argc, char** argv) {
         workload::FlowSizeDistribution::datamining(), net->num_hosts(),
         /*load=*/full ? 0.05 : 0.3, probe.link.rate_bps,
         full ? sim::Time::us(150) : sim::Time::ms(2), rng);
-    const auto run_start = std::chrono::steady_clock::now();
-    for (const auto& f : flows) {
-      net->submit_remapped(f.src_host, f.dst_host, f.size_bytes, f.start);
-    }
-    const auto status = net->run_to_completion(sim::Time::ms(full ? 20 : 50));
-    const double sweep_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - run_start)
-            .count();
+    exp::Experiment::RunOptions opts;
+    opts.horizon = sim::Time::ms(full ? 20 : 50);
+    ex.drive(run, flows, opts);
 
     const auto& opera_net = dynamic_cast<const core::OperaNetwork&>(*net);
     auto& probe_table = ex.report().table(
         "scale_probe", {"k", "racks", "hosts", "construct_s", "flows", "completed",
                         "sweep_wall_s", "voq_mb", "table_peak_mb"});
     probe_table.row({2 * probe_hpr, net->num_racks(), net->num_hosts(),
-                     exp::Value(construct_s, 2),
+                     exp::Value(run.build_seconds, 2),
                      static_cast<std::int64_t>(flows.size()),
                      static_cast<std::int64_t>(net->tracker().completed()),
-                     exp::Value(sweep_s, 2),
+                     exp::Value(run.wall_seconds, 2),
                      exp::Value(opera_net.voq_memory_bytes() / 1e6, 2),
                      exp::Value(opera_net.slice_tables().stats().peak_resident_bytes / 1e6,
                                 1)});
-    ex.report().note("scale probe sim time %.3f ms", status.ended_at.to_ms());
+    ex.report().note("scale probe sim time %.3f ms", run.status.ended_at.to_ms());
   }
 
   auto& memory_table = ex.report().table("memory", {"peak_rss_mb"});

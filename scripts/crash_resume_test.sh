@@ -2,7 +2,9 @@
 # End-to-end crash/resume determinism check (docs/CHECKPOINT.md).
 #
 # For each shard count, runs a quick k=12 Opera sweep three ways:
-#   1. uninterrupted, no guard flags — the reference;
+#   1. uninterrupted, no limits or checkpoints — the reference (every run
+#      goes through exp::RunGuard; without guard flags it only watches for
+#      signals);
 #   2. with --checkpoint-every, SIGKILLed as soon as a checkpoint lands
 #      (SIGKILL is unmaskable: this is a real crash, not a graceful exit);
 #   3. resumed from the checkpoint the killed run left behind.
@@ -12,6 +14,8 @@
 # report flushed.
 #
 #   scripts/crash_resume_test.sh [build-dir]
+#
+# Registered as the ctest `crash_resume_sh` (~4 s).
 set -euo pipefail
 
 build_dir="${1:-build}"

@@ -1,8 +1,6 @@
 #include "exp/experiment.h"
 
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 
 #include "fluid/fluid_network.h"
 
@@ -28,33 +26,29 @@ Experiment::Experiment(std::string name, int argc, char** argv)
   fluid::register_fluid_engines();
 }
 
-Experiment::RunResult Experiment::run(const std::string& label,
-                                      const core::FabricConfig& config,
-                                      const std::vector<workload::FlowSpec>& flows,
-                                      const RunOptions& opts) {
-  const auto wall_start = std::chrono::steady_clock::now();
+Experiment::RunResult Experiment::build(const std::string& label,
+                                        const core::FabricConfig& config) {
   RunResult result;
   result.label = label;
-  // --threads applies to any run that didn't pin a count itself.
-  core::FabricConfig effective = config;
-  if (effective.threads == 0 && opts_.threads > 0) effective.threads = opts_.threads;
-  // --engine applies to any run that didn't pin an engine itself.
-  if (!opts_.engine.empty() && effective.engine == core::EngineKind::kPacket) {
-    const auto engine = core::parse_engine_kind(opts_.engine);
-    if (!engine) {
-      std::fprintf(stderr,
-                   "%s: unknown engine '%s' (expected packet, fluid or "
-                   "hybrid)\n",
-                   report_.bench().c_str(), opts_.engine.c_str());
-      std::exit(2);
-    }
-    effective.engine = *engine;
+  result.config = config;
+  core::FabricConfig& effective = result.config;
+  // --threads/--engine apply to any run that didn't pin its own.
+  if (effective.threads == 0) effective.threads = opts_.threads;
+  if (opts_.engine && effective.engine == core::EngineKind::kPacket) {
+    effective.engine = *opts_.engine;
   }
+  // Packet runs (the default) emit no engine note.
   if (effective.engine != noted_engine_) {
     noted_engine_ = effective.engine;
-    report_.note("engine=%s", core::engine_kind_name(effective.engine));
+    if (effective.engine != core::EngineKind::kPacket) {
+      report_.note("engine=%s", core::engine_kind_name(effective.engine));
+    }
   }
+  const auto build_start = std::chrono::steady_clock::now();
   result.net = core::NetworkFactory::build(effective);
+  result.build_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - build_start)
+          .count();
   // Emit the shard count as report metadata, from the *resolved* count
   // (which includes the OPERA_TEST_THREADS env default and the rack-count
   // clamp — not just the raw flag), so result artifacts record how the
@@ -66,26 +60,38 @@ Experiment::RunResult Experiment::run(const std::string& label,
     noted_threads_ = result.net->num_shards();
     report_.note("threads=%d", noted_threads_);
   }
-  if (opts.setup) opts.setup(*result.net);
+  return result;
+}
+
+void Experiment::drive(RunResult& run, const std::vector<workload::FlowSpec>& flows,
+                       const RunOptions& opts, RunGuardOptions guard,
+                       RunRecipe recipe) {
+  if (opts.setup) opts.setup(*run.net);
+  recipe.config = run.config;
+  recipe.horizon = opts.horizon;
+  // Only a checkpoint needs the flow list: copy it only then.
+  if (!guard.checkpoint_path.empty()) recipe.flows = flows;
+  guard.partial_report = [this, flush = std::move(guard.partial_report)](
+                             const char* reason, double wall_s) {
+    report_.note("PARTIAL RUN: %s", reason);
+    if (flush) flush(reason, wall_s);
+    report_.finish();
+  };
+  RunGuard guarded(std::move(recipe), std::move(guard));
   for (const auto& f : flows) {
-    if (opts.remap) {
-      result.net->submit_remapped(f.src_host, f.dst_host, f.size_bytes, f.start,
-                                  opts.force_class);
-    } else {
-      result.net->submit_flow(f.src_host, f.dst_host, f.size_bytes, f.start,
-                              opts.force_class);
-    }
-    ++result.submitted;
+    run.net->submit_remapped(f.src_host, f.dst_host, f.size_bytes, f.start,
+                             opts.force_class);
   }
-  if (opts.stop_when_done) {
-    result.status = result.net->run_to_completion(opts.horizon);
-  } else {
-    result.net->run_until(opts.horizon);
-    result.status = {opts.horizon, false};
-  }
-  result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start)
-          .count();
+  run.status = guarded.drive(*run.net);
+  run.wall_seconds = guarded.wall_seconds();
+}
+
+Experiment::RunResult Experiment::run(const std::string& label,
+                                      const core::FabricConfig& config,
+                                      const std::vector<workload::FlowSpec>& flows,
+                                      const RunOptions& opts) {
+  RunResult result = build(label, config);
+  drive(result, flows, opts);
   return result;
 }
 
@@ -113,7 +119,6 @@ void Experiment::run_fct_sweep(const FctSweep& sweep) {
     for (const auto& fabric : sweep.fabrics) {
       RunOptions opts;
       opts.horizon = sweep.horizon;
-      opts.force_class = fabric.force_class;
       const auto result = run(fabric.label, fabric.config, flows, opts);
       emit_fct_rows(fabric.label, load * 100.0, *result.net);
     }

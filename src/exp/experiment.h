@@ -1,11 +1,11 @@
 // exp::Experiment — the experiment driver the bench binaries run on.
 //
-// It owns what every per-figure binary used to re-implement by hand:
-// building fabrics through core::NetworkFactory, cross-fabric host-id
-// remapping, submission, early-stopped runs, and structured FCT emission.
-// A figure like Fig. 9 reduces to a declarative FctSweep (fabrics x loads
-// x workload); one-off scenarios use run() directly and query the
-// returned network.
+// It owns the one path from config to finished run: build() applies the
+// --threads/--engine overrides, notes them and times construction;
+// drive() submits the flows (remapped into the fabric's host range) and
+// runs them under exp::RunGuard; run() is both. A figure like Fig. 9
+// reduces to a declarative FctSweep (fabrics x loads x workload); one-off
+// scenarios use run() directly and query the returned network.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +17,7 @@
 
 #include "core/fabric.h"
 #include "exp/output.h"
+#include "exp/run_guard.h"
 #include "exp/testbed.h"
 #include "sim/time.h"
 #include "workload/synthetic.h"
@@ -43,12 +44,6 @@ class Experiment {
 
   struct RunOptions {
     sim::Time horizon;
-    // Stop the run as soon as every submitted flow has completed instead
-    // of burning wall-clock to the horizon (identical completion stats).
-    bool stop_when_done = true;
-    // Remap workload host ids into the fabric's host range (the
-    // cross-fabric fixup; identity when host counts already match).
-    bool remap = true;
     // Tag every submitted flow (application-based tagging, §3.4).
     std::optional<net::TrafficClass> force_class;
     // Runs after construction, before submission — install tracker hooks.
@@ -57,14 +52,27 @@ class Experiment {
 
   struct RunResult {
     std::string label;
+    core::FabricConfig config;  // as built: --threads/--engine applied
     std::unique_ptr<core::Network> net;  // kept alive for custom queries
-    std::size_t submitted = 0;
+    double build_seconds = 0.0;          // fabric construction wall time
     core::Network::RunStatus status;
-    double wall_seconds = 0.0;
+    double wall_seconds = 0.0;  // submission + run, on the guard's clock
   };
 
-  // Builds the fabric, submits `flows`, runs to `opts.horizon` (early-
-  // stopping when done), and returns the network for inspection.
+  // Applies the --threads/--engine overrides where `config` pins neither,
+  // notes a changed shard count or engine, and builds the fabric.
+  RunResult build(const std::string& label, const core::FabricConfig& config);
+
+  // Runs opts.setup, submits `flows` and drives the network to
+  // opts.horizon under a RunGuard with `guard`'s limits (none: identical
+  // to run_to_completion). `recipe` supplies a checkpoint's labels and
+  // scenario suite; drive() fills in the rest. SIGINT/SIGTERM meanwhile
+  // exits 42 after a `PARTIAL RUN` note and a flushed report.
+  void drive(RunResult& run, const std::vector<workload::FlowSpec>& flows,
+             const RunOptions& opts, RunGuardOptions guard = {},
+             RunRecipe recipe = {});
+
+  // build() then drive() with no limits.
   RunResult run(const std::string& label, const core::FabricConfig& config,
                 const std::vector<workload::FlowSpec>& flows,
                 const RunOptions& opts);
@@ -79,7 +87,6 @@ class Experiment {
   struct FabricSpec {
     std::string label;
     core::FabricConfig config;
-    std::optional<net::TrafficClass> force_class;
   };
   struct FctSweep {
     std::vector<FabricSpec> fabrics;

@@ -50,11 +50,14 @@ CliOptions CliOptions::parse(int argc, char** argv) {
     opts.format = OutputFormat::kCsv;
   }
   const long threads = arg_long(argc, argv, "--threads", 0);
-  if (threads < INT_MIN || threads > INT_MAX) {
+  if (threads < 0 || threads > INT_MAX) {
     malformed_arg(argv, "--threads", arg_value(argc, argv, "--threads"));
   }
   opts.threads = static_cast<int>(threads);
-  opts.engine = arg_string(argc, argv, "--engine", "");
+  if (const char* engine = arg_value(argc, argv, "--engine")) {
+    opts.engine = core::parse_engine_kind(engine);
+    if (!opts.engine) malformed_arg(argv, "--engine", engine);
+  }
   return opts;
 }
 

@@ -10,10 +10,13 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <variant>
 #include <vector>
+
+#include "core/fabric.h"
 
 namespace opera::exp {
 
@@ -22,18 +25,18 @@ enum class OutputFormat : std::uint8_t { kHuman, kCsv, kJson };
 // Flags shared by all bench binaries: --full (paper scale), --csv, --json,
 // --threads=N (sharded event loop; any packet fabric), --engine=NAME
 // (simulation engine; Opera fabrics). Unknown arguments are ignored so
-// binaries can add their own, read with the arg_* getters below.
+// binaries can add their own, read with the arg_* getters below. A
+// malformed shared flag (--threads=-1, --engine=warp) exits 2 at parse
+// time, naming the flag.
 struct CliOptions {
   bool full = false;
   OutputFormat format = OutputFormat::kHuman;
   // Shard count for fabrics that support the sharded event loop; 0 = the
   // config/env default (see core::OperaConfig::threads).
   int threads = 0;
-  // Simulation engine override (packet | fluid | hybrid), applied by
-  // exp::Experiment to any run whose config didn't pin one itself; empty
-  // = no override. Validated against core::parse_engine_kind at apply
-  // time, so a typo is a loud error, not a silent packet run.
-  std::string engine;
+  // Simulation engine override, applied by exp::Experiment::build to any
+  // run whose config didn't pin one itself; empty = no override.
+  std::optional<core::EngineKind> engine;
 
   static CliOptions parse(int argc, char** argv);
   static bool has_flag(int argc, char** argv, const char* flag);
@@ -123,9 +126,6 @@ class Report {
 
   // Flushes JSON output; further use is invalid. Idempotent.
   void finish();
-
-  [[nodiscard]] OutputFormat format() const { return format_; }
-  [[nodiscard]] const std::string& bench() const { return bench_; }
 
  private:
   friend class Table;

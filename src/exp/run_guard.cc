@@ -5,9 +5,10 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <stdexcept>
 
 #include "exp/output.h"
+#include "exp/scenario.h"
 
 namespace opera::exp {
 
@@ -22,15 +23,6 @@ extern "C" void guard_signal_handler(int sig) {
   g_signal = sig;
 }
 
-void install_signal_handlers() {
-  struct sigaction sa;
-  std::memset(&sa, 0, sizeof sa);
-  sa.sa_handler = guard_signal_handler;
-  sigemptyset(&sa.sa_mask);
-  sigaction(SIGINT, &sa, nullptr);
-  sigaction(SIGTERM, &sa, nullptr);
-}
-
 std::string u64_hex(std::uint64_t v) {
   char buf[20];
   std::snprintf(buf, sizeof buf, "%016" PRIx64, v);
@@ -41,12 +33,6 @@ std::string i64_dec(std::int64_t v) {
   char buf[24];
   std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
   return buf;
-}
-
-std::uint64_t state_digest(const core::Network& net) {
-  sim::Fingerprint fp;
-  net.fingerprint(fp);
-  return fp.digest();
 }
 
 // The guard tick equals run_to_completion's default check interval, so a
@@ -60,6 +46,12 @@ bool all_flows_done(const core::Network& net) {
 }
 
 }  // namespace
+
+std::uint64_t state_digest(const core::Network& net) {
+  sim::Fingerprint fp;
+  net.fingerprint(fp);
+  return fp.digest();
+}
 
 sim::CheckpointData make_run_checkpoint(const RunRecipe& recipe,
                                         const core::Network& net) {
@@ -131,8 +123,29 @@ std::string recipe_from_checkpoint(const sim::CheckpointData& data,
   return "";
 }
 
+std::unique_ptr<core::Network> rebuild_run(const RunRecipe& recipe) {
+  std::vector<ScenarioSpec> suite;
+  if (std::string err = load_scenarios(recipe.scenario, recipe.config, &suite);
+      !err.empty()) {
+    throw std::invalid_argument(err);
+  }
+  auto net = core::NetworkFactory::build(recipe.config);
+  for (const auto& spec : suite) arm_scenario(spec, *net);
+  for (const auto& f : recipe.flows) {
+    net->submit_remapped(f.src_host, f.dst_host, f.size_bytes, f.start);
+  }
+  return net;
+}
+
 RunGuard::RunGuard(RunRecipe recipe, RunGuardOptions options)
-    : recipe_(std::move(recipe)), options_(std::move(options)) {}
+    : recipe_(std::move(recipe)),
+      options_(std::move(options)),
+      start_(std::chrono::steady_clock::now()) {}
+
+double RunGuard::wall_seconds() const {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
+      .count();
+}
 
 void RunGuard::guarded_exit(core::Network& net, int code, const char* reason) {
   if (!options_.checkpoint_path.empty()) {
@@ -154,7 +167,7 @@ void RunGuard::guarded_exit(core::Network& net, int code, const char* reason) {
                  "path configured)\n",
                  reason, net.sim().now().to_ms());
   }
-  if (options_.partial_report) options_.partial_report(reason);
+  if (options_.partial_report) options_.partial_report(reason, wall_seconds());
   // _Exit, not exit: the sharded engine's worker threads are parked at the
   // barrier and static destructor order is not worth racing against.
   std::fflush(nullptr);
@@ -162,8 +175,13 @@ void RunGuard::guarded_exit(core::Network& net, int code, const char* reason) {
 }
 
 core::Network::RunStatus RunGuard::drive(core::Network& net) {
-  install_signal_handlers();
-  const auto wall_start = std::chrono::steady_clock::now();
+  // Catch SIGINT/SIGTERM for this run only; the previous handlers come
+  // back when it returns.
+  struct sigaction sa {}, old_int {}, old_term {};
+  sa.sa_handler = guard_signal_handler;
+  sigemptyset(&sa.sa_mask);
+  sigaction(SIGINT, &sa, &old_int);
+  sigaction(SIGTERM, &sa, &old_term);
   bool replaying = options_.resume_time > sim::Time::zero();
   const bool periodic = options_.checkpoint_every > sim::Time::zero();
   // Cadence restarts from the resume point: the replayed prefix already
@@ -206,14 +224,8 @@ core::Network::RunStatus RunGuard::drive(core::Network& net) {
                    g_signal == SIGINT ? "interrupted (SIGINT)"
                                       : "terminated (SIGTERM)");
     }
-    if (options_.max_wall_s > 0) {
-      const double elapsed =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        wall_start)
-              .count();
-      if (elapsed > options_.max_wall_s) {
-        guarded_exit(n, kExitWallClock, "wall-clock watchdog expired");
-      }
+    if (options_.max_wall_s > 0 && wall_seconds() > options_.max_wall_s) {
+      guarded_exit(n, kExitWallClock, "wall-clock watchdog expired");
     }
     if (options_.max_rss_bytes > 0 &&
         current_rss_bytes() > options_.max_rss_bytes) {
@@ -241,7 +253,10 @@ core::Network::RunStatus RunGuard::drive(core::Network& net) {
     return false;
   };
 
-  return net.run_with_progress(recipe_.horizon, kGuardTick, hook);
+  const auto status = net.run_with_progress(recipe_.horizon, kGuardTick, hook);
+  sigaction(SIGINT, &old_int, nullptr);
+  sigaction(SIGTERM, &old_term, nullptr);
+  return status;
 }
 
 }  // namespace opera::exp

@@ -1,6 +1,8 @@
-// exp::RunGuard — supervision for long experiment runs: periodic
-// deterministic checkpoints, SIGINT/SIGTERM graceful shutdown, a
-// wall-clock watchdog, and memory-pressure degradation.
+// exp::RunGuard — the one run driver (every exp::Experiment::drive goes
+// through it) and its supervision: periodic deterministic checkpoints,
+// SIGINT/SIGTERM graceful shutdown, a wall-clock watchdog, and
+// memory-pressure degradation. With no limits set it only watches for
+// signals.
 //
 // A guarded run is driven by ONE Network::run_with_progress call whose
 // hook multiplexes the early-stop predicate (identical to
@@ -23,8 +25,10 @@
 // crash-recovery buys correctness, not wall-clock (docs/CHECKPOINT.md).
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -52,6 +56,10 @@ struct RunRecipe {
   sim::Time horizon;
 };
 
+// The multi-layer fingerprint digest of `net`'s state (Network::fingerprint)
+// — what checkpoints record and resume verifies.
+[[nodiscard]] std::uint64_t state_digest(const core::Network& net);
+
 // Builds the checkpoint for `recipe` at the network's current
 // barrier-aligned time (call only from a progress-hook / coordinator
 // event). [state] carries the progress marker: time_ps, events, and the
@@ -65,6 +73,11 @@ struct RunRecipe {
 [[nodiscard]] std::string recipe_from_checkpoint(
     const sim::CheckpointData& data, RunRecipe* recipe,
     sim::Time* resume_time, std::uint64_t* resume_digest);
+
+// The resume rebuild: the fabric from recipe.config with its scenario
+// suite armed and its flows resubmitted in recorded order, ready to replay
+// from time zero. Throws std::invalid_argument on an invalid suite.
+[[nodiscard]] std::unique_ptr<core::Network> rebuild_run(const RunRecipe& recipe);
 
 struct RunGuardOptions {
   // Simulated-time checkpoint cadence; zero disables periodic snapshots.
@@ -85,8 +98,8 @@ struct RunGuardOptions {
   sim::Time resume_time;
   std::uint64_t resume_digest = 0;
   // Called on every guarded exit, after the checkpoint is written and
-  // before _Exit: flush a partial report naming `reason`.
-  std::function<void(const char* reason)> partial_report;
+  // before _Exit: flush a partial report naming `reason` (and wall_s).
+  std::function<void(const char* reason, double wall_s)> partial_report;
 };
 
 class RunGuard {
@@ -97,21 +110,26 @@ class RunGuard {
   static constexpr int kExitWallClock = 43;
   static constexpr int kExitMemory = 44;
 
+  // Starts the run clock. Beyond its horizon, `recipe` only feeds
+  // checkpoints: without a checkpoint_path its flow list may stay empty.
   RunGuard(RunRecipe recipe, RunGuardOptions options);
 
   // Drives `net` to the recipe horizon (early-stopping when all flows
-  // complete) under the guard. Exits the process via _Exit on signal/
+  // complete) under the guard, with SIGINT/SIGTERM caught for the duration
+  // of the call. Exits the process via _Exit on signal/
   // watchdog/memory-exhaustion; otherwise returns the run status, which
   // is bit-identical to run_to_completion(recipe.horizon) on `net`.
   core::Network::RunStatus drive(core::Network& net);
 
-  [[nodiscard]] const RunRecipe& recipe() const { return recipe_; }
+  // The run clock: wall seconds since construction.
+  [[nodiscard]] double wall_seconds() const;
 
  private:
   void guarded_exit(core::Network& net, int code, const char* reason);
 
   RunRecipe recipe_;
   RunGuardOptions options_;
+  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace opera::exp

@@ -380,6 +380,22 @@ std::string validate_scenario(const ScenarioSpec& spec,
   return "";
 }
 
+std::string load_scenarios(const std::string& text,
+                           const core::FabricConfig& config,
+                           std::vector<ScenarioSpec>* specs) {
+  specs->clear();
+  if (text.empty()) return "";
+  auto parsed = parse_scenarios(text);
+  if (!parsed.ok()) return parsed.error;
+  for (const auto& spec : parsed.specs) {
+    if (std::string err = validate_scenario(spec, config); !err.empty()) {
+      return "invalid scenario — " + err;
+    }
+  }
+  *specs = std::move(parsed.specs);
+  return "";
+}
+
 std::vector<workload::FlowSpec> scenario_flows(const ScenarioSpec& spec,
                                                const core::FabricConfig& config,
                                                std::string* error) {
@@ -460,9 +476,7 @@ void arm_storm_events(const ScenarioSpec& spec, Net& net,
   }
 }
 
-}  // namespace
-
-void arm_scenario(const ScenarioSpec& spec, core::OperaNetwork& net) {
+void arm_packet(const ScenarioSpec& spec, core::OperaNetwork& net) {
   // Everything here lands on the coordinator's global queue: failure
   // mutation at a barrier, never racing shard-local packet events.
   sim::Simulator& global = net.sim();
@@ -508,10 +522,12 @@ void arm_scenario(const ScenarioSpec& spec, core::OperaNetwork& net) {
   }
 }
 
+}  // namespace
+
 void arm_scenario(const ScenarioSpec& spec, core::Network& net) {
   if (scenario_is_workload(spec)) return;
   if (auto* packet = dynamic_cast<core::OperaNetwork*>(&net)) {
-    arm_scenario(spec, *packet);
+    arm_packet(spec, *packet);
     return;
   }
   const bool needs_packet =

@@ -2,7 +2,7 @@
 // strings into specs, validate them against a fabric, describe them with
 // stable golden strings, expand workload scenarios into flow lists, and
 // arm failure scenarios as coordinator-phase global events on a built
-// OperaNetwork — which is what keeps every storm/gray/skew run
+// network — which is what keeps every storm/gray/skew run
 // bit-identical across --threads=N.
 //
 // Grammar: a scenario string is `kind` or `kind:key=value,key=value,...`;
@@ -114,25 +114,29 @@ struct ScenarioParseResult {
 [[nodiscard]] std::string validate_scenario(const ScenarioSpec& spec,
                                             const core::FabricConfig& config);
 
+// Parses the suite string `text` ("" = no scenarios) into `specs` and
+// validates each against `config`. Returns "" when all is well, else the
+// parse error or "invalid scenario — <reason>".
+[[nodiscard]] std::string load_scenarios(const std::string& text,
+                                         const core::FabricConfig& config,
+                                         std::vector<ScenarioSpec>* specs);
+
 // Expands a workload scenario into a time-sorted flow list for `config`.
 // Trace load errors are reported through `error` (untouched on success).
 [[nodiscard]] std::vector<workload::FlowSpec> scenario_flows(
     const ScenarioSpec& spec, const core::FabricConfig& config,
     std::string* error = nullptr);
 
-// Schedules a failure scenario's events on the network's *global*
-// (coordinator) queue. Call after construction, before run — e.g. from
-// Experiment::RunOptions::setup. No-op for workload scenarios.
-void arm_scenario(const ScenarioSpec& spec, core::OperaNetwork& net);
-
-// Engine-dispatching overload: arms the packet, fluid or hybrid engine
-// behind any core::Network. Storms land on whichever engine(s) the run
-// uses — a hybrid run mirrors the same failure timeline onto both planes,
-// each on its own coordinator queue, so short and bulk flows see one
-// consistent outage. Gray/skew scenarios model packet-level degradation
-// the fluid integrator cannot express; validate_scenario rejects them for
-// non-packet engines, and reaching here anyway is a loud fatal error.
-// No-op for workload scenarios and for fabrics without failure injection.
+// Schedules a failure scenario's events on the *global* (coordinator)
+// queue of the packet, fluid or hybrid engine behind `net`. Call after
+// construction, before run — e.g. from Experiment::RunOptions::setup.
+// Storms land on whichever engine(s) the run uses — a hybrid run mirrors
+// the same failure timeline onto both planes, each on its own coordinator
+// queue, so short and bulk flows see one consistent outage. Gray/skew
+// scenarios model packet-level degradation the fluid integrator cannot
+// express; validate_scenario rejects them for non-packet engines, and
+// reaching here anyway is a loud fatal error. No-op for workload
+// scenarios and for fabrics without failure injection.
 void arm_scenario(const ScenarioSpec& spec, core::Network& net);
 
 // The schedule-adversarial permutation behind `adversarial-perm`: for

@@ -21,7 +21,6 @@
 #include "core/network.h"
 #include "core/opera_network.h"
 #include "exp/run_guard.h"
-#include "exp/scenario.h"
 #include "sim/rng.h"
 #include "sim/time.h"
 #include "workload/synthetic.h"
@@ -239,34 +238,14 @@ exp::RunRecipe make_recipe(const std::string& scenario) {
   return recipe;
 }
 
-// Rebuilds the fabric from the recipe (exactly as bench_custom --resume
-// does), arms its scenario suite, resubmits the flows, and runs to `until`.
-std::unique_ptr<core::Network> replay(const exp::RunRecipe& recipe, int threads,
+// The resume rebuild (exp::rebuild_run) at `threads` shards, run to
+// `until`.
+std::unique_ptr<core::Network> replay(exp::RunRecipe recipe, int threads,
                                       sim::Time until) {
-  core::FabricConfig config = recipe.config;
-  config.threads = threads;
-  auto net = core::NetworkFactory::build(config);
-  if (!recipe.scenario.empty()) {
-    const auto suite = exp::parse_scenarios(recipe.scenario);
-    EXPECT_TRUE(suite.ok()) << suite.error;
-    for (const auto& spec : suite.specs) {
-      EXPECT_EQ(exp::validate_scenario(spec, config), "");
-      if (auto* opera_net = dynamic_cast<core::OperaNetwork*>(net.get())) {
-        exp::arm_scenario(spec, *opera_net);
-      }
-    }
-  }
-  for (const auto& f : recipe.flows) {
-    net->submit_remapped(f.src_host, f.dst_host, f.size_bytes, f.start);
-  }
+  recipe.config.threads = threads;
+  auto net = exp::rebuild_run(recipe);
   net->run_until(until);
   return net;
-}
-
-std::uint64_t digest_of(const core::Network& net) {
-  sim::Fingerprint fp;
-  net.fingerprint(fp);
-  return fp.digest();
 }
 
 TEST(RunRecipe, CheckpointRoundTripPreservesRecipe) {
@@ -296,7 +275,7 @@ TEST(RunRecipe, CheckpointRoundTripPreservesRecipe) {
     EXPECT_EQ(restored.flows[i].start, recipe.flows[i].start);
   }
   EXPECT_EQ(resume_time, sim::Time::ms(3));
-  EXPECT_EQ(resume_digest, digest_of(*net));
+  EXPECT_EQ(resume_digest, exp::state_digest(*net));
 }
 
 TEST(RunRecipe, MissingStateKeysRejected) {
@@ -337,10 +316,10 @@ TEST_P(CheckpointReplay, BitIdenticalAcrossThreadCounts) {
   // Reference: uninterrupted single-shard run. Snapshot state at p.mid,
   // then continue the same network to the horizon.
   const auto ref = replay(recipe, 1, p.mid);
-  const std::uint64_t mid_digest = digest_of(*ref);
+  const std::uint64_t mid_digest = exp::state_digest(*ref);
   const auto data = exp::make_run_checkpoint(recipe, *ref);
   ref->run_until(recipe.horizon);
-  const std::uint64_t final_digest = digest_of(*ref);
+  const std::uint64_t final_digest = exp::state_digest(*ref);
   const auto& ref_completions = ref->tracker().completions();
   ASSERT_GT(ref_completions.size(), 0u) << "sweep too short to mean anything";
 
@@ -361,11 +340,11 @@ TEST_P(CheckpointReplay, BitIdenticalAcrossThreadCounts) {
     auto net = replay(restored, threads, resume_time);
     // The restore contract: the replayed fabric's multi-layer fingerprint
     // matches the checkpoint exactly at the snapshot time...
-    EXPECT_EQ(digest_of(*net), resume_digest);
+    EXPECT_EQ(exp::state_digest(*net), resume_digest);
     // ...and continuing to the horizon is bit-identical to the
     // uninterrupted run: completions, event count, TorStats, digest.
     net->run_until(restored.horizon);
-    EXPECT_EQ(digest_of(*net), final_digest);
+    EXPECT_EQ(exp::state_digest(*net), final_digest);
     EXPECT_EQ(net->events_executed(), ref->events_executed());
     const auto& completions = net->tracker().completions();
     ASSERT_EQ(completions.size(), ref_completions.size());

@@ -31,6 +31,10 @@ TEST(CliOptions, ParsesFlags) {
   char* argv2[] = {kProg, kJson};
   EXPECT_EQ(CliOptions::parse(2, argv2).format, OutputFormat::kJson);
   EXPECT_FALSE(CliOptions::parse(2, argv2).full);
+  EXPECT_FALSE(CliOptions::parse(2, argv2).engine);
+  char fluid[] = "--engine=fluid";
+  char* argv3[] = {kProg, fluid};
+  EXPECT_EQ(CliOptions::parse(2, argv3).engine, core::EngineKind::kFluid);
 }
 
 TEST(CliOptions, StrictValueGetters) {
@@ -54,6 +58,14 @@ TEST(CliOptionsDeathTest, MalformedValueNamesTheFlagAndExits2) {
   char* threads_argv[] = {kProg, two};
   EXPECT_EXIT(CliOptions::parse(2, threads_argv), ::testing::ExitedWithCode(2),
               "--threads");
+  char negative[] = "--threads=-1";
+  char* negative_argv[] = {kProg, negative};
+  EXPECT_EXIT(CliOptions::parse(2, negative_argv), ::testing::ExitedWithCode(2),
+              "--threads");
+  char warp[] = "--engine=warp";
+  char* engine_argv[] = {kProg, warp};
+  EXPECT_EXIT(CliOptions::parse(2, engine_argv), ::testing::ExitedWithCode(2),
+              "--engine");
   char sixteen[] = "--racks=sixteen";
   char trailing[] = "--seed=7x";
   char abc[] = "--load=abc";
@@ -120,7 +132,7 @@ TEST_P(DriverSmoke, RunsAndEmitsFctRows) {
   opts.horizon = sim::Time::ms(40);
   const auto result =
       ex.run(core::fabric_kind_name(GetParam()), tb.fabric(GetParam()), flows, opts);
-  EXPECT_EQ(result.submitted, flows.size());
+  EXPECT_EQ(result.net->tracker().registered(), flows.size());
   EXPECT_GT(result.net->tracker().completed(), 0u);
 
   ex.emit_fct_rows(result.label, 5.0, *result.net);
@@ -141,7 +153,7 @@ TEST(Experiment, FctSweepCoversFabricsByLoad) {
   tb.hosts_per_rack = 2;
 
   Experiment::FctSweep sweep;
-  sweep.fabrics = {{"Opera", tb.opera(), {}}};
+  sweep.fabrics = {{"Opera", tb.opera()}};
   sweep.loads = {0.02, 0.05};
   sweep.horizon = sim::Time::ms(20);
   sweep.make_flows = [&tb](double load) {

@@ -33,12 +33,6 @@ core::FabricConfig small_fluid_config() {
   return config;
 }
 
-std::uint64_t digest_of(const core::Network& net) {
-  sim::Fingerprint fp;
-  net.fingerprint(fp);
-  return fp.digest();
-}
-
 // ---------------------------------------------------------------------------
 // RotorRateLb conservation properties
 // ---------------------------------------------------------------------------
@@ -253,11 +247,11 @@ TEST(FluidNetwork, BitIdenticalAcrossThreadCounts) {
   // ignored), so --threads={1,2,4} must be trivially bit-identical —
   // digest, completion stream, and event count.
   const auto ref = run_fluid(1, sim::Time::ms(40));
-  const auto ref_digest = digest_of(*ref);
+  const auto ref_digest = exp::state_digest(*ref);
   EXPECT_GT(ref->tracker().completed(), 0u);
   for (const int threads : {2, 4}) {
     const auto net = run_fluid(threads, sim::Time::ms(40));
-    EXPECT_EQ(digest_of(*net), ref_digest) << "threads=" << threads;
+    EXPECT_EQ(exp::state_digest(*net), ref_digest) << "threads=" << threads;
     EXPECT_EQ(net->events_executed(), ref->events_executed());
     ASSERT_EQ(net->tracker().completed(), ref->tracker().completed());
     for (std::size_t i = 0; i < ref->tracker().completions().size(); ++i) {
@@ -305,17 +299,14 @@ TEST(FluidNetwork, CheckpointRoundTripWithFluidEngine) {
   // Replay from scratch on a fresh fabric: at the snapshot time the
   // multi-layer fingerprint (which folds the full fluid rate state —
   // drain counters, frozen rates, pending thresholds) must match.
-  auto replayed = core::NetworkFactory::build(restored.config);
-  for (const auto& f : restored.flows) {
-    replayed->submit_remapped(f.src_host, f.dst_host, f.size_bytes, f.start);
-  }
+  auto replayed = exp::rebuild_run(restored);
   replayed->run_until(resume_time);
-  EXPECT_EQ(digest_of(*replayed), resume_digest);
+  EXPECT_EQ(exp::state_digest(*replayed), resume_digest);
 
   // And continuing past the snapshot matches an uninterrupted run.
   replayed->run_until(sim::Time::ms(40));
   net->run_until(sim::Time::ms(40));
-  EXPECT_EQ(digest_of(*replayed), digest_of(*net));
+  EXPECT_EQ(exp::state_digest(*replayed), exp::state_digest(*net));
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/fabric.h"
+#include "exp/run_guard.h"
 #include "exp/scenario.h"
 #include "fluid/fluid_network.h"
 #include "sim/rng.h"
@@ -173,9 +174,7 @@ TEST(HybridMerge, DeterministicAcrossRuns) {
       net->submit_flow(f.src_host, f.dst_host, f.size_bytes, f.start);
     }
     net->run_to_completion(sim::Time::ms(200));
-    sim::Fingerprint fp;
-    net->fingerprint(fp);
-    return fp.digest();
+    return exp::state_digest(*net);
   };
   EXPECT_EQ(run_digest(), run_digest());
 }

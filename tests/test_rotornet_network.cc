@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/fabric.h"
-#include "sim/checkpoint.h"
+#include "exp/run_guard.h"
 
 namespace opera::core {
 namespace {
@@ -87,9 +87,7 @@ TEST(RotorNetNetwork, FingerprintCoversGrantOrderAndSliceRotation) {
     cfg.seed = seed;
     const auto net = NetworkFactory::build(cfg);
     net->run_until(sim::Time::ms(1));
-    sim::Fingerprint fp;
-    net->fingerprint(fp);
-    return fp.digest();
+    return exp::state_digest(*net);
   };
   for (const bool hybrid : {false, true}) {
     EXPECT_NE(digest(hybrid, 1), digest(hybrid, 2)) << "hybrid=" << hybrid;

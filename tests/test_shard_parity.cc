@@ -19,6 +19,7 @@
 
 #include "core/fabric.h"
 #include "core/opera_network.h"
+#include "exp/run_guard.h"
 #include "sim/rng.h"
 
 namespace opera {
@@ -184,9 +185,7 @@ FabricRun run_fabric(const core::FabricConfig& cfg) {
   EXPECT_EQ(net->num_shards(), std::min<int>(cfg.threads, net->num_racks()));
   submit_mixed_workload(*net);
   net->run_until(sim::Time::ms(40));
-  sim::Fingerprint fp;
-  net->fingerprint(fp);
-  return {completion_stream(*net), net->events_executed(), fp.digest()};
+  return {completion_stream(*net), net->events_executed(), exp::state_digest(*net)};
 }
 
 TEST_P(ShardParityTest, CompletionStreamAndEventCountBitIdentical) {

@@ -244,7 +244,7 @@ TEST(WorkloadSmoke, EachPatternRunsOnQuickTestbedOpera) {
     exp::Experiment::RunOptions opts;
     opts.horizon = sim::Time::ms(30);
     const auto result = ex.run(name, config, flows, opts);
-    EXPECT_EQ(result.submitted, flows.size()) << name;
+    EXPECT_EQ(result.net->tracker().registered(), flows.size()) << name;
     EXPECT_EQ(result.net->tracker().completed(), flows.size())
         << name << ": not all flows completed by the horizon";
   }
