@@ -1,13 +1,14 @@
 // Microbenchmarks (google-benchmark) of the simulation substrate: event
 // queue throughput, per-slice routing construction, one-factorization,
-// queue operations, the shard epoch barrier, and end-to-end
-// simulated-packet rate.
+// queue operations, one forwarding hop, the shard epoch barrier, and
+// end-to-end simulated-packet rate.
 #include <benchmark/benchmark.h>
 
 #include <functional>
 
 #include "core/fabric.h"
 #include "core/opera_network.h"
+#include "net/node.h"
 #include "net/queue.h"
 #include "sim/event_queue.h"
 #include "sim/parallel.h"
@@ -152,6 +153,46 @@ void BM_PortQueue(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PortQueue);
+
+// One forwarding hop: a node whose only port (10 Gb/s, 100 ns) loops back
+// to itself and resends every arriving packet, with `inflight` MTU packets
+// circulating. With one, every send finds the serializer idle; with four,
+// a packet always waits behind the serializer. events_per_packet counts
+// the events each hop costs: its arrival, plus the serializer's done event
+// when a packet waits for it.
+class LoopNode : public net::Node {
+ public:
+  explicit LoopNode(sim::ShardContext& ctx) : Node(ctx, "loop") {
+    add_port(10e9, sim::Time::ns(100), net::PortQueue::Config{});
+    port(0).connect(this, 0);
+  }
+  void receive(net::PacketPtr pkt, int) override {
+    ++hops;
+    port(0).send(std::move(pkt));
+  }
+  std::int64_t hops = 0;
+};
+
+void BM_ForwardHop(benchmark::State& state, int inflight) {
+  sim::Simulator sim;
+  sim.set_key_mode(sim::Simulator::KeyMode::kCausal);
+  sim::ShardContext ctx(sim);
+  LoopNode node(ctx);
+  for (int i = 0; i < inflight; ++i) {
+    auto pkt = net::make_packet();
+    pkt->type = net::PacketType::kData;
+    pkt->tclass = net::TrafficClass::kLowLatency;
+    pkt->size_bytes = net::kMtuBytes;
+    node.port(0).send(std::move(pkt));
+  }
+  for (auto _ : state) sim.run_until(sim.now() + sim::Time::ms(1));
+  state.counters["ns_per_packet"] = benchmark::Counter(
+      static_cast<double>(node.hops), benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["events_per_packet"] =
+      static_cast<double>(sim.events_executed()) / static_cast<double>(node.hops);
+}
+BENCHMARK_CAPTURE(BM_ForwardHop, idle, 1);
+BENCHMARK_CAPTURE(BM_ForwardHop, back_to_back, 4);
 
 void BM_OperaEndToEnd(benchmark::State& state) {
   // Simulated-time throughput of the whole stack: a 16-rack Opera network

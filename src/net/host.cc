@@ -21,17 +21,14 @@ void Host::pace_control(PacketPtr pkt) {
 }
 
 void Host::pacer_kick() {
-  if (pacer_busy_ || pacer_queue_.empty()) return;
-  pacer_busy_ = true;
-  PacketPtr pkt = pacer_queue_.pop_front();
-  uplink().send(std::move(pkt));
-  // One control emission per full-MTU time: data pulled by these credits
-  // then arrives at (at most) the receiver's link rate.
-  const sim::Time interval = sim::Time::transmission(kMtuBytes, uplink().rate_bps());
-  sim().schedule_in(interval, [this] {
-    pacer_busy_ = false;
-    pacer_kick();
-  });
+  if (pacer_queue_.empty()) return;
+  if (!pacer_.busy(sim())) {
+    uplink().send(pacer_queue_.pop_front());
+    // One control emission per full-MTU time: data pulled by these credits
+    // then arrives at (at most) the receiver's link rate.
+    pacer_.start(sim(), sim().now() + sim::Time::transmission(kMtuBytes, uplink().rate_bps()));
+  }
+  if (!pacer_queue_.empty()) pacer_.arm(sim(), [this] { pacer_kick(); });
 }
 
 }  // namespace opera::net

@@ -42,6 +42,8 @@ class Host : public Node {
   void pace_control(PacketPtr pkt);
 
  private:
+  // Emits the next control packet if the pacer is idle; arms the pacer's
+  // wake while packets wait.
   void pacer_kick();
 
   std::int32_t id_;
@@ -52,7 +54,7 @@ class Host : public Node {
   std::unordered_map<std::uint64_t, FlowHandler> handlers_;
   DefaultHandler default_handler_;
   PacketRing pacer_queue_;
-  bool pacer_busy_ = false;
+  sim::DeferredWake pacer_;
 };
 
 }  // namespace opera::net

@@ -10,6 +10,12 @@ EnqueueOutcome OutPort::send(PacketPtr pkt) {
     // route around it, so treat stray sends as drops.
     return EnqueueOutcome::kDropped;
   }
+  if (queue_.empty() && queue_.admits(*pkt) && !serializer_.busy(ctx_.sim())) {
+    // Cut-through: an idle serializer takes the packet at once, as
+    // enqueue() then dequeue() would, without a trip through the ring.
+    transmit(std::move(pkt));
+    return EnqueueOutcome::kQueued;
+  }
   const EnqueueOutcome outcome = queue_.enqueue(std::move(pkt));
   if (outcome != EnqueueOutcome::kDropped) pump();
   return outcome;
@@ -39,16 +45,22 @@ void OutPort::clear_gray() {
 }
 
 void OutPort::pump() {
-  if (busy_ || !enabled_ || queue_.empty()) return;
-  PacketPtr pkt = queue_.dequeue();
+  if (!enabled_ || queue_.empty()) return;
+  sim::Simulator& sim = ctx_.sim();
+  if (!serializer_.busy(sim)) transmit(queue_.dequeue());
+  // Whatever is left waits for the serializer.
+  if (!queue_.empty()) serializer_.arm(sim, [this] { pump(); });
+}
+
+void OutPort::transmit(PacketPtr pkt) {
   assert(pkt != nullptr);
-  busy_ = true;
   const sim::Time serialization = sim::Time::transmission(pkt->size_bytes, rate_bps_);
   // Capture the wire endpoints at serialization start: a rotor retarget
   // mid-flight must not redirect bits already on the fiber.
   Node* peer = peer_;
   const int in_port = peer_in_port_;
   sim::Time arrival_delay = serialization + latency_;
+  bool lost = false;
   if (gray_) {
     // Hash of (packet identity, per-port salt, per-port transmission
     // count). The counter makes each transmission attempt a fresh coin —
@@ -63,31 +75,27 @@ void OutPort::pump() {
         pkt->flow_id ^ (pkt->seq * 0x9E3779B97F4A7C15ULL) ^
         (static_cast<std::uint64_t>(pkt->type) << 56) ^ gray_salt_ ^
         sim::mix64(attempt));
-    if (h < gray_threshold_) {
-      // Corrupted on the wire: the serializer stays occupied for the full
-      // transmission, but no arrival is posted.
-      ++gray_drops_;
-      ctx_.schedule_in(serialization, [this] {
-        busy_ = false;
-        pump();
-      });
-      return;
-    }
+    // Corrupted on the wire: the serializer stays occupied for the full
+    // transmission, but no arrival is posted.
+    lost = h < gray_threshold_;
+    if (lost) ++gray_drops_;
     arrival_delay += gray_extra_latency_;
   }
-  // The arrival is posted into the *peer's* domain — a mailbox hop when
-  // the peer lives on another shard; `latency_` is what bounds the
-  // sharded engine's lookahead. The callback owns the packet (SmallCallback
-  // is move-only-capable), so an in-flight packet whose arrival never
-  // fires — simulator torn down mid-run — is still reclaimed.
-  ctx_.post(peer->ctx(), ctx_.now() + arrival_delay,
-            [peer, in_port, pkt = std::move(pkt)]() mutable {
-              peer->receive(std::move(pkt), in_port);
-            });
-  ctx_.schedule_in(serialization, [this] {
-    busy_ = false;
-    pump();
-  });
+  if (!lost) {
+    // The arrival is posted into the *peer's* domain — a mailbox hop when
+    // the peer lives on another shard; `latency_` is what bounds the
+    // sharded engine's lookahead. The callback owns the packet
+    // (SmallCallback is move-only-capable), so an in-flight packet whose
+    // arrival never fires — simulator torn down mid-run — is still
+    // reclaimed.
+    ctx_.post(peer->ctx(), ctx_.now() + arrival_delay,
+              [peer, in_port, pkt = std::move(pkt)]() mutable {
+                peer->receive(std::move(pkt), in_port);
+              });
+  }
+  // The wake takes its key after the arrival's, so every child index of
+  // the executing event is the same whether or not the wake is ever armed.
+  serializer_.start(ctx_.sim(), ctx_.now() + serialization);
 }
 
 }  // namespace opera::net

@@ -2,9 +2,11 @@
 //
 // An OutPort models one unidirectional link: a PortQueue feeding a
 // serializer at `rate_bps`, then a fixed propagation delay to the peer
-// node. Rotor uplinks additionally support retargeting (the circuit switch
-// "patches" the far end to a different ToR each slice) and disable/flush
-// around reconfigurations.
+// node. A hop costs one event, the arrival: the serializer's "done" event
+// is a sim::DeferredWake, scheduled only when a packet queues behind a
+// busy serializer, and a packet that finds the port idle skips the queue. Rotor uplinks additionally support retargeting (the
+// circuit switch "patches" the far end to a different ToR each slice) and
+// disable/flush around reconfigurations.
 //
 // Event posting goes through the node's sim::ShardContext — the shard
 // handle — rather than a global simulator: packet arrivals are posted into
@@ -86,7 +88,7 @@ class OutPort {
   // by address (addresses differ run to run).
   void fingerprint(sim::Fingerprint& fp) const {
     fp.mix_bool(enabled_);
-    fp.mix_bool(busy_);
+    fp.mix_bool(serializer_.busy(ctx_.sim()));
     fp.mix_bool(gray_);
     fp.mix_i64(gray_drops_);
     fp.mix_i64(gray_tested_);
@@ -94,7 +96,11 @@ class OutPort {
   }
 
  private:
+  // Starts the next packet if the serializer is idle; arms the
+  // serializer's wake while packets wait behind it.
   void pump();
+  // Puts `pkt` on the wire. Precondition: the serializer is idle.
+  void transmit(PacketPtr pkt);
 
   sim::ShardContext& ctx_;
   double rate_bps_;
@@ -102,7 +108,7 @@ class OutPort {
   PortQueue queue_;
   Node* peer_ = nullptr;
   int peer_in_port_ = -1;
-  bool busy_ = false;
+  sim::DeferredWake serializer_;
   bool enabled_ = true;
   bool gray_ = false;
   std::uint64_t gray_threshold_ = 0;  // loss * 2^64, compared against a hash

@@ -5,11 +5,12 @@
 namespace opera::net {
 
 EnqueueOutcome PortQueue::enqueue(PacketPtr pkt) {
+  const bool fits = admits(*pkt);
   const bool is_control = pkt->type != PacketType::kData;
   if (is_control) {
     // Control and trimmed headers: tiny packets, drop only under pathological
     // overload.
-    if (control_bytes_ + pkt->size_bytes > config_.control_capacity_bytes) {
+    if (!fits) {
       ++drops_;
       return EnqueueOutcome::kDropped;
     }
@@ -19,7 +20,7 @@ EnqueueOutcome PortQueue::enqueue(PacketPtr pkt) {
   }
 
   if (pkt->tclass == TrafficClass::kLowLatency) {
-    if (low_latency_bytes_ + pkt->size_bytes > config_.low_latency_capacity_bytes) {
+    if (!fits) {
       if (config_.trim_low_latency &&
           control_bytes_ + kHeaderBytes <= config_.control_capacity_bytes) {
         // NDP trim: drop the payload, forward the header so the receiver
@@ -40,7 +41,7 @@ EnqueueOutcome PortQueue::enqueue(PacketPtr pkt) {
   }
 
   // Bulk.
-  if (bulk_bytes_ + pkt->size_bytes > config_.bulk_capacity_bytes) {
+  if (!fits) {
     if (config_.trim_bulk &&
         control_bytes_ + kHeaderBytes <= config_.control_capacity_bytes) {
       pkt->type = PacketType::kHeader;

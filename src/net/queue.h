@@ -54,6 +54,17 @@ class PortQueue {
 
   EnqueueOutcome enqueue(PacketPtr pkt);
 
+  // True when enqueue() would queue `pkt` as is: its band has room.
+  [[nodiscard]] bool admits(const Packet& pkt) const {
+    if (pkt.type != PacketType::kData) {
+      return control_bytes_ + pkt.size_bytes <= config_.control_capacity_bytes;
+    }
+    if (pkt.tclass == TrafficClass::kLowLatency) {
+      return low_latency_bytes_ + pkt.size_bytes <= config_.low_latency_capacity_bytes;
+    }
+    return bulk_bytes_ + pkt.size_bytes <= config_.bulk_capacity_bytes;
+  }
+
   // Highest-priority-first dequeue; nullptr when empty.
   [[nodiscard]] PacketPtr dequeue();
 

@@ -9,6 +9,16 @@ namespace opera::sim {
 
 namespace detail {
 
+namespace {
+
+// front_heap's order: std::*_heap keep the greatest on top, so "greater"
+// means popped later.
+bool front_later(const EventQueueImpl::RunEntry& x, const EventQueueImpl::RunEntry& y) {
+  return x.key != y.key ? x.key > y.key : x.pos > y.pos;
+}
+
+}  // namespace
+
 std::uint32_t EventQueueImpl::alloc_slot() {
   if (!free_slots.empty()) {
     const std::uint32_t id = free_slots.back();
@@ -74,6 +84,47 @@ void EventQueueImpl::link_sorted(std::uint32_t id) {
   if (nxt == kNoSlot) b.tail = id; else meta[nxt].prev = id;
 }
 
+bool EventQueueImpl::push_front(std::uint32_t id) {
+  if (front_heap.empty()) {
+    // Until the heap is in use, appends stay in the calendar: they cost
+    // O(1) there, and they still precede every later heap insert.
+    const std::uint32_t tail = buckets[bucket_of(front_at)].tail;
+    if (tail == kNoSlot || !before(id, tail)) return false;
+  }
+  meta[id].in_front = true;
+  front_heap.push_back({meta[id].key, front_pos++, id});
+  std::push_heap(front_heap.begin(), front_heap.end(), front_later);
+  return true;
+}
+
+void EventQueueImpl::pop_front() {
+  meta[front_heap.front().id].in_front = false;
+  std::pop_heap(front_heap.begin(), front_heap.end(), front_later);
+  front_heap.pop_back();
+  if (front_heap.empty()) front_pos = 0;
+}
+
+void EventQueueImpl::erase_front(std::uint32_t id) {
+  meta[id].in_front = false;
+  std::erase_if(front_heap, [id](const RunEntry& e) { return e.id == id; });
+  std::make_heap(front_heap.begin(), front_heap.end(), front_later);
+}
+
+void EventQueueImpl::spill_front() {
+  // Linked in pop order, each after the calendar's equal keys: the order
+  // stays (key, schedule order).
+  std::sort(front_heap.begin(), front_heap.end(),
+            [](const RunEntry& x, const RunEntry& y) { return front_later(y, x); });
+  for (const RunEntry& e : front_heap) {
+    meta[e.id].in_front = false;
+    link_sorted(e.id);
+    ++count;
+  }
+  front_heap.clear();
+  front_pos = 0;
+  min_slot = kNoSlot;
+}
+
 void EventQueueImpl::unlink(std::uint32_t id) {
   Bucket& b = buckets[bucket_of(meta[id].at.picoseconds())];
   const std::uint32_t prev = meta[id].prev;
@@ -83,7 +134,22 @@ void EventQueueImpl::unlink(std::uint32_t id) {
 }
 
 void EventQueueImpl::find_min() {
-  if (min_slot != kNoSlot || count == 0) return;
+  if (min_slot == kNoSlot) {
+    if (count == 0) return;
+    min_slot = scan_min();
+    scan_from = meta[min_slot].at.picoseconds();
+  }
+  const std::int64_t at_ps = meta[min_slot].at.picoseconds();
+  if (at_ps != front_at && front_heap.empty()) {
+    // The pop front reaches a new run: later inserts into it walk in full
+    // or go to front_heap, and any flagged event in it must be sorted in
+    // first.
+    front_at = at_ps;
+    if (unsorted_pending > 0) min_slot = sort_run(min_slot);
+  }
+}
+
+std::uint32_t EventQueueImpl::scan_min() {
   // Walk buckets forward from the last known lower bound. Bucket windows
   // partition time, so the first head that lies inside its current window
   // is the global minimum.
@@ -108,15 +174,17 @@ void EventQueueImpl::find_min() {
     }
     assert(best != kNoSlot);
   }
-  const std::int64_t at_ps = meta[best].at.picoseconds();
-  if (at_ps != front_at) {
-    // The pop front reaches a new run: later inserts into it walk in full,
-    // and any flagged event in it must be sorted in first.
-    front_at = at_ps;
-    if (unsorted_pending > 0) best = sort_run(best);
-  }
-  min_slot = best;
-  scan_from = at_ps;
+  return best;
+}
+
+std::uint32_t EventQueueImpl::next_slot(bool* from_front) {
+  find_min();
+  // front_heap's events all lie at front_at, and nothing pending is
+  // earlier; an equal key pops from the calendar, scheduled first.
+  *from_front = !front_heap.empty() &&
+                (min_slot == kNoSlot || meta[min_slot].at.picoseconds() != front_at ||
+                 front_heap.front().key < meta[min_slot].key);
+  return *from_front ? front_heap.front().id : min_slot;
 }
 
 std::uint32_t EventQueueImpl::sort_run(std::uint32_t head) {
@@ -253,6 +321,8 @@ void retire_impl(EventQueueImpl* impl) {
     impl->rebuilds = 0;
     impl->front_at = EventQueueImpl::kNoFront;
     impl->unsorted_pending = 0;
+    impl->front_heap.clear();
+    impl->front_pos = 0;
     g_impl_pool.retired.push_back(impl);
     return;
   }
@@ -269,6 +339,8 @@ void retire_impl(EventQueueImpl* impl) {
   impl->free_slots.shrink_to_fit();
   impl->run_scratch.clear();
   impl->run_scratch.shrink_to_fit();
+  impl->front_heap.clear();
+  impl->front_heap.shrink_to_fit();
   if (--impl->refs == 0) delete impl;
 }
 
@@ -278,12 +350,16 @@ void EventHandle::cancel() {
   if (impl_ == nullptr || !impl_->queue_alive) return;
   if (slot_ >= impl_->meta.size()) return;
   if (impl_->meta[slot_].generation != generation_) return;  // fired or cancelled
-  if (impl_->meta[slot_].unsorted) impl_->pass_flag(slot_);
-  impl_->unlink(slot_);
+  if (impl_->meta[slot_].in_front) {
+    impl_->erase_front(slot_);
+  } else {
+    if (impl_->meta[slot_].unsorted) impl_->pass_flag(slot_);
+    impl_->unlink(slot_);
+    --impl_->count;
+    if (impl_->min_slot == slot_) impl_->min_slot = detail::kNoSlot;
+  }
   impl_->fns[slot_].reset();
   impl_->release(slot_);
-  --impl_->count;
-  if (impl_->min_slot == slot_) impl_->min_slot = detail::kNoSlot;
 }
 
 bool EventHandle::pending() const {
@@ -306,9 +382,17 @@ EventHandle EventQueue::schedule_keyed(Time at, std::uint64_t key, Callback fn) 
   m.key = key;
   m.unsorted = false;  // link_sorted() keeps flags, so resize() can too
   q.fns[id] = std::move(fn);
+  const std::int64_t at_ps = at.picoseconds();
+  if (at_ps == q.front_at && q.push_front(id)) return EventHandle{impl_, id, m.generation};
+  if (at_ps < q.front_at) {
+    // An insert before the front (next_time() peeks past a window's end,
+    // and the raw queue takes any time) starts a new front run of one;
+    // front_heap's events go back to the calendar.
+    if (!q.front_heap.empty()) q.spill_front();
+    q.front_at = at_ps;
+  }
   q.link_sorted(id);
   ++q.count;
-  const std::int64_t at_ps = at.picoseconds();
   if (q.count == 1) {
     q.min_at = q.max_at = at_ps;
   } else {
@@ -320,8 +404,12 @@ EventHandle EventQueue::schedule_keyed(Time at, std::uint64_t key, Callback fn) 
   if (at_ps < q.scan_from) q.scan_from = at_ps;
   // Keys are caller-chosen, so a later schedule can order *before* the
   // cached minimum even at an equal timestamp — compare the full
-  // (time, key), not just the time.
-  if (q.min_slot != detail::kNoSlot && q.before(id, q.min_slot)) q.min_slot = id;
+  // (time, key), not just the time. While front_heap holds the front, the
+  // cached minimum's run may not be reached yet, so its list order is not
+  // key order: only its head may stay cached.
+  if (q.min_slot != detail::kNoSlot && q.before(id, q.min_slot)) {
+    q.min_slot = m.at == q.meta[q.min_slot].at && at_ps != q.front_at ? detail::kNoSlot : id;
+  }
   if (q.count > 2 * q.nb || q.long_walks >= 8) {
     q.long_walks = 0;
     q.resize();
@@ -339,8 +427,8 @@ EventQueue::Callback EventQueue::take_next(Time* at, std::uint64_t* key) {
     q.long_scans = 0;
     q.resize();
   }
-  q.find_min();
-  const std::uint32_t id = q.min_slot;
+  bool from_front;
+  const std::uint32_t id = q.next_slot(&from_front);
   *at = q.meta[id].at;
   *key = q.meta[id].key;
   // Move the callback out and free the slot *before* it can run: the
@@ -348,11 +436,15 @@ EventQueue::Callback EventQueue::take_next(Time* at, std::uint64_t* key) {
   // slot.
   Callback fn = std::move(q.fns[id]);
   q.fns[id].reset();
-  assert(!q.meta[id].unsorted);  // find_min() sorted its run
-  q.unlink(id);
+  if (from_front) {
+    q.pop_front();
+  } else {
+    assert(!q.meta[id].unsorted);  // find_min() sorted its run
+    q.unlink(id);
+    --q.count;
+    q.min_slot = detail::kNoSlot;
+  }
   q.release(id);
-  --q.count;
-  q.min_slot = detail::kNoSlot;
   const std::int64_t at_ps = at->picoseconds();
   q.scan_from = at_ps;
   if (q.pop_hist_n == 0 || q.pop_hist[(q.pop_hist_n - 1) & 15] != at_ps) {
@@ -382,6 +474,13 @@ void EventQueue::clear() {
     }
     b.head = b.tail = detail::kNoSlot;
   }
+  for (const detail::EventQueueImpl::RunEntry& e : q.front_heap) {
+    q.fns[e.id].reset();
+    q.meta[e.id].in_front = false;
+    q.release(e.id);
+  }
+  q.front_heap.clear();
+  q.front_pos = 0;
   q.count = 0;
   q.min_slot = detail::kNoSlot;
   q.unsorted_pending = 0;

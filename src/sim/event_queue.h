@@ -9,8 +9,8 @@
 // equal-time tie-break independent of how the simulation is partitioned
 // into shards (see sim/sharded.h).
 //
-// Layout (the per-packet hot path schedules and fires two events, so this
-// is the single hottest structure in the simulator):
+// Layout (every packet hop schedules and fires at least one event — its
+// arrival — so this is the single hottest structure in the simulator):
 //   * a slab of reusable slots holds each pending event; freed slots go on
 //     a free list and are reused, so steady-state scheduling performs no
 //     heap allocation (callbacks use SmallCallback's inline buffer). The
@@ -37,6 +37,14 @@
 //     so queues with short runs never walk one. The width-drift detector
 //     counts only walk steps across distinct timestamps, since no bucket
 //     width splits a run;
+//   * an insert into the run being popped that cannot append at its
+//     bucket's tail goes to a side min-heap ordered by (key, schedule
+//     order) instead of walking the run (lockstep ports re-arm their
+//     serializers at exactly the current time). Pops merge the heap with
+//     the calendar's run; every calendar event of that run was scheduled
+//     before every heap event, so an equal key pops from the calendar
+//     first. An insert before that run (a peek can move the front past
+//     the clock) spills the heap back into the calendar;
 //   * cancellation unlinks the slot eagerly — size(), empty() and
 //     next_time() are exact, with no lazy-drop pass;
 //   * handles address their slot by {id, generation}; a stale generation
@@ -77,6 +85,8 @@ struct EventQueueImpl {
     // Set by a bounded tie walk: this event's run may be out of key order
     // (see kTieWalk). Fits in the padding after `generation`.
     bool unsorted = false;
+    // In front_heap, not in a bucket list.
+    bool in_front = false;
   };
   static_assert(sizeof(Meta) == 32);
   struct Bucket {
@@ -125,6 +135,11 @@ struct EventQueueImpl {
     std::uint32_t id;
   };
   std::vector<RunEntry> run_scratch;  // sort_run()'s buffer, reused
+  // Inserts into the run at front_at, as a min-heap by (key, pos); `pos`
+  // counts heap inserts and restarts when the heap drains. `count` does
+  // not include them.
+  std::vector<RunEntry> front_heap;
+  std::uint32_t front_pos = 0;
 
   std::uint32_t refs = 1;  // queue + live handles
   bool queue_alive = true;
@@ -148,15 +163,31 @@ struct EventQueueImpl {
     return x.key < y.key;
   }
 
+  [[nodiscard]] std::size_t pending() const { return count + front_heap.size(); }
   std::uint32_t alloc_slot();
   void link_sorted(std::uint32_t id);
+  // Puts an insert at front_at into front_heap unless it appends at its
+  // bucket's tail; returns whether it did.
+  bool push_front(std::uint32_t id);
+  // Removes front_heap's top / `id` from front_heap.
+  void pop_front();
+  void erase_front(std::uint32_t id);
+  // Moves front_heap's events into the calendar, in pop order.
+  void spill_front();
   void unlink(std::uint32_t id);
   void release(std::uint32_t id) {
     ++meta[id].generation;
     free_slots.push_back(id);
   }
-  // Ensures min_slot names the earliest pending event (count > 0).
+  // Ensures min_slot names the earliest calendar event (kNoSlot when the
+  // calendar is empty). The pop front reaches its run only once
+  // front_heap has drained.
   void find_min();
+  // The earliest calendar slot, by a bucket scan. Precondition: count > 0.
+  [[nodiscard]] std::uint32_t scan_min();
+  // The next event to pop and whether it sits in front_heap. Precondition:
+  // pending() > 0.
+  [[nodiscard]] std::uint32_t next_slot(bool* from_front);
   // Sorts the run starting at `head` if it holds a flagged event; returns
   // the run's (possibly new) first slot.
   std::uint32_t sort_run(std::uint32_t head);
@@ -244,14 +275,14 @@ class EventQueue {
   EventHandle schedule_keyed(Time at, std::uint64_t key, Callback fn);
 
   // Exact: cancelled events leave the queue immediately.
-  [[nodiscard]] bool empty() const { return impl_->count == 0; }
-  [[nodiscard]] std::size_t size() const { return impl_->count; }
+  [[nodiscard]] bool empty() const { return impl_->pending() == 0; }
+  [[nodiscard]] std::size_t size() const { return impl_->pending(); }
 
   // Time of the earliest event; Time::infinity() if none.
   [[nodiscard]] Time next_time() const {
-    if (impl_->count == 0) return Time::infinity();
-    impl_->find_min();
-    return impl_->meta[impl_->min_slot].at;
+    if (impl_->pending() == 0) return Time::infinity();
+    bool from_front;
+    return impl_->meta[impl_->next_slot(&from_front)].at;
   }
 
   // Pops and runs the earliest event; returns its timestamp.

@@ -22,8 +22,11 @@ void Simulator::dispatch_one(DispatchFrame& frame) {
   Time at;
   EventQueue::Callback fn = queue_.take_next(&at, &frame.key);
   frame.children = 0;
-  // Advance the clock before dispatching so callbacks observe now().
+  // Advance the clock and frontier before dispatching so callbacks observe
+  // now() and see their own event as dispatched.
   now_ = at;
+  frontier_at_ = at;
+  frontier_key_ = frame.key;
   fn();
 }
 
@@ -39,7 +42,10 @@ std::uint64_t Simulator::run_until(Time until) {
   if (queue_.empty() || queue_.next_time() > until) {
     // Advance the clock to the horizon even if no event landed exactly there,
     // so back-to-back run_until() calls see monotonic time.
-    if (until > now_ && until != Time::infinity()) now_ = until;
+    if (until != Time::infinity()) {
+      if (until > now_) now_ = until;
+      commit_through(until);
+    }
   }
   events_executed_ += n;
   return n;
@@ -69,6 +75,7 @@ std::uint64_t Simulator::run_window(Time end, bool inclusive) {
     ++n;
   }
   advance_to(end);
+  if (inclusive) commit_through(end);
   events_executed_ += n;
   return n;
 }

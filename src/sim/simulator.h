@@ -18,10 +18,17 @@
 //     thread-local dispatch frame, so a callback that schedules onto a
 //     *different* simulator (a cross-shard post) still derives from its
 //     true parent.
+//
+// The simulator also keeps a *dispatch frontier*: the (time, key) of the
+// last event it dispatched, or the horizon a run or window committed.
+// dispatched(at, key) asks whether an event at (at, key) lies at or before
+// it — whether it would have fired by now. A DeferredWake (below) uses it
+// to stand in for an event it never schedules.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 
 #include "sim/checkpoint.h"
 #include "sim/event_queue.h"
@@ -37,7 +44,10 @@ namespace opera::sim {
   return x ^ (x >> 31);
 }
 
-class Simulator {
+// alignas(64): shard Simulators run on different threads and write their
+// clock and frontier every event; one cache line each keeps them from
+// falsely sharing.
+class alignas(64) Simulator {
  public:
   enum class KeyMode : std::uint8_t { kSequential, kCausal };
 
@@ -88,9 +98,21 @@ class Simulator {
   // interrupted at barriers, not mid-window.
   std::uint64_t run_window(Time end, bool inclusive = false);
 
-  // Advances the clock without running anything (barrier commit).
+  // Advances the clock without running anything (barrier commit): every
+  // event before `t` counts as dispatched, none at `t` yet.
   void advance_to(Time t) {
     if (t > now_) now_ = t;
+    commit_through(t - Time::ps(1));
+  }
+
+  // True once an event at (at, key) has been dispatched — or would have
+  // been, had it been scheduled: (at, key) lies at or before the dispatch
+  // frontier. Inside a dispatch the frontier is the executing event, so an
+  // equal-time event with a larger key has not fired yet. After run_until(t)
+  // drains to its horizon, or an inclusive run_window(t), every event at t
+  // has fired; after an exclusive run_window(t) or advance_to(t), none has.
+  [[nodiscard]] bool dispatched(Time at, std::uint64_t key) const {
+    return at < frontier_at_ || (at == frontier_at_ && key <= frontier_key_);
   }
 
   // Stops the current run() after the in-flight event returns.
@@ -129,12 +151,65 @@ class Simulator {
   // Pops and dispatches the earliest event inside a frame.
   void dispatch_one(DispatchFrame& frame);
 
+  // Moves the frontier to "every event at or before `t` dispatched"
+  // (never backwards).
+  void commit_through(Time t) {
+    if (t >= frontier_at_) {
+      frontier_at_ = t;
+      frontier_key_ = std::numeric_limits<std::uint64_t>::max();
+    }
+  }
+
   EventQueue queue_;
   Time now_ = Time::zero();
   bool stopped_ = false;
   KeyMode key_mode_ = KeyMode::kSequential;
   std::uint64_t events_executed_ = 0;
   std::uint64_t next_key_ = 0;  // sequential keys / causal root counter
+  // Dispatch frontier; starts before time zero, where nothing is pending.
+  Time frontier_at_ = Time::ps(-1);
+  std::uint64_t frontier_key_ = std::numeric_limits<std::uint64_t>::max();
+};
+
+// A wake-up event that is scheduled only if something waits for it.
+//
+// Components that stay busy for a known span after each action (a link
+// serializer, the NDP pull pacer) would schedule an "idle again" event per
+// action, though usually nothing is waiting when it fires. A DeferredWake
+// instead records that event's time and order key — taking the key with
+// derive_key() exactly where the event would have been scheduled, so the
+// keys of every later sibling are unchanged — and schedules it under that
+// (time, key) only when work queues behind it. busy() asks the simulator's
+// dispatch frontier whether the event would have fired yet, so a caller at
+// exactly `until` sees the same outcome the scheduled event would give, in
+// either key order.
+class DeferredWake {
+ public:
+  // True until the wake's (time, key) has been dispatched.
+  [[nodiscard]] bool busy(const Simulator& sim) const {
+    return !sim.dispatched(until_, key_);
+  }
+
+  // Starts a busy span ending at `until` and takes the wake's key now.
+  // Precondition: !busy(sim).
+  void start(Simulator& sim, Time until) {
+    until_ = until;
+    key_ = sim.derive_key();
+    armed_ = false;
+  }
+
+  // Schedules the wake to run `fn` at (until, key); at most once per span.
+  // Precondition: busy(sim).
+  void arm(Simulator& sim, EventQueue::Callback fn) {
+    if (armed_) return;
+    armed_ = true;
+    sim.schedule_keyed_at(until_, key_, std::move(fn));
+  }
+
+ private:
+  Time until_ = Time::ps(-1);  // idle: before any frontier
+  std::uint64_t key_ = 0;
+  bool armed_ = false;
 };
 
 }  // namespace opera::sim

@@ -284,19 +284,111 @@ TEST(EventQueue, KeyedEqualTimeBurstsMatchReference) {
   }
 }
 
+// One seed of FrontRunInsertsMatchReference.
+void run_front_inserts(std::uint64_t seed) {
+  using Ref = std::tuple<std::int64_t, std::uint64_t, std::uint64_t>;
+  EventQueue q;
+  std::mt19937_64 rng(seed);
+  std::set<Ref> reference;
+  std::vector<std::pair<EventHandle, Ref>> live;
+  std::uint64_t next_seq = 0;
+  Ref fired{};
+  const auto push = [&](std::int64_t at) {
+    // A third of the keys are tiny: duplicate (time, key) pairs inside the
+    // run being popped must still fire in schedule order.
+    const std::uint64_t key = rng() % 3 == 0 ? rng() % 3 : rng();
+    const Ref r{at, key, next_seq++};
+    live.emplace_back(q.schedule_keyed(Time::ps(at), key, [&fired, r] { fired = r; }), r);
+    reference.insert(r);
+  };
+  const auto pop = [&] {
+    const Time at = q.run_next();
+    ASSERT_EQ(fired, *reference.begin());
+    ASSERT_EQ(at.picoseconds(), std::get<0>(fired));
+    reference.erase(reference.begin());
+  };
+  // A hundred runs of ~20 events, 1.2 us apart.
+  for (int i = 0; i < 2000; ++i) push(1200 * (1 + static_cast<std::int64_t>(rng() % 100)));
+  int cancelled = 0;
+  int grown = 0;
+  for (int step = 0; step < 12'000 && !q.empty(); ++step) {
+    pop();
+    if (::testing::Test::HasFatalFailure()) return;
+    const std::int64_t now = std::get<0>(fired);
+    // The simulator peeks at the next time after every event, which can
+    // move the pop front past `now` before the inserts below.
+    if (!q.empty() && rng() % 2 == 0) {
+      ASSERT_EQ(q.next_time().picoseconds(), std::get<0>(*reference.begin()));
+    }
+    // A push into a later run, before or after the re-arms below: it may
+    // land on the run the peek made the front, ahead of inserts at `now`.
+    const bool later = rng() % 2 == 0;
+    const bool later_first = rng() % 2 == 0;
+    const std::int64_t later_at = now + 1200 * (1 + static_cast<std::int64_t>(rng() % 3));
+    if (later && later_first) push(later_at);
+    // Re-arms into the run being popped, as lockstep serializers do (0.75
+    // per pop on average, so each run still drains).
+    const auto n = rng() % 8 < 3 ? 1 + rng() % 3 : 0;
+    for (std::uint64_t k = 0; k < n; ++k) push(now);
+    if (n > 0 && rng() % 4 == 0) {
+      // Cancel one of them before it fires.
+      live.back().first.cancel();
+      reference.erase(live.back().second);
+      ++cancelled;
+    }
+    if (later && !later_first) push(later_at);
+    if (step % 5000 == 2000) {
+      // Grow the calendar until it rebuilds while those inserts wait.
+      push(now);
+      const std::uint64_t rebuilds = q.rebuilds();
+      while (q.rebuilds() == rebuilds) push(now + 1 + static_cast<std::int64_t>(rng() % 200'000));
+      ++grown;
+    }
+    ASSERT_EQ(q.size(), reference.size()) << "step " << step;
+    if (step % 256 == 0) std::erase_if(live, [](const auto& e) { return !e.first.pending(); });
+  }
+  while (!q.empty()) {
+    pop();
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_TRUE(reference.empty());
+  EXPECT_GT(cancelled, 100);
+  EXPECT_EQ(grown, 2);
+}
+
+TEST(EventQueue, FrontRunInsertsMatchReference) {
+  // Inserts at the time being popped skip the run walk (a side heap holds
+  // them). Pops must still match the exact (time, key, schedule order)
+  // reference through duplicate keys, cancels of such inserts, and
+  // calendar rebuilds while they are pending.
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(seed);
+    run_front_inserts(seed);
+    if (HasFatalFailure()) return;
+  }
+}
+
 // `ports` hash-keyed events, each re-armed 1.2 us after it fires: every
 // timestamp holds a run of `ports` events, as when switch ports serialize
 // MTU packets in lockstep.
+// With `rearm_now`, each event first re-arms at its own time (the
+// serializer wake a waiting packet makes real), and that one re-arms
+// 1.2 us later: half of every run is inserted while the run is popped.
 struct Lockstep {
   EventQueue q;
   std::uint64_t fired = 0;
-  explicit Lockstep(std::uint32_t ports) {
-    for (std::uint32_t p = 0; p < ports; ++p) arm(p, Time::ns(1200));
+  bool rearm_now;
+  explicit Lockstep(std::uint32_t ports, bool rearm_now = false) : rearm_now(rearm_now) {
+    for (std::uint32_t p = 0; p < ports; ++p) arm(p, Time::ns(1200), rearm_now);
   }
-  void arm(std::uint32_t port, Time at) {
-    q.schedule_keyed(at, mix64((fired << 16) | port), [this, port, at] {
+  void arm(std::uint32_t port, Time at, bool now_next) {
+    q.schedule_keyed(at, mix64((fired << 16) | port), [this, port, at, now_next] {
       ++fired;
-      arm(port, at + Time::ns(1200));
+      if (now_next) {
+        arm(port, at, false);
+      } else {
+        arm(port, at + Time::ns(1200), rearm_now);
+      }
     });
   }
 };
@@ -305,6 +397,13 @@ TEST(EventQueue, LockstepTiesDoNotThrashRebuilds) {
   // No bucket width splits an equal-time run, so long walks within one
   // must not read as a too-wide calendar and trigger rebuilds.
   Lockstep lockstep(648);
+  while (lockstep.fired < 100'000) lockstep.q.run_next();
+  EXPECT_LE(lockstep.q.rebuilds(), 16u);
+}
+
+TEST(EventQueue, LockstepRearmsAtNowDoNotThrashRebuilds) {
+  // The same, with half of each run scheduled into it while it is popped.
+  Lockstep lockstep(648, /*rearm_now=*/true);
   while (lockstep.fired < 100'000) lockstep.q.run_next();
   EXPECT_LE(lockstep.q.rebuilds(), 16u);
 }

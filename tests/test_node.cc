@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
 #include "net/host.h"
 #include "net/switch.h"
 
@@ -202,6 +205,199 @@ TEST(Host, PacerSpacesControl) {
       peer.arrivals[2].first.to_us() - peer.arrivals[1].first.to_us();
   EXPECT_GE(gap1, 1.19);
   EXPECT_GE(gap2, 1.19);
+}
+
+// The serializer and pacer as they were before their done events went
+// lazy: every transmission and every paced emission schedules its done
+// event. Test-only reference for LazyWakesMatchEagerReference; `ties_*`
+// count sends at exactly a pending done event's time, by whether it had
+// fired yet.
+struct EagerPort {
+  sim::ShardContext& ctx;
+  Node* peer;
+  PortQueue queue;
+  bool busy = false;
+  bool enabled = true;
+  bool lossy = false;
+  sim::Time done_at = sim::Time::ps(-1);
+  int ties_waited = 0;
+  int ties_started = 0;
+
+  void send(PacketPtr pkt) {
+    if (ctx.now() == done_at) ++(busy ? ties_waited : ties_started);
+    if (enabled && queue.enqueue(std::move(pkt)) != EnqueueOutcome::kDropped) pump();
+  }
+  void set_enabled(bool on) {
+    enabled = on;
+    if (on) pump();
+  }
+  void pump() {
+    if (busy || !enabled || queue.empty()) return;
+    PacketPtr pkt = queue.dequeue();
+    busy = true;
+    const sim::Time serialization = sim::Time::transmission(pkt->size_bytes, 10e9);
+    if (!lossy) {
+      Node* to = peer;
+      ctx.post(to->ctx(), ctx.now() + serialization + sim::Time::ns(100),
+               [to, pkt = std::move(pkt)]() mutable { to->receive(std::move(pkt), 0); });
+    }
+    done_at = ctx.now() + serialization;
+    ctx.schedule_in(serialization, [this] {
+      busy = false;
+      pump();
+    });
+  }
+};
+
+struct EagerPacer {
+  EagerPort& port;
+  PacketRing queue;
+  bool busy = false;
+
+  void pace(PacketPtr pkt) {
+    queue.push_back(std::move(pkt));
+    kick();
+  }
+  void kick() {
+    if (busy || queue.empty()) return;
+    busy = true;
+    port.send(queue.pop_front());
+    port.ctx.schedule_in(sim::Time::transmission(kMtuBytes, 10e9), [this] {
+      busy = false;
+      kick();
+    });
+  }
+};
+
+// One arrival: its time, its order key (through the first key it derives,
+// a pure function of its own), which peer, and which packet.
+struct Arrival {
+  std::int64_t at_ps;
+  std::uint64_t key;
+  int peer;
+  std::uint64_t seq;
+  bool operator==(const Arrival&) const = default;
+};
+
+class TapNode : public Node {
+ public:
+  TapNode(sim::ShardContext& ctx, int id, std::vector<Arrival>& log)
+      : Node(ctx, "tap"), id_(id), log_(log) {}
+  void receive(PacketPtr pkt, int) override {
+    log_.push_back({sim().now().picoseconds(), sim().derive_key(), id_, pkt->seq});
+  }
+
+ private:
+  int id_;
+  std::vector<Arrival>& log_;
+};
+
+enum class Op { kSend, kPace, kBlink, kGray, kRetarget };
+struct Action {
+  sim::Time at;
+  Op op;
+  bool from_child;  // acts in a zero-delay child event: a hashed order key
+  std::int32_t bytes;
+  sim::Time hold;  // kBlink: disabled for this long; kGray: lossy
+};
+
+struct ScheduleRun {
+  std::vector<Arrival> arrivals;
+  std::uint64_t events = 0;
+  int ties_waited = 0;
+  int ties_started = 0;
+};
+
+// Plays `script` against the lazy OutPort + Host pacer, or against the
+// eager reference, in causal-key mode.
+ScheduleRun play(const std::vector<Action>& script, bool lazy) {
+  sim::Simulator sim;
+  sim.set_key_mode(sim::Simulator::KeyMode::kCausal);
+  sim::ShardContext ctx(sim);
+  ScheduleRun run;
+  TapNode a(ctx, 0, run.arrivals);
+  TapNode b(ctx, 1, run.arrivals);
+  Host host(ctx, "h", 0, 0);
+  host.add_port(10e9, sim::Time::ns(100), PortQueue::Config{});
+  OutPort& port = host.uplink();
+  port.connect(&a, 0);
+  EagerPort eager{ctx, &a, PortQueue{}};
+  EagerPacer pacer{eager, {}};
+  bool at_b = false;
+  for (std::size_t i = 0; i < script.size(); ++i) {
+    const Action act = script[i];
+    auto apply = [&, act, i] {
+      switch (act.op) {
+        case Op::kSend:
+        case Op::kPace: {
+          PacketPtr pkt = data_packet(act.bytes);
+          pkt->seq = i;
+          if (act.op == Op::kPace) {
+            lazy ? host.pace_control(std::move(pkt)) : pacer.pace(std::move(pkt));
+          } else if (lazy) {
+            port.send(std::move(pkt));
+          } else {
+            eager.send(std::move(pkt));
+          }
+          break;
+        }
+        case Op::kBlink:
+          lazy ? port.set_enabled(false) : eager.set_enabled(false);
+          sim.schedule_in(act.hold, [&] { lazy ? port.set_enabled(true) : eager.set_enabled(true); });
+          break;
+        case Op::kGray:
+          lazy ? port.set_gray(1.0, sim::Time::zero(), 7) : void(eager.lossy = true);
+          sim.schedule_in(act.hold, [&] { lazy ? port.clear_gray() : void(eager.lossy = false); });
+          break;
+        case Op::kRetarget:
+          at_b = !at_b;
+          lazy ? port.connect(at_b ? &b : &a, 0) : void(eager.peer = at_b ? &b : &a);
+          break;
+      }
+    };
+    sim.schedule_at(act.at, [&sim, act, apply]() mutable {
+      if (act.from_child) {
+        sim.schedule_in(sim::Time::zero(), std::move(apply));
+      } else {
+        apply();
+      }
+    });
+  }
+  sim.run_until(sim::Time::ms(1));
+  run.events = sim.events_executed();
+  run.ties_waited = eager.ties_waited;
+  run.ties_started = eager.ties_started;
+  return run;
+}
+
+TEST(OutPort, LazyWakesMatchEagerReference) {
+  // Actions on a 600 ns grid, with serialization times of 1.2 us, 600 ns
+  // and 51.2 ns and a 1.2 us pacer interval: many sends land exactly on a
+  // done event's time, some ordered before it (root keys, or a hash below
+  // it) and some after. Blinks disable the port for 0.3-1.2 us, often
+  // re-enabling it mid-serialization; gray loss keeps the serializer busy
+  // with no arrival; retargets switch the peer.
+  std::mt19937_64 rng(5);
+  std::vector<Action> script;
+  constexpr std::int32_t kSizes[] = {1500, 750, 64};
+  for (int i = 0; i < 400; ++i) {
+    const auto roll = rng() % 100;
+    const Op op = roll < 50   ? Op::kSend
+                  : roll < 75 ? Op::kPace
+                  : roll < 83 ? Op::kBlink
+                  : roll < 90 ? Op::kGray
+                              : Op::kRetarget;
+    script.push_back({sim::Time::ns(600 * static_cast<std::int64_t>(rng() % 600)), op,
+                      rng() % 4 != 0, kSizes[rng() % 3],
+                      sim::Time::ns(300 * static_cast<std::int64_t>(1 + rng() % 4))});
+  }
+  const ScheduleRun eager = play(script, false);
+  const ScheduleRun lazy = play(script, true);
+  EXPECT_GT(eager.ties_waited, 0);
+  EXPECT_GT(eager.ties_started, 0);
+  ASSERT_GT(eager.arrivals.size(), 100u);
+  EXPECT_EQ(lazy.arrivals, eager.arrivals);
+  EXPECT_LT(lazy.events, eager.events);
 }
 
 }  // namespace

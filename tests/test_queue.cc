@@ -132,5 +132,22 @@ TEST(PortQueue, TrimmedHeaderKeepsMetadata) {
   EXPECT_EQ(header->dst_host, 5);
 }
 
+TEST(PortQueue, AdmitsExactlyWhatEnqueueQueues) {
+  // OutPort's cut-through relies on admits() naming exactly the packets
+  // enqueue() would queue untouched, in every band, up to and past full.
+  PortQueue::Config cfg;
+  cfg.control_capacity_bytes = 256;
+  cfg.low_latency_capacity_bytes = 3000;
+  cfg.bulk_capacity_bytes = 4500;
+  PortQueue q(cfg);
+  for (int i = 0; i < 36; ++i) {
+    PacketPtr pkt = i % 3 == 0   ? control_packet(PacketType::kPull)
+                    : i % 3 == 1 ? data_packet(TrafficClass::kLowLatency, 1000)
+                                 : data_packet(TrafficClass::kBulk, 1500);
+    const bool admitted = q.admits(*pkt);
+    EXPECT_EQ(admitted, q.enqueue(std::move(pkt)) == EnqueueOutcome::kQueued) << i;
+  }
+}
+
 }  // namespace
 }  // namespace opera::net
