@@ -11,18 +11,12 @@ ClosNetwork::ClosNetwork(const ClosNetConfig& config)
     : PacketFabric({.num_racks = config.structure.num_tors(),
                     .hosts_per_rack = config.structure.hosts_per_tor(),
                     .link = config.link,
-                    .ndp = config.ndp,
+                    .bulk_threshold_bytes = config.bulk_threshold_bytes,
                     .threads = config.threads,
                     .rotorlb_bulk = false}),
       config_(config),
       clos_(config.structure) {
   build();
-}
-
-net::TrafficClass ClosNetwork::classify(std::int64_t size_bytes) const {
-  return config_.priority_queueing && size_bytes >= config_.bulk_threshold_bytes
-             ? net::TrafficClass::kBulk
-             : net::TrafficClass::kLowLatency;
 }
 
 void ClosNetwork::build() {

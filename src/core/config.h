@@ -11,7 +11,6 @@
 #include "sim/time.h"
 #include "topo/opera_topology.h"
 #include "topo/slice_table_cache.h"
-#include "transport/ndp.h"
 
 namespace opera::core {
 
@@ -45,7 +44,7 @@ struct SliceParams {
 // OperaNetwork::nack).
 enum class LowLatencyPlane : std::uint8_t { kExpander, kPacketCore, kDirectCircuit };
 
-// checkpoint:v1 fields=12
+// checkpoint:v1 fields=10
 struct OperaConfig {
   topo::OperaParams topology;  // defaults: 108 racks x 6 hosts (648 hosts)
   // Opera is the offset schedule with the expander plane; RotorNet (paper
@@ -54,7 +53,6 @@ struct OperaConfig {
   LowLatencyPlane low_latency = LowLatencyPlane::kExpander;
   LinkParams link;
   SliceParams slice;
-  transport::NdpConfig ndp;
   // Flows at or above this size are bulk (wait for direct circuits); the
   // paper derives 15 MB from the ~10.7 ms cycle time (§4.1).
   std::int64_t bulk_threshold_bytes = 15'000'000;
@@ -64,11 +62,11 @@ struct OperaConfig {
   // Windowed slice-table cache (topo/slice_table_cache.h): number of
   // per-slice ECMP tables kept resident. 0 = auto — eager (all slices,
   // the historical behavior) while the full set fits the memory budget,
-  // otherwise the largest window that does. Up to k=24 (N=432, ~173 MB
-  // of next-hop masks) auto stays eager; at k=32 (N=768, ~940 MB) it
-  // windows.
+  // otherwise the largest window that does. The budget is the constant
+  // topo::SliceTableCache::kDefaultBudgetBytes (256 MB). Up to k=24
+  // (N=432, ~173 MB of next-hop masks) auto stays eager; at k=32 (N=768,
+  // ~940 MB) it windows.
   int slice_table_window = 0;
-  std::size_t slice_table_budget_bytes = topo::SliceTableCache::kDefaultBudgetBytes;
 
   // Shard count for the sharded event loop (docs/ARCHITECTURE.md "Sharded
   // execution"): racks are partitioned into this many domains, each with
@@ -119,6 +117,39 @@ struct OperaConfig {
   // Cycle time (paper §4.1: Opera's 108 slices x ~99 us = 10.7 ms).
   [[nodiscard]] sim::Time cycle_time() const {
     return slice.duration * topo::schedule_slices(topology, schedule);
+  }
+};
+
+// A static packet fabric (folded Clos or expander, `Structure` its
+// topology parameters): NDP for both classes, per-packet ECMP spraying,
+// and strict priority of the low-latency band over the bulk band, so
+// short flows never queue behind >= threshold flows (the paper's "ideal
+// priority queuing" comparison).
+template <class Structure>
+struct StaticNetConfig {
+  Structure structure;
+  LinkParams link;
+  std::int64_t bulk_threshold_bytes = 15'000'000;
+  std::uint64_t seed = 42;  // ECMP hash salt
+  int threads = 0;          // shard count (see PacketFabric); 0 = auto
+
+  [[nodiscard]] net::PortQueue::Config switch_queue_config() const {
+    net::PortQueue::Config q;
+    q.low_latency_capacity_bytes = 12'000;  // NDP-shallow
+    q.control_capacity_bytes = 24'000;
+    q.bulk_capacity_bytes = 36'000;
+    q.trim_low_latency = true;
+    q.trim_bulk = true;  // bulk also runs NDP here
+    return q;
+  }
+  [[nodiscard]] net::PortQueue::Config host_queue_config() const {
+    net::PortQueue::Config q;
+    q.low_latency_capacity_bytes = 4'000'000;
+    q.control_capacity_bytes = 1'000'000;
+    q.bulk_capacity_bytes = 4'000'000;
+    q.trim_low_latency = false;
+    q.trim_bulk = false;
+    return q;
   }
 };
 

@@ -11,18 +11,12 @@ ExpanderNetwork::ExpanderNetwork(const ExpanderNetConfig& config)
     : PacketFabric({.num_racks = config.structure.num_tors,
                     .hosts_per_rack = config.structure.hosts_per_tor,
                     .link = config.link,
-                    .ndp = config.ndp,
+                    .bulk_threshold_bytes = config.bulk_threshold_bytes,
                     .threads = config.threads,
                     .rotorlb_bulk = false}),
       config_(config),
       expander_(config.structure) {
   build();
-}
-
-net::TrafficClass ExpanderNetwork::classify(std::int64_t size_bytes) const {
-  return config_.priority_queueing && size_bytes >= config_.bulk_threshold_bytes
-             ? net::TrafficClass::kBulk
-             : net::TrafficClass::kLowLatency;
 }
 
 void ExpanderNetwork::build() {

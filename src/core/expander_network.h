@@ -11,38 +11,11 @@
 #include "core/config.h"
 #include "core/packet_fabric.h"
 #include "topo/expander.h"
-#include "transport/ndp.h"
 
 namespace opera::core {
 
-struct ExpanderNetConfig {
-  topo::ExpanderParams structure;  // defaults: 130 ToRs x u=7 x d=5 (650 hosts)
-  LinkParams link;
-  transport::NdpConfig ndp;
-  std::int64_t bulk_threshold_bytes = 15'000'000;
-  bool priority_queueing = true;
-  std::uint64_t seed = 42;  // ECMP hash salt
-  int threads = 0;          // shard count (see PacketFabric); 0 = auto
-
-  [[nodiscard]] net::PortQueue::Config switch_queue_config() const {
-    net::PortQueue::Config q;
-    q.low_latency_capacity_bytes = 12'000;
-    q.control_capacity_bytes = 24'000;
-    q.bulk_capacity_bytes = 36'000;
-    q.trim_low_latency = true;
-    q.trim_bulk = true;
-    return q;
-  }
-  [[nodiscard]] net::PortQueue::Config host_queue_config() const {
-    net::PortQueue::Config q;
-    q.low_latency_capacity_bytes = 4'000'000;
-    q.control_capacity_bytes = 1'000'000;
-    q.bulk_capacity_bytes = 4'000'000;
-    q.trim_low_latency = false;
-    q.trim_bulk = false;
-    return q;
-  }
-};
+// Defaults: 130 ToRs x u=7 x d=5 (650 hosts).
+using ExpanderNetConfig = StaticNetConfig<topo::ExpanderParams>;
 
 // Shard placement: each ToR and its hosts in the rack's domain.
 class ExpanderNetwork : public PacketFabric {
@@ -53,7 +26,6 @@ class ExpanderNetwork : public PacketFabric {
   [[nodiscard]] std::string describe() const override;
 
  private:
-  [[nodiscard]] net::TrafficClass classify(std::int64_t size_bytes) const override;
   void build();
 
   ExpanderNetConfig config_;

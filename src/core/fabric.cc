@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <concepts>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace opera::core {
 
@@ -154,38 +156,33 @@ OperaConfig FabricConfig::opera_config() const {
   cfg.topology = opera;
   cfg.link = link;
   cfg.slice = slice;
-  cfg.ndp = ndp;
   cfg.bulk_threshold_bytes = bulk_threshold_bytes;
   cfg.enable_vlb = enable_vlb;
   cfg.seed = seed;
   cfg.slice_table_window = slice_table_window;
-  cfg.slice_table_budget_bytes = slice_table_budget_bytes;
   cfg.threads = threads;
   return cfg;
 }
 
-ClosNetConfig FabricConfig::clos_config() const {
-  ClosNetConfig cfg;
-  cfg.structure = clos;
-  cfg.link = link;
-  cfg.ndp = ndp;
-  cfg.bulk_threshold_bytes = bulk_threshold_bytes;
-  cfg.priority_queueing = priority_queueing;
-  cfg.seed = seed;
-  cfg.threads = threads;
-  return cfg;
+namespace {
+
+// The shared knobs of the two static fabrics, folded over `structure`.
+template <class Structure>
+StaticNetConfig<Structure> static_config(const FabricConfig& config,
+                                         const Structure& structure) {
+  return {.structure = structure,
+          .link = config.link,
+          .bulk_threshold_bytes = config.bulk_threshold_bytes,
+          .seed = config.seed,
+          .threads = config.threads};
 }
+
+}  // namespace
+
+ClosNetConfig FabricConfig::clos_config() const { return static_config(*this, clos); }
 
 ExpanderNetConfig FabricConfig::expander_config() const {
-  ExpanderNetConfig cfg;
-  cfg.structure = expander;
-  cfg.link = link;
-  cfg.ndp = ndp;
-  cfg.bulk_threshold_bytes = bulk_threshold_bytes;
-  cfg.priority_queueing = priority_queueing;
-  cfg.seed = seed;
-  cfg.threads = threads;
-  return cfg;
+  return static_config(*this, expander);
 }
 
 OperaConfig FabricConfig::rotornet_config() const {
@@ -199,7 +196,6 @@ OperaConfig FabricConfig::rotornet_config() const {
                                     : LowLatencyPlane::kDirectCircuit;
   cfg.link = link;
   cfg.slice = slice;
-  cfg.ndp = ndp;
   // Without the packet core every flow waits for circuits (RotorLB).
   cfg.bulk_threshold_bytes = rotornet.hybrid ? bulk_threshold_bytes : 0;
   cfg.seed = seed;
@@ -209,55 +205,115 @@ OperaConfig FabricConfig::rotornet_config() const {
 
 namespace {
 
-// Serialization helpers: one key per FabricConfig knob. Times travel as
-// picoseconds, doubles as round-trip %.17g, bools as 0/1.
-void put_i64(std::vector<sim::CheckpointEntry>* out, const char* key,
-             std::int64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
-  out->push_back({key, buf});
+// The [config] key table: one (key, field) pair per FabricConfig knob, in
+// file order. Serialize and parse both walk it, so each key is named once.
+// `Config` is `const FabricConfig` when writing, `FabricConfig` when
+// reading.
+template <class Config, class Fn>
+void for_each_field(Config& c, Fn&& fn) {
+  fn("kind", c.kind);
+  fn("engine", c.engine);
+  fn("opera.num_racks", c.opera.num_racks);
+  fn("opera.num_switches", c.opera.num_switches);
+  fn("opera.seed", c.opera.seed);
+  fn("opera.hosts_per_rack", c.opera.hosts_per_rack);
+  fn("clos.radix", c.clos.radix);
+  fn("clos.oversubscription", c.clos.oversubscription);
+  fn("clos.num_pods", c.clos.num_pods);
+  fn("expander.num_tors", c.expander.num_tors);
+  fn("expander.uplinks", c.expander.uplinks);
+  fn("expander.hosts_per_tor", c.expander.hosts_per_tor);
+  fn("expander.seed", c.expander.seed);
+  fn("rotornet.num_racks", c.rotornet.num_racks);
+  fn("rotornet.num_switches", c.rotornet.num_switches);
+  fn("rotornet.hybrid", c.rotornet.hybrid);
+  fn("rotornet.seed", c.rotornet.seed);
+  fn("rotornet_hosts_per_rack", c.rotornet_hosts_per_rack);
+  fn("link.rate_bps", c.link.rate_bps);
+  fn("link.propagation_ps", c.link.propagation);
+  fn("slice.duration_ps", c.slice.duration);
+  fn("slice.reconfiguration_ps", c.slice.reconfiguration);
+  fn("slice.guard_ps", c.slice.guard);
+  fn("slice.drain_window_ps", c.slice.drain_window);
+  fn("bulk_threshold_bytes", c.bulk_threshold_bytes);
+  fn("enable_vlb", c.enable_vlb);
+  fn("seed", c.seed);
+  fn("slice_table_window", c.slice_table_window);
+  fn("threads", c.threads);
 }
 
-void put_u64(std::vector<sim::CheckpointEntry>* out, const char* key,
-             std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(v));
-  out->push_back({key, buf});
+// One codec per field type. Enums travel by name, bools as 0/1, integers
+// in decimal, times as picoseconds, doubles as round-trip %.17g. A decode
+// returns false on a malformed value, including an integer outside its
+// field's range; strtoll/strtoull/strtod accept the exact formats the
+// encoders emit.
+std::string encode(FabricKind v) { return fabric_kind_name(v); }
+std::string encode(EngineKind v) { return engine_kind_name(v); }
+std::string encode(bool v) { return v ? "1" : "0"; }
+template <std::integral T>
+std::string encode(T v) {
+  return std::to_string(v);
 }
-
-void put_double(std::vector<sim::CheckpointEntry>* out, const char* key,
-                double v) {
+std::string encode(sim::Time t) { return encode(t.picoseconds()); }
+std::string encode(double v) {
   char buf[48];
   std::snprintf(buf, sizeof buf, "%.17g", v);
-  out->push_back({key, buf});
+  return buf;
 }
 
-void put_time(std::vector<sim::CheckpointEntry>* out, const char* key,
-              sim::Time t) {
-  put_i64(out, key, t.picoseconds());
+bool decode(const std::string& text, FabricKind* v) {
+  const auto kind = parse_fabric_kind(text);
+  if (kind) *v = *kind;
+  return kind.has_value();
 }
 
-// Parse-side: each setter returns false on a malformed value. Strtoll/
-// strtod accept the exact formats the putters emit.
-bool get_i64(const std::string& text, std::int64_t* v) {
+bool decode(const std::string& text, EngineKind* v) {
+  const auto engine = parse_engine_kind(text);
+  if (engine) *v = *engine;
+  return engine.has_value();
+}
+
+template <std::signed_integral T>
+bool decode(const std::string& text, T* v) {
   char* end = nullptr;
   errno = 0;
   const long long parsed = std::strtoll(text.c_str(), &end, 10);
   if (errno != 0 || end == text.c_str() || *end != '\0') return false;
-  *v = parsed;
+  if (parsed < std::numeric_limits<T>::min() || parsed > std::numeric_limits<T>::max()) {
+    return false;
+  }
+  *v = static_cast<T>(parsed);
   return true;
 }
 
-bool get_u64(const std::string& text, std::uint64_t* v) {
+template <std::unsigned_integral T>
+bool decode(const std::string& text, T* v) {
   char* end = nullptr;
   errno = 0;
+  // strtoull wraps a negative value instead of failing; refuse the sign.
+  if (text.find('-') != std::string::npos) return false;
   const unsigned long long parsed = std::strtoull(text.c_str(), &end, 10);
   if (errno != 0 || end == text.c_str() || *end != '\0') return false;
-  *v = parsed;
+  if (parsed > std::numeric_limits<T>::max()) return false;
+  *v = static_cast<T>(parsed);
   return true;
 }
 
-bool get_double(const std::string& text, double* v) {
+bool decode(const std::string& text, bool* v) {
+  std::int64_t i = 0;
+  if (!decode(text, &i) || (i != 0 && i != 1)) return false;
+  *v = i != 0;
+  return true;
+}
+
+bool decode(const std::string& text, sim::Time* v) {
+  std::int64_t ps = 0;
+  if (!decode(text, &ps)) return false;
+  *v = sim::Time::ps(ps);
+  return true;
+}
+
+bool decode(const std::string& text, double* v) {
   char* end = nullptr;
   errno = 0;
   const double parsed = std::strtod(text.c_str(), &end);
@@ -271,39 +327,9 @@ bool get_double(const std::string& text, double* v) {
 std::vector<sim::CheckpointEntry> serialize_fabric_config(
     const FabricConfig& config) {
   std::vector<sim::CheckpointEntry> out;
-  out.push_back({"kind", fabric_kind_name(config.kind)});
-  out.push_back({"engine", engine_kind_name(config.engine)});
-  put_i64(&out, "opera.num_racks", config.opera.num_racks);
-  put_i64(&out, "opera.num_switches", config.opera.num_switches);
-  put_u64(&out, "opera.seed", config.opera.seed);
-  put_i64(&out, "opera.hosts_per_rack", config.opera.hosts_per_rack);
-  put_i64(&out, "clos.radix", config.clos.radix);
-  put_i64(&out, "clos.oversubscription", config.clos.oversubscription);
-  put_i64(&out, "clos.num_pods", config.clos.num_pods);
-  put_i64(&out, "expander.num_tors", config.expander.num_tors);
-  put_i64(&out, "expander.uplinks", config.expander.uplinks);
-  put_i64(&out, "expander.hosts_per_tor", config.expander.hosts_per_tor);
-  put_u64(&out, "expander.seed", config.expander.seed);
-  put_i64(&out, "rotornet.num_racks", config.rotornet.num_racks);
-  put_i64(&out, "rotornet.num_switches", config.rotornet.num_switches);
-  put_i64(&out, "rotornet.hybrid", config.rotornet.hybrid ? 1 : 0);
-  put_u64(&out, "rotornet.seed", config.rotornet.seed);
-  put_i64(&out, "rotornet_hosts_per_rack", config.rotornet_hosts_per_rack);
-  put_double(&out, "link.rate_bps", config.link.rate_bps);
-  put_time(&out, "link.propagation_ps", config.link.propagation);
-  put_time(&out, "slice.duration_ps", config.slice.duration);
-  put_time(&out, "slice.reconfiguration_ps", config.slice.reconfiguration);
-  put_time(&out, "slice.guard_ps", config.slice.guard);
-  put_time(&out, "slice.drain_window_ps", config.slice.drain_window);
-  put_i64(&out, "ndp.initial_window_packets", config.ndp.initial_window_packets);
-  put_time(&out, "ndp.fallback_rto_ps", config.ndp.fallback_rto);
-  put_i64(&out, "bulk_threshold_bytes", config.bulk_threshold_bytes);
-  put_i64(&out, "priority_queueing", config.priority_queueing ? 1 : 0);
-  put_i64(&out, "enable_vlb", config.enable_vlb ? 1 : 0);
-  put_u64(&out, "seed", config.seed);
-  put_i64(&out, "slice_table_window", config.slice_table_window);
-  put_u64(&out, "slice_table_budget_bytes", config.slice_table_budget_bytes);
-  put_i64(&out, "threads", config.threads);
+  for_each_field(config, [&out](const char* key, const auto& field) {
+    out.push_back({key, encode(field)});
+  });
   return out;
 }
 
@@ -311,109 +337,20 @@ std::string parse_fabric_config(
     const std::vector<sim::CheckpointEntry>& entries, FabricConfig* out) {
   *out = FabricConfig{};
   for (const auto& entry : entries) {
-    const std::string& key = entry.key;
-    const std::string& value = entry.value;
-    bool ok = true;
-    std::int64_t i = 0;
-    std::uint64_t u = 0;
-    double d = 0;
-    auto as_i32 = [&](std::int32_t* field) {
-      ok = get_i64(value, &i);
-      if (ok) *field = static_cast<std::int32_t>(i);
-    };
-    auto as_int = [&](int* field) {
-      ok = get_i64(value, &i);
-      if (ok) *field = static_cast<int>(i);
-    };
-    auto as_bool = [&](bool* field) {
-      ok = get_i64(value, &i) && (i == 0 || i == 1);
-      if (ok) *field = i != 0;
-    };
-    auto as_time = [&](sim::Time* field) {
-      ok = get_i64(value, &i);
-      if (ok) *field = sim::Time::ps(i);
-    };
-    if (key == "kind") {
-      const auto kind = parse_fabric_kind(value);
-      ok = kind.has_value();
-      if (ok) out->kind = *kind;
-    } else if (key == "engine") {
-      const auto engine = parse_engine_kind(value);
-      ok = engine.has_value();
-      if (ok) out->engine = *engine;
-    } else if (key == "opera.num_racks") {
-      as_i32(&out->opera.num_racks);
-    } else if (key == "opera.num_switches") {
-      as_int(&out->opera.num_switches);
-    } else if (key == "opera.seed") {
-      ok = get_u64(value, &u);
-      if (ok) out->opera.seed = u;
-    } else if (key == "opera.hosts_per_rack") {
-      as_int(&out->opera.hosts_per_rack);
-    } else if (key == "clos.radix") {
-      as_int(&out->clos.radix);
-    } else if (key == "clos.oversubscription") {
-      as_int(&out->clos.oversubscription);
-    } else if (key == "clos.num_pods") {
-      as_int(&out->clos.num_pods);
-    } else if (key == "expander.num_tors") {
-      as_i32(&out->expander.num_tors);
-    } else if (key == "expander.uplinks") {
-      as_int(&out->expander.uplinks);
-    } else if (key == "expander.hosts_per_tor") {
-      as_int(&out->expander.hosts_per_tor);
-    } else if (key == "expander.seed") {
-      ok = get_u64(value, &u);
-      if (ok) out->expander.seed = u;
-    } else if (key == "rotornet.num_racks") {
-      as_i32(&out->rotornet.num_racks);
-    } else if (key == "rotornet.num_switches") {
-      as_int(&out->rotornet.num_switches);
-    } else if (key == "rotornet.hybrid") {
-      as_bool(&out->rotornet.hybrid);
-    } else if (key == "rotornet.seed") {
-      ok = get_u64(value, &u);
-      if (ok) out->rotornet.seed = u;
-    } else if (key == "rotornet_hosts_per_rack") {
-      as_int(&out->rotornet_hosts_per_rack);
-    } else if (key == "link.rate_bps") {
-      ok = get_double(value, &d);
-      if (ok) out->link.rate_bps = d;
-    } else if (key == "link.propagation_ps") {
-      as_time(&out->link.propagation);
-    } else if (key == "slice.duration_ps") {
-      as_time(&out->slice.duration);
-    } else if (key == "slice.reconfiguration_ps") {
-      as_time(&out->slice.reconfiguration);
-    } else if (key == "slice.guard_ps") {
-      as_time(&out->slice.guard);
-    } else if (key == "slice.drain_window_ps") {
-      as_time(&out->slice.drain_window);
-    } else if (key == "ndp.initial_window_packets") {
-      as_int(&out->ndp.initial_window_packets);
-    } else if (key == "ndp.fallback_rto_ps") {
-      as_time(&out->ndp.fallback_rto);
-    } else if (key == "bulk_threshold_bytes") {
-      ok = get_i64(value, &out->bulk_threshold_bytes);
-    } else if (key == "priority_queueing") {
-      as_bool(&out->priority_queueing);
-    } else if (key == "enable_vlb") {
-      as_bool(&out->enable_vlb);
-    } else if (key == "seed") {
-      ok = get_u64(value, &out->seed);
-    } else if (key == "slice_table_window") {
-      as_int(&out->slice_table_window);
-    } else if (key == "slice_table_budget_bytes") {
-      ok = get_u64(value, &u);
-      if (ok) out->slice_table_budget_bytes = static_cast<std::size_t>(u);
-    } else if (key == "threads") {
-      as_int(&out->threads);
-    } else {
-      return "unknown [config] key '" + key +
-             "' (written by a newer schema?)";
+    bool known = false;
+    bool ok = false;
+    for_each_field(*out, [&](const char* key, auto& field) {
+      if (known || entry.key != key) return;
+      known = true;
+      ok = decode(entry.value, &field);
+    });
+    if (!known) {
+      return "unknown [config] key '" + entry.key +
+             "' (written by a newer schema, or a knob since removed?)";
     }
     if (!ok) {
-      return "malformed value for [config] key '" + key + "': '" + value + "'";
+      return "malformed value for [config] key '" + entry.key + "': '" +
+             entry.value + "'";
     }
   }
   return "";

@@ -4,7 +4,7 @@
 //
 // The per-fabric structure parameters (OperaParams, ClosParams, ...) keep
 // their own types; FabricConfig adds the knobs every fabric shares (link
-// rate, NDP, slice timing, bulk threshold, seeds) so an experiment can
+// rate, slice timing, bulk threshold, seeds) so an experiment can
 // sweep fabrics without re-stating them:
 //
 //   auto cfg = core::FabricConfig::make(core::FabricKind::kOpera);
@@ -55,7 +55,7 @@ enum class EngineKind : std::uint8_t { kPacket, kFluid, kHybrid };
 [[nodiscard]] const char* engine_kind_name(EngineKind engine);
 [[nodiscard]] std::optional<EngineKind> parse_engine_kind(std::string_view name);
 
-// checkpoint:v1 fields=17
+// checkpoint:v1 fields=14
 struct FabricConfig {
   FabricKind kind = FabricKind::kOpera;
   // Execution engine for `kind` (non-packet engines require kOpera).
@@ -72,15 +72,14 @@ struct FabricConfig {
   // Shared knobs, applied to the selected fabric on build.
   LinkParams link;
   SliceParams slice;  // rotor-based fabrics only
-  transport::NdpConfig ndp;
+  // Flows at or above this size are bulk: RotorLB on the rotor fabrics,
+  // the lower-priority band on the static ones.
   std::int64_t bulk_threshold_bytes = 15'000'000;
-  bool priority_queueing = true;  // static fabrics: bulk rides a lower band
-  bool enable_vlb = true;         // Opera: RotorLB two-hop fallback
-  std::uint64_t seed = 42;        // network-level randomness: ECMP salt, grant order
+  bool enable_vlb = true;   // Opera: RotorLB two-hop fallback
+  std::uint64_t seed = 42;  // network-level randomness: ECMP salt, grant order
   // Opera: resident per-slice routing tables (0 = auto-size from the
-  // budget; see OperaConfig::slice_table_window). CLI: --slice-window.
+  // 256 MB budget; see OperaConfig::slice_table_window). CLI: --slice-window.
   int slice_table_window = 0;
-  std::size_t slice_table_budget_bytes = topo::SliceTableCache::kDefaultBudgetBytes;
   // Shard count for the sharded event loop every packet fabric runs on
   // (bit-identical output for any value; see PacketFabric). 0 = auto
   // ($OPERA_TEST_THREADS, else 1). CLI: --threads.

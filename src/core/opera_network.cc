@@ -14,7 +14,7 @@ OperaNetwork::OperaNetwork(const OperaConfig& config)
     : PacketFabric({.num_racks = config.topology.num_racks,
                     .hosts_per_rack = config.topology.hosts_per_rack,
                     .link = config.link,
-                    .ndp = config.ndp,
+                    .bulk_threshold_bytes = config.bulk_threshold_bytes,
                     .threads = config.threads,
                     .rotorlb_bulk = true}),
       config_(config),
@@ -41,7 +41,7 @@ OperaNetwork::OperaNetwork(const OperaConfig& config)
   if (config_.low_latency == LowLatencyPlane::kExpander) {
     slice_tables_ = topo::SliceTableCache(
         topo_.num_slices(),
-        {config_.slice_table_window, config_.slice_table_budget_bytes},
+        {config_.slice_table_window, topo::SliceTableCache::kDefaultBudgetBytes},
         [this](int s) {
           return topo_.slice_routes(
               s, route_around_failures_ ? &table_failures_ : nullptr);
@@ -93,11 +93,6 @@ void OperaNetwork::build_nodes() {
     tors_.push_back(&tor);
   }
   for (net::Switch* tor : tors_) add_hosts(*tor, host_q);
-}
-
-net::TrafficClass OperaNetwork::classify(std::int64_t size_bytes) const {
-  return size_bytes >= config_.bulk_threshold_bytes ? net::TrafficClass::kBulk
-                                                    : net::TrafficClass::kLowLatency;
 }
 
 int OperaNetwork::slice_at(sim::Time t) const {

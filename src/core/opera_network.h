@@ -125,7 +125,6 @@ class OperaNetwork : public PacketFabric {
   bool degrade_memory() override;
 
  private:
-  [[nodiscard]] net::TrafficClass classify(std::int64_t size_bytes) const override;
   void build_nodes();
   void recompute_after_failure();
   // Re-wires one rotor switch's ports to the matching active *now* (used

@@ -43,7 +43,7 @@ PacketFabric::PacketFabric(const Shape& shape)
     : num_racks_(shape.num_racks),
       hosts_per_rack_(shape.hosts_per_rack),
       link_(shape.link),
-      ndp_(shape.ndp),
+      bulk_threshold_bytes_(shape.bulk_threshold_bytes),
       rotorlb_bulk_(shape.rotorlb_bulk),
       engine_(resolve_shards(shape.threads, shape.link.propagation, shape.num_racks),
               shape.link.propagation) {
@@ -119,7 +119,9 @@ std::uint64_t PacketFabric::submit_flow(std::int32_t src_host, std::int32_t dst_
   flow.dst_rack = rack_of_host(dst_host);
   flow.size_bytes = size_bytes;
   flow.start = start;
-  flow.tclass = force.value_or(classify(size_bytes));
+  flow.tclass = force.value_or(size_bytes >= bulk_threshold_bytes_
+                                   ? net::TrafficClass::kBulk
+                                   : net::TrafficClass::kLowLatency);
   // Intra-rack traffic never needs a circuit: rotor fabrics service it on
   // the low-latency path (one ToR hop).
   if (rotorlb_bulk_ && flow.src_rack == flow.dst_rack) {
@@ -137,7 +139,7 @@ std::uint64_t PacketFabric::submit_flow(std::int32_t src_host, std::int32_t dst_
       return;
     }
     auto source =
-        std::make_unique<transport::NdpSource>(host(flow.src_host), flow, tracker_, ndp_);
+        std::make_unique<transport::NdpSource>(host(flow.src_host), flow, tracker_);
     source->start();
     endpoints_[static_cast<std::size_t>(sh)].ndp_sources.push_back(std::move(source));
   });

@@ -1,8 +1,7 @@
 // core::PacketFabric — the execution plumbing every packet-level fabric
 // shares: the rotor fabric (OperaNetwork, which runs both Opera and
 // RotorNet), folded Clos and the static expander. Each fabric class keeps
-// only its own structure, forwarding, flow classification and slice
-// machinery.
+// only its own structure, forwarding and slice machinery.
 //
 // All run on one execution model: a sim::ShardedSimulator whose
 // domains are racks (a ToR and its hosts; fabrics place any other switch
@@ -14,9 +13,10 @@
 //   * the FlowTracker, one lane per shard, merged at every barrier;
 //   * the switches and hosts, each created in its shard's domain, host
 //     NICs wired to their ToR;
-//   * flow submission: classification, registration, and a start seeded
-//     onto the source host's shard (ShardedSimulator::seed), so equal-time
-//     starts order identically under any shard count;
+//   * flow submission: classification (bulk at or above the fabric's
+//     bulk threshold), registration, and a start seeded onto the source
+//     host's shard (ShardedSimulator::seed), so equal-time starts order
+//     identically under any shard count;
 //   * transport endpoints in per-shard pools: NDP sources and sinks, plus,
 //     on rotor fabrics, per-host RotorLB agents and bulk sinks;
 //   * the partition-invariant fingerprint of every port.
@@ -45,8 +45,9 @@ class PacketFabric : public Network {
  public:
   ~PacketFabric() override;
 
-  // Classifies the flow (see classify()), registers it, and seeds its start
-  // onto the source host's shard. Returns the flow id.
+  // Classifies the flow (bulk at or above Shape::bulk_threshold_bytes,
+  // unless `force` names a class), registers it, and seeds its start onto
+  // the source host's shard. Returns the flow id.
   std::uint64_t submit_flow(
       std::int32_t src_host, std::int32_t dst_host, std::int64_t size_bytes,
       sim::Time start,
@@ -93,7 +94,9 @@ class PacketFabric : public Network {
     std::int32_t num_racks = 0;
     int hosts_per_rack = 0;
     LinkParams link;
-    transport::NdpConfig ndp;
+    // Unforced flows at or above this size are bulk. Rotor fabrics without
+    // a packet core pass 0: every flow waits for circuits.
+    std::int64_t bulk_threshold_bytes = 0;
     int threads = 0;  // 0 = auto ($OPERA_TEST_THREADS, else 1)
     // Rotor fabrics: bulk flows ride RotorLB (per-host agents, bulk sinks)
     // and intra-rack flows always take the low-latency path. Static
@@ -101,9 +104,6 @@ class PacketFabric : public Network {
     bool rotorlb_bulk = false;
   };
   explicit PacketFabric(const Shape& shape);
-
-  // The class an unforced flow of `size_bytes` rides.
-  [[nodiscard]] virtual net::TrafficClass classify(std::int64_t size_bytes) const = 0;
 
   // Creates a switch in shard `shard`'s domain.
   net::Switch& add_switch(int shard, std::string name, std::int32_t id);
@@ -128,7 +128,7 @@ class PacketFabric : public Network {
   std::int32_t num_racks_;
   int hosts_per_rack_;
   LinkParams link_;
-  transport::NdpConfig ndp_;
+  std::int64_t bulk_threshold_bytes_;
   bool rotorlb_bulk_;
 
   // Declared before the nodes so their ShardContext references outlive

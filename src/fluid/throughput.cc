@@ -139,47 +139,49 @@ double clos_throughput(const Demand& demand, int hosts_per_rack, double host_rat
 
 namespace {
 
-// Feasibility of theta*demand on graph g under one-hop-direct (graph
-// edges) plus two-hop VLB relay routing, using aggregate per-rack budgets.
-bool graph_vlb_feasible(const Demand& demand, const topo::Graph& g,
-                        double link_rate_bps, double theta) {
+// Feasibility of theta*demand under one-hop-direct plus two-hop VLB relay
+// routing, on aggregate per-rack budgets: each pair's demand beyond its
+// direct capacity `pair_cap(a, b)` must fit the fabric's relay capacity,
+// the sum over racks of min(spare out, spare in) against each rack's
+// budget `rack_budget(r)`. Without `relay`, no pair may exceed its direct
+// capacity. Entries are visited in the dense row-major order.
+template <class PairCap, class RackBudget>
+bool vlb_feasible(const Demand& demand, double theta, bool relay, PairCap pair_cap,
+                  RackBudget rack_budget) {
   const int n = demand.num_racks();
   std::vector<double> out(static_cast<std::size_t>(n), 0.0);
   std::vector<double> in(static_cast<std::size_t>(n), 0.0);
   double total_excess = 0.0;
   for (int a = 0; a < n; ++a) {
-    for (int b = 0; b < n; ++b) {
-      if (a == b) continue;
-      const double want = theta * demand(a, b);
+    for (const Demand::Entry& e : demand.row(a)) {
+      const double want = theta * e.value;
       if (want <= 0.0) continue;
-      const double direct_cap =
-          g.has_edge(static_cast<topo::Vertex>(a), static_cast<topo::Vertex>(b))
-              ? link_rate_bps
-              : 0.0;
-      total_excess += std::max(0.0, want - direct_cap);
-      out[static_cast<std::size_t>(a)] += want;
-      in[static_cast<std::size_t>(b)] += want;
+      total_excess += std::max(0.0, want - pair_cap(a, e.col));
+      out[static_cast<std::size_t>(a)] += want;     // first hop always leaves a
+      in[static_cast<std::size_t>(e.col)] += want;  // last hop always enters b
     }
   }
   double relay_capacity = 0.0;
   for (int r = 0; r < n; ++r) {
-    const double budget = g.degree(static_cast<topo::Vertex>(r)) * link_rate_bps;
+    const double budget = rack_budget(r);
     const double spare_out = budget - out[static_cast<std::size_t>(r)];
     const double spare_in = budget - in[static_cast<std::size_t>(r)];
     if (spare_out < 0.0 || spare_in < 0.0) return false;
     relay_capacity += std::min(spare_out, spare_in);
   }
-  return total_excess <= relay_capacity;
+  return total_excess <= (relay ? relay_capacity : 0.0);
 }
 
-double graph_vlb_throughput(const Demand& demand, const topo::Graph& g,
-                            double link_rate_bps) {
+// The largest theta `feasible` accepts: double until infeasible (bounded:
+// rack budgets cap throughput), then 60 bisection steps.
+template <class Feasible>
+double max_feasible_theta(Feasible feasible) {
   double lo = 0.0;
   double hi = 1.0;
-  while (graph_vlb_feasible(demand, g, link_rate_bps, hi) && hi < 1e6) hi *= 2.0;
+  while (feasible(hi) && hi < 1e6) hi *= 2.0;
   for (int iter = 0; iter < 60; ++iter) {
     const double mid = 0.5 * (lo + hi);
-    (graph_vlb_feasible(demand, g, link_rate_bps, mid) ? lo : hi) = mid;
+    (feasible(mid) ? lo : hi) = mid;
   }
   return lo;
 }
@@ -187,7 +189,7 @@ double graph_vlb_throughput(const Demand& demand, const topo::Graph& g,
 }  // namespace
 
 double expander_throughput(const Demand& demand, const topo::Graph& g,
-                           double link_rate_bps, bool enable_vlb) {
+                           double link_rate_bps) {
   const auto n = static_cast<std::size_t>(g.num_vertices());
   assert(static_cast<int>(n) == demand.num_racks());
   // Directed edge loads under ECMP splitting; edges indexed by (src,
@@ -239,62 +241,31 @@ double expander_throughput(const Demand& demand, const topo::Graph& g,
     for (const double l : row) max_load = std::max(max_load, l);
   }
   const double ecmp = max_load > 0.0 ? link_rate_bps / max_load : 0.0;
-  if (!enable_vlb) return ecmp;
-  return std::max(ecmp, graph_vlb_throughput(demand, g, link_rate_bps));
+  const double vlb = max_feasible_theta([&](double theta) {
+    return vlb_feasible(
+        demand, theta, true,
+        [&](int a, int b) {
+          return g.has_edge(static_cast<topo::Vertex>(a), static_cast<topo::Vertex>(b))
+                     ? link_rate_bps
+                     : 0.0;
+        },
+        [&](int r) { return g.degree(static_cast<topo::Vertex>(r)) * link_rate_bps; });
+  });
+  return std::max(ecmp, vlb);
 }
 
-namespace {
-
-bool rotor_feasible(const Demand& demand, const RotorModelParams& p, double theta) {
-  const int n = p.num_racks;
+double rotor_throughput(const Demand& demand, const RotorModelParams& p) {
+  assert(p.num_racks == demand.num_racks());
+  if (demand.total() <= 0.0) return 0.0;
   const double active_uplinks = p.uplinks * p.active_fraction;
   const double pair_cap =
-      active_uplinks / static_cast<double>(n) * p.link_rate_bps * p.duty_cycle;
+      active_uplinks / static_cast<double>(p.num_racks) * p.link_rate_bps * p.duty_cycle;
   const double rack_budget = active_uplinks * p.link_rate_bps * p.duty_cycle;
-
-  std::vector<double> out(static_cast<std::size_t>(n), 0.0);
-  std::vector<double> in(static_cast<std::size_t>(n), 0.0);
-  double total_excess = 0.0;
-  for (int a = 0; a < n; ++a) {
-    for (int b = 0; b < n; ++b) {
-      if (a == b) continue;
-      const double want = theta * demand(a, b);
-      if (want <= 0.0) continue;
-      const double direct = std::min(want, pair_cap);
-      const double excess = want - direct;
-      if (excess > 0.0 && !p.enable_vlb) return false;
-      out[static_cast<std::size_t>(a)] += want;  // first hop always leaves a
-      in[static_cast<std::size_t>(b)] += want;   // last hop always enters b
-      total_excess += excess;
-    }
-  }
-  double relay_capacity = 0.0;
-  for (int r = 0; r < n; ++r) {
-    const double spare_out = rack_budget - out[static_cast<std::size_t>(r)];
-    const double spare_in = rack_budget - in[static_cast<std::size_t>(r)];
-    if (spare_out < 0.0 || spare_in < 0.0) return false;
-    relay_capacity += std::min(spare_out, spare_in);
-  }
-  return total_excess <= relay_capacity;
-}
-
-}  // namespace
-
-double rotor_throughput(const Demand& demand, const RotorModelParams& params) {
-  if (demand.total() <= 0.0) return 0.0;
-  double lo = 0.0;
-  double hi = 1.0;
-  // Grow hi until infeasible (bounded: rack budgets cap throughput).
-  while (rotor_feasible(demand, params, hi) && hi < 1e6) hi *= 2.0;
-  for (int iter = 0; iter < 60; ++iter) {
-    const double mid = 0.5 * (lo + hi);
-    if (rotor_feasible(demand, params, mid)) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
+  return max_feasible_theta([&](double theta) {
+    return vlb_feasible(
+        demand, theta, p.enable_vlb, [pair_cap](int, int) { return pair_cap; },
+        [rack_budget](int) { return rack_budget; });
+  });
 }
 
 }  // namespace opera::fluid

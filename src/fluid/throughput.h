@@ -78,13 +78,12 @@ class Demand {
                                      double host_rate_bps, double oversubscription);
 
 // Static expander over `g` (u-regular rack graph) with shortest-path ECMP.
-// With `enable_vlb`, skewed excess may also ride two-hop Valiant paths
-// (the hybrid routing of Kassing et al. [29], which the paper's expander
-// baseline assumes for skewed workloads — at the cost of doubling the
-// bandwidth tax on relayed bytes); the result is the better of the two
-// routing modes.
+// Skewed excess may also ride two-hop Valiant paths (the hybrid routing of
+// Kassing et al. [29], which the paper's expander baseline assumes for
+// skewed workloads — at the cost of doubling the bandwidth tax on relayed
+// bytes); the result is the better of the two routing modes.
 [[nodiscard]] double expander_throughput(const Demand& demand, const topo::Graph& g,
-                                         double link_rate_bps, bool enable_vlb = true);
+                                         double link_rate_bps);
 
 struct RotorModelParams {
   int num_racks = 108;
@@ -100,6 +99,7 @@ struct RotorModelParams {
 // Time-averaged rotor fabric (Opera bulk plane or RotorNet): every rack
 // pair gets capacity active_uplinks/N of a link; excess demand may ride
 // two-hop VLB over spare direct capacity at twice the byte cost.
+// `params.num_racks` must equal `demand.num_racks()`.
 [[nodiscard]] double rotor_throughput(const Demand& demand, const RotorModelParams& params);
 
 }  // namespace opera::fluid

@@ -4,9 +4,8 @@
 
 namespace opera::transport {
 
-NdpSource::NdpSource(net::Host& host, const Flow& flow, FlowTracker& tracker,
-                     const NdpConfig& config)
-    : host_(host), flow_(flow), tracker_(tracker), config_(config) {
+NdpSource::NdpSource(net::Host& host, const Flow& flow, FlowTracker& tracker)
+    : host_(host), flow_(flow), tracker_(tracker) {
   acked_seq_.assign(flow_.total_packets(), false);
   host_.register_flow(flow_.id, [this](net::PacketPtr pkt) { on_packet(std::move(pkt)); });
 }
@@ -17,8 +16,7 @@ NdpSource::~NdpSource() {
 }
 
 void NdpSource::start() {
-  const std::uint64_t window = std::min<std::uint64_t>(
-      static_cast<std::uint64_t>(config_.initial_window_packets), flow_.total_packets());
+  const std::uint64_t window = std::min(kInitialWindowPackets, flow_.total_packets());
   for (std::uint64_t i = 0; i < window; ++i) send_next();
   arm_timer();
 }
@@ -81,7 +79,7 @@ void NdpSource::on_packet(net::PacketPtr pkt) {
 
 void NdpSource::arm_timer() {
   timer_.cancel();
-  timer_ = host_.sim().schedule_in(config_.fallback_rto, [this] { on_timer(); });
+  timer_ = host_.sim().schedule_in(kFallbackRto, [this] { on_timer(); });
 }
 
 void NdpSource::on_timer() {

@@ -19,18 +19,16 @@
 
 namespace opera::transport {
 
-// checkpoint:v1 fields=2
-struct NdpConfig {
-  int initial_window_packets = 10;  // ~1 BDP at 10 Gb/s / intra-DC RTT
-  sim::Time fallback_rto = sim::Time::ms(1);
-};
+// Packets sent unpaced at start: ~1 BDP at 10 Gb/s / intra-DC RTT.
+inline constexpr std::uint64_t kInitialWindowPackets = 10;
+// Fallback timer that recovers from lost control packets.
+inline constexpr sim::Time kFallbackRto = sim::Time::ms(1);
 
 class NdpSource {
  public:
   // Registers itself as `flow.id`'s handler on `host`. The flow must
   // already be registered with `tracker`.
-  NdpSource(net::Host& host, const Flow& flow, FlowTracker& tracker,
-            const NdpConfig& config = {});
+  NdpSource(net::Host& host, const Flow& flow, FlowTracker& tracker);
   ~NdpSource();
 
   NdpSource(const NdpSource&) = delete;
@@ -51,7 +49,6 @@ class NdpSource {
   net::Host& host_;
   Flow flow_;
   FlowTracker& tracker_;
-  NdpConfig config_;
   std::uint64_t next_new_ = 0;           // lowest never-sent sequence
   std::uint64_t acked_ = 0;              // count of distinct acked packets
   std::vector<bool> acked_seq_;

@@ -15,6 +15,7 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/fabric.h"
@@ -216,6 +217,64 @@ TEST(FabricConfigSerialization, MalformedValueRejected) {
   core::FabricConfig restored;
   const auto err = core::parse_fabric_config(entries, &restored);
   EXPECT_NE(err.find("seed"), std::string::npos) << err;
+}
+
+TEST(FabricConfigSerialization, OutOfRangeIntegerRejected) {
+  // Each value parses as some integer but does not fit its field: the
+  // 32-bit rack count (4294967312 = 2^32 + 16 must not wrap to 16), an
+  // int, and an unsigned seed given a sign.
+  const std::pair<const char*, const char*> cases[] = {
+      {"opera.num_racks", "4294967312"},
+      {"threads", "2147483648"},
+      {"clos.radix", "-2147483649"},
+      {"seed", "-1"},
+  };
+  for (const auto& [key, value] : cases) {
+    auto entries = core::serialize_fabric_config(sample_config());
+    for (auto& e : entries) {
+      if (e.key == key) e.value = value;
+    }
+    core::FabricConfig restored;
+    const auto err = core::parse_fabric_config(entries, &restored);
+    EXPECT_NE(err.find(std::string("malformed value for [config] key '") + key + "'"),
+              std::string::npos)
+        << key << "=" << value << ": " << err;
+  }
+}
+
+TEST(FabricConfigSerialization, EveryKeyWiresToItsOwnField) {
+  // Sets each key, in turn, to a legal value other than its default and
+  // checks that re-serializing moves that key and no other: a table entry
+  // bound to the wrong field fails here even where a round trip of a
+  // mostly-default config would not.
+  const auto defaults = core::serialize_fabric_config(core::FabricConfig{});
+  ASSERT_FALSE(defaults.empty());
+  for (std::size_t k = 0; k < defaults.size(); ++k) {
+    const std::string& key = defaults[k].key;
+    const std::string& value = defaults[k].value;
+    std::string changed;
+    if (key == "kind") {
+      changed = value == "clos" ? "opera" : "clos";
+    } else if (key == "engine") {
+      changed = value == "fluid" ? "packet" : "fluid";
+    } else {
+      // Every other key is an integer, bool, time or integral double.
+      ASSERT_EQ(value.find_first_not_of("-0123456789"), std::string::npos)
+          << key << "=" << value;
+      changed = value == "1" ? "0" : std::to_string(std::stoll(value) + 1);
+    }
+    auto entries = defaults;
+    entries[k].value = changed;
+    core::FabricConfig parsed;
+    ASSERT_EQ(core::parse_fabric_config(entries, &parsed), "") << key;
+    const auto reserialized = core::serialize_fabric_config(parsed);
+    ASSERT_EQ(reserialized.size(), defaults.size());
+    for (std::size_t i = 0; i < defaults.size(); ++i) {
+      EXPECT_EQ(reserialized[i].key, defaults[i].key);
+      EXPECT_EQ(reserialized[i].value, i == k ? changed : defaults[i].value)
+          << "setting '" << key << "' moved '" << defaults[i].key << "'";
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -58,8 +58,7 @@ class Star {
     });
   }
 
-  std::uint64_t start_flow(int src, int dst, std::int64_t bytes,
-                           const NdpConfig& cfg = {}) {
+  std::uint64_t start_flow(int src, int dst, std::int64_t bytes) {
     Flow f;
     f.id = tracker.next_flow_id();
     f.src_host = src;
@@ -68,7 +67,7 @@ class Star {
     f.start = sim.now();
     tracker.register_flow(f);
     auto source = std::make_unique<NdpSource>(*hosts[static_cast<std::size_t>(src)],
-                                              f, tracker, cfg);
+                                              f, tracker);
     source->start();
     sources.push_back(std::move(source));
     return f.id;

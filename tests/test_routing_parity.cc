@@ -310,7 +310,8 @@ TEST(SliceWindowParity, K24DefaultBudgetResolvesEager) {
   core::OperaNetwork net(cfg);
   const auto& cache = net.slice_tables();
   ASSERT_TRUE(cache.eager());
-  EXPECT_LE(cache.stats().peak_resident_bytes, cfg.slice_table_budget_bytes);
+  EXPECT_LE(cache.stats().peak_resident_bytes,
+            topo::SliceTableCache::kDefaultBudgetBytes);
   const auto built = cache.stats().prefetch_builds;
   net.run_until(cfg.slice.duration * 6);
   EXPECT_GE(net.current_slice(), 5);
