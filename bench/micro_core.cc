@@ -1,13 +1,17 @@
 // Microbenchmarks (google-benchmark) of the simulation substrate: event
 // queue throughput, per-slice routing construction, one-factorization,
-// queue operations, one forwarding hop, the shard epoch barrier, and
-// end-to-end simulated-packet rate.
+// circuit lookups and the fluid engine's per-slice rate allocation, queue
+// operations, one forwarding hop, the shard epoch barrier, and end-to-end
+// simulated-packet rate.
 #include <benchmark/benchmark.h>
 
 #include <functional>
+#include <map>
+#include <utility>
 
 #include "core/fabric.h"
 #include "core/opera_network.h"
+#include "fluid/rotor_rate_lb.h"
 #include "net/node.h"
 #include "net/queue.h"
 #include "sim/event_queue.h"
@@ -140,6 +144,60 @@ void BM_OperaK24Construction(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OperaK24Construction)->Unit(benchmark::kSecond)->Iterations(1);
+
+topo::OperaParams k24_params() {
+  topo::OperaParams p;
+  p.num_racks = 432;
+  p.num_switches = 12;
+  p.hosts_per_rack = 12;
+  p.seed = 1;
+  return p;
+}
+
+// Every (rack, switch) circuit of one slice per iteration, cycling through
+// the k=24 slices: the lookup the fluid allocator and the packet planes'
+// uplink choice make.
+void BM_CircuitPeer(benchmark::State& state) {
+  const topo::OperaTopology topo(k24_params());
+  int slice = 0;
+  for (auto _ : state) {
+    topo::Vertex sum = 0;
+    for (topo::Vertex r = 0; r < topo.num_racks(); ++r) {
+      for (int sw = 0; sw < topo.num_switches(); ++sw) sum += topo.circuit_peer(sw, r, slice);
+    }
+    benchmark::DoNotOptimize(sum);
+    slice = (slice + 1) % topo.num_slices();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          topo.num_racks() * topo.num_switches());
+}
+BENCHMARK(BM_CircuitPeer)->Unit(benchmark::kMicrosecond);
+
+// The fluid step: one per-slice RotorRateLb allocation per iteration at
+// k=24 (432 racks) over ~600 random (src, dst) groups, cycling through the
+// slices, no failures.
+void BM_RotorRateLbAllocate(benchmark::State& state) {
+  const topo::OperaTopology topo(k24_params());
+  const fluid::RotorRateLb lb(topo, fluid::RotorRateLb::Params{10e9, 98.0 / 99.0, 12, true});
+  sim::Rng rng(1);
+  std::map<std::pair<std::int32_t, std::int32_t>, std::int64_t> demand;
+  while (demand.size() < 600) {
+    const auto a = static_cast<std::int32_t>(rng.index(432));
+    const auto b = static_cast<std::int32_t>(rng.index(432));
+    demand[{a, b}] += rng.uniform_int(1, 12);
+  }
+  std::vector<fluid::GroupDemand> groups;
+  for (const auto& [key, flows] : demand) {
+    groups.push_back(fluid::GroupDemand{key.first, key.second, flows});
+  }
+  int slice = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(lb.allocate(slice, groups));
+    slice = (slice + 1) % topo.num_slices();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_RotorRateLbAllocate)->Unit(benchmark::kMicrosecond);
 
 void BM_PortQueue(benchmark::State& state) {
   net::PortQueue q;

@@ -35,6 +35,17 @@ namespace opera::core {
 [[nodiscard]] std::pair<std::int32_t, std::int32_t> remap_host_pair(
     std::int32_t src, std::int32_t dst, std::int32_t num_hosts);
 
+// The size rule every fabric and engine classifies a flow by: bulk at or
+// above `bulk_threshold_bytes`, low-latency below, unless `force` names a
+// class (application-based tagging, paper §3.4).
+[[nodiscard]] inline net::TrafficClass flow_class(
+    std::int64_t size_bytes, std::int64_t bulk_threshold_bytes,
+    std::optional<net::TrafficClass> force = std::nullopt) {
+  if (force.has_value()) return *force;
+  return size_bytes >= bulk_threshold_bytes ? net::TrafficClass::kBulk
+                                            : net::TrafficClass::kLowLatency;
+}
+
 class Network {
  public:
   Network() = default;

@@ -117,19 +117,15 @@ int OperaNetwork::uplink_to(int slice, std::int32_t rack, std::int32_t peer_rack
   const int u = config_.topology.num_switches;
   const int down = topo_.reconfiguring_switch(slice);
   for (int sw = 0; sw < u; ++sw) {
-    if (sw == down) continue;
-    if (failures_.switch_failed[static_cast<std::size_t>(sw)]) continue;
-    if (failures_.uplink_failed[static_cast<std::size_t>(rack)][static_cast<std::size_t>(sw)]) {
+    if (sw == down || topo_.circuit_peer(sw, rack, slice) != peer_rack) continue;
+    // The circuit needs the switch and both racks' uplinks to it.
+    const auto ssw = static_cast<std::size_t>(sw);
+    if (failures_.switch_failed[ssw] ||
+        failures_.uplink_failed[static_cast<std::size_t>(rack)][ssw] ||
+        failures_.uplink_failed[static_cast<std::size_t>(peer_rack)][ssw]) {
       continue;
     }
-    if (topo_.circuit_peer(sw, rack, slice) == peer_rack) {
-      // The circuit also needs the peer's uplink to this switch.
-      if (failures_.uplink_failed[static_cast<std::size_t>(peer_rack)]
-                                 [static_cast<std::size_t>(sw)]) {
-        continue;
-      }
-      return sw;
-    }
+    return sw;
   }
   return -1;
 }

@@ -119,9 +119,7 @@ std::uint64_t PacketFabric::submit_flow(std::int32_t src_host, std::int32_t dst_
   flow.dst_rack = rack_of_host(dst_host);
   flow.size_bytes = size_bytes;
   flow.start = start;
-  flow.tclass = force.value_or(size_bytes >= bulk_threshold_bytes_
-                                   ? net::TrafficClass::kBulk
-                                   : net::TrafficClass::kLowLatency);
+  flow.tclass = flow_class(size_bytes, bulk_threshold_bytes_, force);
   // Intra-rack traffic never needs a circuit: rotor fabrics service it on
   // the low-latency path (one ToR hop).
   if (rotorlb_bulk_ && flow.src_rack == flow.dst_rack) {

@@ -52,9 +52,7 @@ std::uint64_t FluidNetwork::submit_flow(std::int32_t src_host,
   flow.src_rack = rack_of_host(src_host);
   flow.dst_rack = rack_of_host(dst_host);
   flow.size_bytes = size_bytes;
-  flow.tclass = force.value_or(size_bytes >= config_.bulk_threshold_bytes
-                                   ? net::TrafficClass::kBulk
-                                   : net::TrafficClass::kLowLatency);
+  flow.tclass = core::flow_class(size_bytes, config_.bulk_threshold_bytes, force);
   flow.start = start;
   tracker_.register_flow(flow);
   const std::uint64_t id = flow.id;
@@ -182,8 +180,8 @@ void FluidNetwork::recompute_rates(int slice) {
     scratch_demands_.push_back(
         GroupDemand{group.src_rack, group.dst_rack, group.live});
   }
-  const std::vector<GroupRate> rates =
-      allocator_.allocate(slice, scratch_demands_, failures_);
+  const std::vector<GroupRate> rates = allocator_.allocate(
+      slice, scratch_demands_, any_failure_ ? &failures_ : nullptr);
   std::size_t i = 0;
   for (auto& [key, group] : groups_) group.rate = rates[i++];
 }
@@ -198,19 +196,23 @@ void FluidNetwork::run_until(sim::Time t) {
 void FluidNetwork::inject_uplink_failure(std::int32_t rack, int rotor_switch) {
   failures_.uplink_failed[static_cast<std::size_t>(rack)]
                          [static_cast<std::size_t>(rotor_switch)] = true;
+  any_failure_ = true;
 }
 
 void FluidNetwork::recover_uplink(std::int32_t rack, int rotor_switch) {
   failures_.uplink_failed[static_cast<std::size_t>(rack)]
                          [static_cast<std::size_t>(rotor_switch)] = false;
+  any_failure_ = failures_.any();
 }
 
 void FluidNetwork::inject_switch_failure(int rotor_switch) {
   failures_.switch_failed[static_cast<std::size_t>(rotor_switch)] = true;
+  any_failure_ = true;
 }
 
 void FluidNetwork::recover_switch(int rotor_switch) {
   failures_.switch_failed[static_cast<std::size_t>(rotor_switch)] = false;
+  any_failure_ = failures_.any();
 }
 
 void FluidNetwork::fingerprint(sim::Fingerprint& fp) const {

@@ -153,6 +153,9 @@ class FluidNetwork : public core::Network {
   sim::Simulator sim_;
   transport::FlowTracker tracker_;
   topo::FailureSet failures_;
+  // failures_.any(), kept current by the inject/recover calls so a slice
+  // allocation skips the per-circuit failure test on a healthy fabric.
+  bool any_failure_ = false;
 
   // Key = src_rack * num_racks + dst_rack; std::map so every sweep and
   // the fingerprint iterate in deterministic key order.

@@ -39,26 +39,16 @@ std::string HybridNetwork::describe() const {
   return buf;
 }
 
-HybridNetwork::Engine HybridNetwork::classify(
-    std::int64_t size_bytes, std::optional<net::TrafficClass> force) const {
-  if (force.has_value()) {
-    return *force == net::TrafficClass::kBulk ? Engine::kFluid
-                                              : Engine::kPacket;
-  }
-  return size_bytes >= config_.bulk_threshold_bytes ? Engine::kFluid
-                                                    : Engine::kPacket;
-}
-
 std::uint64_t HybridNetwork::submit_flow(
     std::int32_t src_host, std::int32_t dst_host, std::int64_t size_bytes,
     sim::Time start, std::optional<net::TrafficClass> force) {
-  const Engine engine = classify(size_bytes, force);
-  // Register under the master id with the same class the sub-engine will
-  // use, so FCT bucket labels match an engine=packet run.
+  // Bulk drains in the fluid engine, everything else runs on packets. The
+  // master id is registered with the same class the sub-engine will use,
+  // so FCT bucket labels match an engine=packet run.
   const net::TrafficClass tclass =
-      force.value_or(size_bytes >= config_.bulk_threshold_bytes
-                         ? net::TrafficClass::kBulk
-                         : net::TrafficClass::kLowLatency);
+      core::flow_class(size_bytes, config_.bulk_threshold_bytes, force);
+  const Engine engine =
+      tclass == net::TrafficClass::kBulk ? Engine::kFluid : Engine::kPacket;
   transport::Flow flow;
   flow.id = tracker_.next_flow_id();
   flow.src_host = src_host;

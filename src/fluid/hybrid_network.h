@@ -41,13 +41,9 @@ class HybridNetwork : public core::Network {
   // Requires config.kind == kOpera (the factory builder enforces it).
   explicit HybridNetwork(const core::FabricConfig& config);
 
+  // Where a flow runs: bulk by core::flow_class (forced kBulk, or size >=
+  // bulk_threshold_bytes) on the fluid engine, the rest on packets.
   enum class Engine : std::uint8_t { kPacket, kFluid };
-
-  // The hybrid classifier: forced kLowLatency -> packet, forced kBulk ->
-  // fluid, otherwise by size against bulk_threshold_bytes.
-  [[nodiscard]] Engine classify(
-      std::int64_t size_bytes,
-      std::optional<net::TrafficClass> force = std::nullopt) const;
 
   std::uint64_t submit_flow(
       std::int32_t src_host, std::int32_t dst_host, std::int64_t size_bytes,

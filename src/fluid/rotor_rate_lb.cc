@@ -5,63 +5,41 @@
 
 namespace opera::fluid {
 
-namespace {
-
-// A circuit a<->b on switch `sw` carries traffic iff the switch and both
-// endpoint racks/uplinks are alive.
-bool circuit_ok(const topo::FailureSet& failures, int sw, std::int32_t a,
-                std::int32_t b) {
-  const auto sa = static_cast<std::size_t>(a);
-  const auto sb = static_cast<std::size_t>(b);
-  const auto ssw = static_cast<std::size_t>(sw);
-  if (failures.switch_failed[ssw]) return false;
-  if (failures.rack_failed[sa] || failures.rack_failed[sb]) return false;
-  if (failures.uplink_failed[sa][ssw] || failures.uplink_failed[sb][ssw]) {
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-int RotorRateLb::direct_circuits(int slice, std::int32_t a, std::int32_t b,
-                                 const topo::FailureSet& failures) const {
-  if (a == b) return 0;
-  const int down = topo_.reconfiguring_switch(slice);
-  int count = 0;
-  for (int sw = 0; sw < topo_.num_switches(); ++sw) {
-    if (sw == down) continue;
-    if (topo_.circuit_peer(sw, static_cast<topo::Vertex>(a), slice) !=
-        static_cast<topo::Vertex>(b)) {
-      continue;
-    }
-    if (circuit_ok(failures, sw, a, b)) ++count;
-  }
-  return count;
-}
-
 std::vector<GroupRate> RotorRateLb::allocate(
     int slice, const std::vector<GroupDemand>& groups,
-    const topo::FailureSet& failures, RateUsage* usage) const {
+    const topo::FailureSet* failures, RateUsage* usage) const {
   const auto n = static_cast<std::size_t>(topo_.num_racks());
+  const int u = topo_.num_switches();
+  const auto su = static_cast<std::size_t>(u);
   const double circuit_rate = params_.link_rate_bps * params_.duty;
   const double host_cap = params_.hosts_per_rack * params_.link_rate_bps;
   const int down = topo_.reconfiguring_switch(slice);
 
-  // Per-rack circuit budget this slice: one circuit_rate per live,
-  // non-self-matched uplink. Matchings are involutions, so the same
+  // The slice's live circuits, resolved once: live[r * u + sw] is the rack
+  // that r's uplink to sw reaches, or -1 when the switch is reconfiguring,
+  // the matching self-matches r, or a failed switch, rack or uplink at
+  // either end breaks the circuit. Each rack's circuit budget is one
+  // circuit_rate per live uplink; matchings are involutions, so the same
   // budget bounds both egress and ingress.
+  std::vector<topo::Vertex> live(n * su, -1);
   std::vector<double> budget(n, 0.0);
   for (std::size_t r = 0; r < n; ++r) {
     const auto rack = static_cast<topo::Vertex>(r);
-    for (int sw = 0; sw < topo_.num_switches(); ++sw) {
+    for (int sw = 0; sw < u; ++sw) {
       if (sw == down) continue;
       const topo::Vertex peer = topo_.circuit_peer(sw, rack, slice);
-      if (peer == rack) continue;  // self-match carries no traffic
-      if (circuit_ok(failures, sw, static_cast<std::int32_t>(r),
-                     static_cast<std::int32_t>(peer))) {
-        budget[r] += circuit_rate;
+      if (peer == rack) continue;
+      if (failures != nullptr) {
+        const auto ssw = static_cast<std::size_t>(sw);
+        const auto sp = static_cast<std::size_t>(peer);
+        if (failures->switch_failed[ssw] || failures->rack_failed[r] ||
+            failures->rack_failed[sp] || failures->uplink_failed[r][ssw] ||
+            failures->uplink_failed[sp][ssw]) {
+          continue;
+        }
       }
+      live[r * su + static_cast<std::size_t>(sw)] = peer;
+      budget[r] += circuit_rate;
     }
   }
 
@@ -100,8 +78,11 @@ std::vector<GroupRate> RotorRateLb::allocate(
       rates[i].per_flow = nic_share;
       continue;
     }
-    const double direct_cap =
-        direct_circuits(slice, g.src_rack, g.dst_rack, failures) * circuit_rate;
+    int circuits = 0;  // live a<->b circuits
+    for (std::size_t sw = 0; sw < su; ++sw) {
+      if (live[a * su + sw] == g.dst_rack) ++circuits;
+    }
+    const double direct_cap = circuits * circuit_rate;
     const double direct_per_flow = direct_cap / static_cast<double>(g.flows);
     const double base = std::min(nic_share, direct_per_flow);
     rates[i].direct_share = base;

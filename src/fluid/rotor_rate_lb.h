@@ -75,19 +75,17 @@ class RotorRateLb {
       : topo_(topo), params_(params) {}
 
   // Rates for `groups` (sorted by (src, dst), flows > 0) during cyclic
-  // slice `slice`, honoring `failures`. The result is aligned with
-  // `groups`; `usage` (optional) receives the capacity accounting.
+  // slice `slice`, honoring `failures` (nullptr: nothing has failed). The
+  // result is aligned with `groups`; `usage` (optional) receives the
+  // capacity accounting.
   [[nodiscard]] std::vector<GroupRate> allocate(
       int slice, const std::vector<GroupDemand>& groups,
-      const topo::FailureSet& failures, RateUsage* usage = nullptr) const;
+      const topo::FailureSet* failures = nullptr,
+      RateUsage* usage = nullptr) const;
 
   [[nodiscard]] const Params& params() const { return params_; }
 
  private:
-  // Number of live a<->b circuits in `slice` (0 when a == b).
-  [[nodiscard]] int direct_circuits(int slice, std::int32_t a, std::int32_t b,
-                                    const topo::FailureSet& failures) const;
-
   const topo::OperaTopology& topo_;
   Params params_;
 };

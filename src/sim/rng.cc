@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 namespace opera::sim {
@@ -44,14 +45,21 @@ double Rng::uniform() {
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   assert(lo <= hi);
-  const auto range = static_cast<std::uint64_t>(hi - lo) + 1;
+  // Unsigned arithmetic: hi - lo may not fit an int64_t.
+  const std::uint64_t range =
+      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
   if (range == 0) return static_cast<std::int64_t>(next_u64());  // full 64-bit range
-  // Rejection sampling to avoid modulo bias.
-  const std::uint64_t limit = std::numeric_limits<std::uint64_t>::max() -
-                              std::numeric_limits<std::uint64_t>::max() % range;
+  // Rejection sampling to avoid modulo bias: draws at or above
+  // limit = max - max % range are redrawn. limit > max - range, so a draw
+  // at or below max - range is always kept and the division is paid only
+  // for the rare draw above it.
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
   std::uint64_t v = next_u64();
-  while (v >= limit) v = next_u64();
-  return lo + static_cast<std::int64_t>(v % range);
+  if (v > kMax - range) {
+    const std::uint64_t limit = kMax - kMax % range;
+    while (v >= limit) v = next_u64();
+  }
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) + v % range);
 }
 
 std::size_t Rng::index(std::size_t n) {

@@ -87,6 +87,7 @@ OperaTopology::OperaTopology(const OperaParams& params, RotorSchedule schedule)
     for (std::size_t i = 0; i < deal.size(); ++i) {
       assignment_[i / per_switch].push_back(deal[i]);
     }
+    index_circuits();
     if (schedule_ == RotorSchedule::kUnison) return;
 
     // The sampled slices are independent BFS sweeps; reduce them in slice
@@ -120,27 +121,33 @@ OperaTopology::OperaTopology(const OperaParams& params, RotorSchedule schedule)
   }
   matchings_ = std::move(best_matchings);
   assignment_ = std::move(best_assignment);
+  index_circuits();
 }
 
-std::size_t OperaTopology::matching_index(int sw, int slice) const {
-  assert(sw >= 0 && sw < params_.num_switches);
-  const auto& mine = assignment_[static_cast<std::size_t>(sw)];
-  if (schedule_ == RotorSchedule::kUnison) {
-    return mine[static_cast<std::size_t>(slice) % mine.size()];
-  }
-  assert(slice >= 0 && slice < num_slices());
+void OperaTopology::index_circuits() {
+  const auto n = static_cast<std::size_t>(params_.num_racks);
   const int u = params_.num_switches;
-  // Switch sw reconfigures during slices {sw, sw+u, sw+2u, ...}. Its
-  // matching advances when a reconfiguration completes, so by slice `slice`
-  // it has advanced floor((slice - sw - 1)/u) + 1 times (0 if slice <= sw).
-  int advances = 0;
-  if (slice > sw) advances = (slice - sw - 1) / u + 1;
-  return mine[static_cast<std::size_t>(advances) % mine.size()];
-}
+  peers_.clear();
+  peers_.reserve(matchings_.size() * n);
+  for (const Matching& m : matchings_) peers_.insert(peers_.end(), m.begin(), m.end());
 
-Vertex OperaTopology::circuit_peer(int sw, Vertex rack, int slice) const {
-  const auto& m = matchings_[matching_index(sw, slice)];
-  return m[static_cast<std::size_t>(rack)];
+  const int slices = num_slices();
+  circuits_.resize(static_cast<std::size_t>(slices) * static_cast<std::size_t>(u));
+  for (int slice = 0; slice < slices; ++slice) {
+    for (int sw = 0; sw < u; ++sw) {
+      const auto& mine = assignment_[static_cast<std::size_t>(sw)];
+      // Unison: one matching per slice. Offset: switch sw reconfigures
+      // during slices {sw, sw+u, sw+2u, ...} and its matching advances
+      // when a reconfiguration completes, so by `slice` it has advanced
+      // floor((slice - sw - 1)/u) + 1 times (0 if slice <= sw).
+      int advances = slice;
+      if (schedule_ == RotorSchedule::kOffset) {
+        advances = slice > sw ? (slice - sw - 1) / u + 1 : 0;
+      }
+      circuits_[circuit_slot(sw, slice)] = static_cast<std::uint32_t>(
+          mine[static_cast<std::size_t>(advances) % mine.size()]);
+    }
+  }
 }
 
 Graph OperaTopology::slice_graph(int slice, const FailureSet* failures,

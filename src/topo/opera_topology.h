@@ -15,6 +15,7 @@
 // fabric blinks during reconfiguration.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -128,17 +129,26 @@ class OperaTopology {
   }
 
   // Index into matchings() of the matching switch `sw` implements during
-  // `slice`. Unison: switches advance together, one matching per slice.
-  // Offset: a switch advances to its next matching when a reconfiguration
-  // completes, i.e. in the slice after it was the reconfiguring switch;
-  // during its reconfiguration slice this returns the outgoing matching
-  // (the switch carries no traffic then either way).
-  [[nodiscard]] std::size_t matching_index(int sw, int slice) const;
+  // `slice`. Unison: switches advance together, one matching per slice
+  // (a slice past the cycle wraps). Offset: a switch advances to its next
+  // matching when a reconfiguration completes, i.e. in the slice after it
+  // was the reconfiguring switch; during its reconfiguration slice this
+  // returns the outgoing matching (the switch carries no traffic then
+  // either way).
+  [[nodiscard]] std::size_t matching_index(int sw, int slice) const {
+    if (schedule_ == RotorSchedule::kUnison) slice %= num_slices();
+    return circuits_[circuit_slot(sw, slice)];
+  }
 
   // The rack that `rack`'s uplink to `sw` connects to during `slice`
   // (== rack when the matching self-matches it; callers must also check
-  // reconfiguring_switch()).
-  [[nodiscard]] Vertex circuit_peer(int sw, Vertex rack, int slice) const;
+  // reconfiguring_switch()). `slice` is in [0, num_slices()).
+  [[nodiscard]] Vertex circuit_peer(int sw, Vertex rack, int slice) const {
+    assert(rack >= 0 && rack < params_.num_racks);
+    return peers_[circuits_[circuit_slot(sw, slice)] *
+                      static_cast<std::size_t>(params_.num_racks) +
+                  static_cast<std::size_t>(rack)];
+  }
 
   // Union of the u-1 active matchings in `slice` (u matchings if
   // `include_reconfiguring` — used to model the instant after the switch
@@ -170,10 +180,27 @@ class OperaTopology {
   [[nodiscard]] std::vector<int> direct_slices(Vertex src, Vertex dst) const;
 
  private:
+  [[nodiscard]] std::size_t circuit_slot(int sw, int slice) const {
+    assert(sw >= 0 && sw < params_.num_switches);
+    assert(slice >= 0 && slice < num_slices());
+    return static_cast<std::size_t>(slice) * static_cast<std::size_t>(params_.num_switches) +
+           static_cast<std::size_t>(sw);
+  }
+  // Resolves the schedule into circuits_ and peers_ from matchings_ and
+  // assignment_; rerun whenever either changes.
+  void index_circuits();
+
   OperaParams params_;
   RotorSchedule schedule_;
   std::vector<Matching> matchings_;
   std::vector<std::vector<std::size_t>> assignment_;  // [switch] -> matching ids
+  // The schedule's circuit map, resolved once (all of it is known at
+  // design time, §4.3): circuits_[slice * u + sw] is the matching switch
+  // `sw` implements in `slice`, and peers_[m * N + rack] is
+  // matchings_[m][rack] laid out flat, so circuit_peer is two loads.
+  // Indices, not pointers: a copied or moved topology stays valid.
+  std::vector<std::uint32_t> circuits_;
+  std::vector<Vertex> peers_;
 };
 
 }  // namespace opera::topo

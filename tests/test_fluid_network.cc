@@ -12,9 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/fabric.h"
@@ -75,7 +77,7 @@ TEST(RotorRateLb, ConservationUnderRandomDemand) {
 
     for (int slice = 0; slice < topo.num_slices(); ++slice) {
       fluid::RateUsage usage;
-      const auto rates = lb.allocate(slice, groups, failures, &usage);
+      const auto rates = lb.allocate(slice, groups, &failures, &usage);
       ASSERT_EQ(rates.size(), groups.size());
 
       constexpr double kSlack = 1.0 + 1e-9;
@@ -119,11 +121,238 @@ TEST(RotorRateLb, FailedUplinkCarriesNothing) {
   const std::vector<fluid::GroupDemand> groups{{0, 1, 4}};
   for (int slice = 0; slice < topo.num_slices(); ++slice) {
     fluid::RateUsage usage;
-    const auto rates = lb.allocate(slice, groups, all_up_0, &usage);
+    const auto rates = lb.allocate(slice, groups, &all_up_0, &usage);
     // Rack 0 has no live uplinks: zero budget, zero rate (direct or VLB).
     EXPECT_EQ(usage.budget[0], 0.0) << "slice " << slice;
     EXPECT_EQ(rates[0].per_flow, 0.0) << "slice " << slice;
   }
+}
+
+// The allocator as it was written before the per-slice circuit table:
+// every circuit is looked up through circuit_peer and tested against the
+// failure set one at a time. Kept as the oracle the table-driven
+// allocate must reproduce bit for bit.
+bool reference_circuit_ok(const topo::FailureSet& failures, int sw, std::int32_t a,
+                          std::int32_t b) {
+  const auto sa = static_cast<std::size_t>(a);
+  const auto sb = static_cast<std::size_t>(b);
+  const auto ssw = static_cast<std::size_t>(sw);
+  if (failures.switch_failed[ssw]) return false;
+  if (failures.rack_failed[sa] || failures.rack_failed[sb]) return false;
+  if (failures.uplink_failed[sa][ssw] || failures.uplink_failed[sb][ssw]) {
+    return false;
+  }
+  return true;
+}
+
+std::vector<fluid::GroupRate> reference_allocate(
+    const topo::OperaTopology& topo, const fluid::RotorRateLb::Params& params,
+    int slice, const std::vector<fluid::GroupDemand>& groups,
+    const topo::FailureSet& failures, fluid::RateUsage& usage) {
+  const auto n = static_cast<std::size_t>(topo.num_racks());
+  const double circuit_rate = params.link_rate_bps * params.duty;
+  const double host_cap = params.hosts_per_rack * params.link_rate_bps;
+  const int down = topo.reconfiguring_switch(slice);
+
+  std::vector<double> budget(n, 0.0);
+  for (std::size_t r = 0; r < n; ++r) {
+    const auto rack = static_cast<topo::Vertex>(r);
+    for (int sw = 0; sw < topo.num_switches(); ++sw) {
+      if (sw == down) continue;
+      const topo::Vertex peer = topo.circuit_peer(sw, rack, slice);
+      if (peer == rack) continue;
+      if (reference_circuit_ok(failures, sw, static_cast<std::int32_t>(r), peer)) {
+        budget[r] += circuit_rate;
+      }
+    }
+  }
+  const auto direct_circuits = [&](std::int32_t a, std::int32_t b) {
+    int count = 0;
+    for (int sw = 0; sw < topo.num_switches(); ++sw) {
+      if (sw == down || topo.circuit_peer(sw, a, slice) != b) continue;
+      if (reference_circuit_ok(failures, sw, a, b)) ++count;
+    }
+    return count;
+  };
+
+  std::vector<std::int64_t> out_flows(n, 0);
+  std::vector<std::int64_t> in_flows(n, 0);
+  for (const fluid::GroupDemand& g : groups) {
+    out_flows[static_cast<std::size_t>(g.src_rack)] += g.flows;
+    in_flows[static_cast<std::size_t>(g.dst_rack)] += g.flows;
+  }
+  std::vector<fluid::GroupRate> rates(groups.size());
+  std::vector<double> used_up(n, 0.0);
+  std::vector<double> used_down(n, 0.0);
+  std::vector<double> headroom(groups.size(), 0.0);
+  std::vector<double> vlb_out_want(n, 0.0);
+  std::vector<double> vlb_in_want(n, 0.0);
+  double total_excess = 0.0;
+  for (std::size_t i = 0; i < groups.size(); ++i) {
+    const fluid::GroupDemand& g = groups[i];
+    const auto a = static_cast<std::size_t>(g.src_rack);
+    const auto b = static_cast<std::size_t>(g.dst_rack);
+    const double nic_share = std::min(
+        params.link_rate_bps, std::min(host_cap / static_cast<double>(out_flows[a]),
+                                       host_cap / static_cast<double>(in_flows[b])));
+    if (g.src_rack == g.dst_rack) {
+      rates[i].per_flow = nic_share;
+      continue;
+    }
+    const double direct_cap = direct_circuits(g.src_rack, g.dst_rack) * circuit_rate;
+    const double direct_per_flow = direct_cap / static_cast<double>(g.flows);
+    const double base = std::min(nic_share, direct_per_flow);
+    rates[i].direct_share = base;
+    rates[i].per_flow = base;
+    used_up[a] += static_cast<double>(g.flows) * base;
+    used_down[b] += static_cast<double>(g.flows) * base;
+    const double h = nic_share - base;
+    if (h > 0.0) {
+      headroom[i] = h;
+      const double want = static_cast<double>(g.flows) * h;
+      vlb_out_want[a] += want;
+      vlb_in_want[b] += want;
+      total_excess += want;
+    }
+  }
+  double relay_pool = 0.0;
+  double relay_used = 0.0;
+  if (params.enable_vlb && total_excess > 0.0) {
+    for (std::size_t r = 0; r < n; ++r) {
+      relay_pool += std::min(std::max(0.0, budget[r] - used_up[r]),
+                             std::max(0.0, budget[r] - used_down[r]));
+    }
+    const double fill = std::min(1.0, relay_pool / (2.0 * total_excess));
+    if (fill > 0.0) {
+      std::vector<double> scale_up(n, 1.0);
+      std::vector<double> scale_down(n, 1.0);
+      for (std::size_t r = 0; r < n; ++r) {
+        const double want_up = vlb_out_want[r] * fill;
+        if (want_up > 0.0) {
+          scale_up[r] = std::min(1.0, std::max(0.0, budget[r] - used_up[r]) / want_up);
+        }
+        const double want_down = vlb_in_want[r] * fill;
+        if (want_down > 0.0) {
+          scale_down[r] =
+              std::min(1.0, std::max(0.0, budget[r] - used_down[r]) / want_down);
+        }
+      }
+      for (std::size_t i = 0; i < groups.size(); ++i) {
+        if (headroom[i] <= 0.0) continue;
+        const fluid::GroupDemand& g = groups[i];
+        const auto a = static_cast<std::size_t>(g.src_rack);
+        const auto b = static_cast<std::size_t>(g.dst_rack);
+        const double grant = headroom[i] * fill * std::min(scale_up[a], scale_down[b]);
+        rates[i].vlb_share = grant;
+        rates[i].per_flow += grant;
+        const double group_rate = static_cast<double>(g.flows) * grant;
+        used_up[a] += group_rate;
+        used_down[b] += group_rate;
+        relay_used += group_rate;
+      }
+    }
+  }
+  usage.budget = std::move(budget);
+  usage.used_up = std::move(used_up);
+  usage.used_down = std::move(used_down);
+  usage.relay_pool = relay_pool;
+  usage.relay_used = relay_used;
+  return rates;
+}
+
+// Random demand, sorted by (src, dst): a few hot source racks, some
+// intra-rack groups, flow counts from 1 to 12 with a heavy tail.
+std::vector<fluid::GroupDemand> random_groups(int racks, int count, sim::Rng& rng) {
+  std::map<std::pair<std::int32_t, std::int32_t>, std::int64_t> demand;
+  const auto n = static_cast<std::size_t>(racks);
+  for (int i = 0; i < count; ++i) {
+    const auto a = static_cast<std::int32_t>(i % 3 == 0 ? rng.index(4) : rng.index(n));
+    const auto b = static_cast<std::int32_t>(i % 17 == 0 ? a : rng.index(n));
+    demand[{a, b}] += i % 11 == 0 ? rng.uniform_int(20, 200) : rng.uniform_int(1, 12);
+  }
+  std::vector<fluid::GroupDemand> groups;
+  for (const auto& [key, flows] : demand) {
+    groups.push_back(fluid::GroupDemand{key.first, key.second, flows});
+  }
+  return groups;
+}
+
+void expect_allocate_matches_reference(const topo::OperaParams& params, int group_count) {
+  const topo::OperaTopology topo(params);
+  const fluid::RotorRateLb::Params lb_params{10e9, 98.0 / 99.0, params.hosts_per_rack,
+                                             true};
+  const fluid::RotorRateLb lb(topo, lb_params);
+  const auto none = topo::FailureSet::none(params.num_racks, params.num_switches);
+  auto switch_down = none;
+  switch_down.switch_failed[1] = true;
+  auto rack_down = none;
+  rack_down.rack_failed[2] = true;
+  auto uplinks_down = none;
+  uplinks_down.uplink_failed[0][0] = true;
+  uplinks_down.uplink_failed[3][2] = true;
+  uplinks_down.uplink_failed[5][1] = true;
+  auto everything = uplinks_down;
+  everything.switch_failed[3] = true;
+  everything.rack_failed[7] = true;
+  const std::vector<std::pair<const char*, const topo::FailureSet*>> cases{
+      {"none", &none},
+      {"switch", &switch_down},
+      {"rack", &rack_down},
+      {"uplinks", &uplinks_down},
+      {"all", &everything}};
+
+  // The demand must reach the VLB pass, or half the allocator goes unchecked.
+  int vlb_slices = 0;
+  sim::Rng rng(11);
+  for (int trial = 0; trial < 2; ++trial) {
+    const auto groups = random_groups(static_cast<int>(params.num_racks), group_count, rng);
+    for (const auto& [what, failures] : cases) {
+      for (int slice = 0; slice < topo.num_slices(); ++slice) {
+        fluid::RateUsage want_usage;
+        const auto want =
+            reference_allocate(topo, lb_params, slice, groups, *failures, want_usage);
+        if (want_usage.relay_used > 0.0) ++vlb_slices;
+        // A healthy fabric is also allocated through the no-failure path.
+        for (const topo::FailureSet* given :
+             {failures, failures == &none ? nullptr : failures}) {
+          fluid::RateUsage usage;
+          const auto got = lb.allocate(slice, groups, given, &usage);
+          ASSERT_EQ(got.size(), want.size());
+          for (std::size_t i = 0; i < want.size(); ++i) {
+            ASSERT_EQ(got[i].per_flow, want[i].per_flow)
+                << what << " slice " << slice << " group " << i;
+            ASSERT_EQ(got[i].direct_share, want[i].direct_share)
+                << what << " slice " << slice << " group " << i;
+            ASSERT_EQ(got[i].vlb_share, want[i].vlb_share)
+                << what << " slice " << slice << " group " << i;
+          }
+          ASSERT_EQ(usage.budget, want_usage.budget) << what << " slice " << slice;
+          ASSERT_EQ(usage.used_up, want_usage.used_up) << what << " slice " << slice;
+          ASSERT_EQ(usage.used_down, want_usage.used_down) << what << " slice " << slice;
+          ASSERT_EQ(usage.relay_pool, want_usage.relay_pool) << what << " slice " << slice;
+          ASSERT_EQ(usage.relay_used, want_usage.relay_used) << what << " slice " << slice;
+        }
+      }
+    }
+  }
+  EXPECT_GT(vlb_slices, 0);
+}
+
+// allocate resolves each slice's live circuits once into a [rack x u]
+// row; every rate and usage figure must equal the per-circuit reference
+// exactly, at k=8 and k=24, with and without failures.
+TEST(FluidOracle, RotorRateLbMatchesReference) {
+  topo::OperaParams k8;  // the 16 x 4 test fabric
+  k8.num_racks = 16;
+  k8.num_switches = 4;
+  k8.hosts_per_rack = 4;
+  expect_allocate_matches_reference(k8, 60);
+
+  topo::OperaParams k24;
+  k24.num_racks = 432;
+  k24.num_switches = 12;
+  k24.hosts_per_rack = 12;
+  expect_allocate_matches_reference(k24, 600);
 }
 
 // ---------------------------------------------------------------------------
@@ -145,6 +374,23 @@ TEST(FluidNetwork, SingleBulkFlowCompletes) {
   EXPECT_GE(rec.fct(), line_rate_fct);
   EXPECT_LT(rec.fct(), sim::Time::ms(100));
   EXPECT_EQ(net.active_groups(), 0u);
+}
+
+// Injected failures reach the per-slice allocation: a rack whose uplinks
+// have all failed delivers nothing, and recovering them lets its flow
+// finish.
+TEST(FluidNetwork, InjectedFailuresReachTheAllocator) {
+  const auto config = small_fluid_config().opera_config();
+  fluid::FluidNetwork net(config);
+  for (int sw = 0; sw < config.topology.num_switches; ++sw) net.inject_uplink_failure(0, sw);
+  net.submit_flow(0, 4, 1'000'000, sim::Time::us(10), net::TrafficClass::kBulk);
+  net.run_until(sim::Time::ms(20));
+  EXPECT_EQ(net.tracker().completed(), 0u);
+  EXPECT_EQ(net.fluid_stats().circuit_bytes(), 0.0);
+
+  for (int sw = 0; sw < config.topology.num_switches; ++sw) net.recover_uplink(0, sw);
+  net.run_to_completion(sim::Time::ms(100));
+  EXPECT_EQ(net.tracker().completed(), 1u);
 }
 
 // Every flow delivers exactly its size — checked through the tracker's

@@ -108,6 +108,56 @@ TEST(OperaTopology, CircuitPeerIsSymmetric) {
   }
 }
 
+// The matching switch `sw` implements in `slice`, derived from its
+// assignment by the schedule's arithmetic (the formula the per-slice
+// circuit table is filled from).
+std::size_t derived_matching(const OperaTopology& topo, RotorSchedule schedule,
+                             int sw, int slice) {
+  const auto& mine = topo.switch_matchings(sw);
+  std::size_t advances = static_cast<std::size_t>(slice);
+  if (schedule == RotorSchedule::kOffset) {
+    const int u = topo.num_switches();
+    advances = slice > sw ? static_cast<std::size_t>((slice - sw - 1) / u + 1) : 0;
+  }
+  return mine[advances % mine.size()];
+}
+
+void expect_circuits_match_assignment(const OperaTopology& topo,
+                                      RotorSchedule schedule, const char* what) {
+  for (int s = 0; s < topo.num_slices(); ++s) {
+    for (int sw = 0; sw < topo.num_switches(); ++sw) {
+      const std::size_t m = derived_matching(topo, schedule, sw, s);
+      ASSERT_EQ(topo.matching_index(sw, s), m)
+          << what << " slice " << s << " switch " << sw;
+      for (Vertex r = 0; r < topo.num_racks(); ++r) {
+        ASSERT_EQ(topo.circuit_peer(sw, r, s),
+                  topo.matchings()[m][static_cast<std::size_t>(r)])
+            << what << " slice " << s << " switch " << sw << " rack " << r;
+      }
+    }
+  }
+}
+
+// circuit_peer and matching_index read a table resolved at construction;
+// it must agree with the assignment on every (slice, switch, rack), and
+// stay valid when the topology is copied or moved.
+TEST(OperaTopology, CircuitPeerMatchesMatchingIndex) {
+  for (const RotorSchedule schedule : {RotorSchedule::kOffset, RotorSchedule::kUnison}) {
+    OperaParams p = small_params();
+    p.num_racks = 48;
+    const OperaTopology topo(p, schedule);
+    expect_circuits_match_assignment(topo, schedule, "original");
+
+    const OperaTopology copy = topo;
+    expect_circuits_match_assignment(copy, schedule, "copy");
+
+    OperaTopology source(p, schedule);
+    const OperaTopology moved = std::move(source);
+    expect_circuits_match_assignment(moved, schedule, "moved");
+    EXPECT_EQ(moved.matchings(), topo.matchings());
+  }
+}
+
 TEST(OperaTopology, SliceRoutesReachAllRacks) {
   const OperaTopology topo(small_params());
   const auto routes = topo.slice_routes(0);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <set>
 
 namespace opera::sim {
@@ -51,6 +53,42 @@ TEST(Rng, UniformIntRange) {
 TEST(Rng, UniformIntSinglePoint) {
   Rng rng(9);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(rng.uniform_int(5, 5), 5);
+}
+
+// Rejection sampling as uniform_int has always drawn: every draw at or
+// above max - max % range is redrawn. Returns the offset from lo.
+std::uint64_t reference_offset(Rng& rng, std::uint64_t range) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  const std::uint64_t limit = kMax - kMax % range;
+  std::uint64_t v = rng.next_u64();
+  while (v >= limit) v = rng.next_u64();
+  return v % range;
+}
+
+// uniform_int only computes the rejection limit for draws near the top of
+// the 64-bit range; the values and the stream position must still match
+// the reference formula draw for draw, including ranges where about half
+// the draws are rejected (2^63 + 1) and ranges that overflow int64_t.
+TEST(Rng, UniformIntMatchesRejectionFormula) {
+  constexpr std::int64_t kLo = std::numeric_limits<std::int64_t>::min();
+  for (const std::uint64_t range :
+       {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{3}, std::uint64_t{432},
+        (std::uint64_t{1} << 32) + 1, (std::uint64_t{1} << 63) + 1,
+        std::numeric_limits<std::uint64_t>::max()}) {
+    Rng got(5);
+    Rng want(5);
+    const auto hi = static_cast<std::int64_t>(static_cast<std::uint64_t>(kLo) + (range - 1));
+    for (int i = 0; i < 1000; ++i) {
+      const auto expected = static_cast<std::int64_t>(static_cast<std::uint64_t>(kLo) +
+                                                      reference_offset(want, range));
+      ASSERT_EQ(got.uniform_int(kLo, hi), expected) << "range " << range << " draw " << i;
+      if (range <= (std::uint64_t{1} << 63)) {
+        ASSERT_EQ(got.index(range), reference_offset(want, range))
+            << "range " << range << " draw " << i;
+      }
+    }
+    EXPECT_EQ(got.next_u64(), want.next_u64()) << "range " << range;
+  }
 }
 
 TEST(Rng, ExponentialMean) {
