@@ -51,7 +51,7 @@ int usage() {
       "  --horizon-ms=T    simulation horizon     (default 50)\n"
       "  --seed=S                                (default 1)\n"
       "  --slice-window=W  Opera resident slice tables (default 0 = auto:\n"
-      "                    eager if all fit 256 MB, else windowed+LRU)\n"
+      "                    eager if all fit 16 MB, else windowed)\n"
       "  --threads=N       shard the event loop over N rack domains\n"
       "                    (any packet fabric; bit-identical for any N)\n"
       "  --engine=packet|fluid|hybrid  simulation engine (Opera only;\n"

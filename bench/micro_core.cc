@@ -21,6 +21,7 @@
 #include "sim/simulator.h"
 #include "topo/one_factorization.h"
 #include "topo/opera_topology.h"
+#include "topo/slice_table_cache.h"
 
 namespace {
 
@@ -131,6 +132,44 @@ BENCHMARK(BM_SliceRoutesParallel)
     ->Arg(108)
     ->Arg(432)
     ->Iterations(1);
+
+// A default-configured slice-table cache stepped through the rotation the
+// way OperaNetwork drives it: prefetch(current slice) at every boundary,
+// 2 x window() boundaries per iteration. Arg(108) is the paper scale
+// (eager: boundaries build nothing); Arg(432) is k=24 (windowed: batched
+// builds). Reports wall time and table builds per boundary.
+void BM_SliceBoundaryPrefetch(benchmark::State& state) {
+  topo::OperaParams p;
+  p.num_racks = static_cast<topo::Vertex>(state.range(0));
+  p.num_switches = p.num_racks >= 432 ? 12 : 6;
+  p.hosts_per_rack = p.num_switches;
+  p.seed = 1;
+  const topo::OperaTopology topo(p);
+  topo::SliceTableCache cache(topo.num_slices(), {},
+                              [&topo](int s, topo::EcmpTable& table) {
+                                topo.slice_routes(s, nullptr, table);
+                              });
+  const int boundaries = 2 * cache.window();
+  const auto built_before = cache.stats().prefetch_builds;
+  int slice = 0;
+  for (auto _ : state) {
+    for (int b = 0; b < boundaries; ++b) {
+      cache.prefetch(slice);
+      slice = (slice + 1) % topo.num_slices();
+    }
+  }
+  const auto steps = static_cast<double>(state.iterations()) * boundaries;
+  state.counters["per_boundary"] = benchmark::Counter(
+      steps, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["builds_per_boundary"] =
+      static_cast<double>(cache.stats().prefetch_builds - built_before) / steps;
+  state.counters["window"] = cache.window();
+}
+BENCHMARK(BM_SliceBoundaryPrefetch)
+    ->Unit(benchmark::kMillisecond)
+    ->Arg(108)
+    ->Arg(432)
+    ->UseRealTime();
 
 // Full k=24 Opera construction (432 racks, 5184 hosts): topology
 // generate-and-test, all 432 slice tables, hosts/ToRs/agents. The ROADMAP

@@ -5,8 +5,8 @@
 //   quick  : the 16x4 laptop testbed (CI per-PR run)
 //   --full : k=24 — 432 racks x 12 hosts (5184 hosts), the ROADMAP's
 //            paper-scale target. Its 432 slice tables (~173 MB of
-//            next-hop masks) fit the 256 MB table budget, so the
-//            slice-table cache resolves eager.
+//            next-hop masks) overflow the 16 MB table budget, so the
+//            slice-table cache keeps a 41-table window ("windowed").
 //
 // Both modes also run a construction + short-sweep "scale probe" one rung
 // above the sweep scale: quick probes k=12 (24 racks x 6 hosts), --full

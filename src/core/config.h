@@ -63,9 +63,9 @@ struct OperaConfig {
   // per-slice ECMP tables kept resident. 0 = auto — eager (all slices,
   // the historical behavior) while the full set fits the memory budget,
   // otherwise the largest window that does. The budget is the constant
-  // topo::SliceTableCache::kDefaultBudgetBytes (256 MB). Up to k=24
-  // (N=432, ~173 MB of next-hop masks) auto stays eager; at k=32 (N=768,
-  // ~940 MB) it windows.
+  // topo::SliceTableCache::kDefaultBudgetBytes (16 MB). Up to paper scale
+  // (N=108, ~3.3 MB of next-hop masks) auto stays eager; k=24 (N=432,
+  // ~173 MB) windows ~41 tables and k=32 (N=768, ~940 MB) ~13.
   int slice_table_window = 0;
 
   // Shard count for the sharded event loop (docs/ARCHITECTURE.md "Sharded

@@ -78,7 +78,7 @@ struct FabricConfig {
   bool enable_vlb = true;   // Opera: RotorLB two-hop fallback
   std::uint64_t seed = 42;  // network-level randomness: ECMP salt, grant order
   // Opera: resident per-slice routing tables (0 = auto-size from the
-  // 256 MB budget; see OperaConfig::slice_table_window). CLI: --slice-window.
+  // 16 MB budget; see OperaConfig::slice_table_window). CLI: --slice-window.
   int slice_table_window = 0;
   // Shard count for the sharded event loop every packet fabric runs on
   // (bit-identical output for any value; see PacketFabric). 0 = auto

@@ -33,18 +33,19 @@ OperaNetwork::OperaNetwork(const OperaConfig& config)
 
   // Per-slice low-latency forwarding tables (paper §4.3: all routing state
   // is known at design time). Slices are independent, so tables build in
-  // parallel. Eager mode precomputes all N up front (through k=24: 432
-  // slices, ~173 MB); a fabric whose tables overflow the budget (k=32)
-  // keeps a window resident instead, prefetched ahead of the rotation at
-  // each slice boundary. Only the expander plane routes by them; the other
-  // planes keep the empty cache.
+  // parallel. Eager mode precomputes all N up front (through paper scale:
+  // 108 slices, ~3.3 MB); a fabric whose tables overflow the 16 MB budget
+  // (k=24's ~173 MB, k=32's ~940 MB) keeps a window resident instead,
+  // refilled in parallel batches ahead of the rotation at slice boundaries.
+  // Only the expander plane routes by them; the other planes keep the
+  // empty cache.
   if (config_.low_latency == LowLatencyPlane::kExpander) {
     slice_tables_ = topo::SliceTableCache(
         topo_.num_slices(),
         {config_.slice_table_window, topo::SliceTableCache::kDefaultBudgetBytes},
-        [this](int s) {
-          return topo_.slice_routes(
-              s, route_around_failures_ ? &table_failures_ : nullptr);
+        [this](int s, topo::EcmpTable& table) {
+          topo_.slice_routes(s, route_around_failures_ ? &table_failures_ : nullptr,
+                             table);
         });
     slice_tables_.set_concurrent(num_shards() > 1);
   }
@@ -201,10 +202,11 @@ void OperaNetwork::on_slice_boundary(std::int64_t abs_slice) {
     if (grant_at_settle) allocate_bulk(slice);
   });
 
-  // Keep the table window ahead of the rotation: build what the next
-  // window() slices need (in parallel — the shard workers are parked at
-  // the barrier, so the prefetch sweep has the whole pool), evict what
-  // fell behind. Eager mode has everything resident already.
+  // Keep the table window ahead of the rotation: once less than half of
+  // it lies ahead, evict what fell behind and refill the window in one
+  // batch (in parallel — the shard workers are parked at the barrier, so
+  // the batch has the whole pool). Eager mode has everything resident
+  // already.
   if (!slice_tables_.eager()) slice_tables_.prefetch(slice);
 
   if (!grant_at_settle) allocate_bulk(slice);

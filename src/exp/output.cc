@@ -155,10 +155,15 @@ void Table::print_header() const {
 }
 
 void Table::row(std::vector<Value> cells) {
-  if (!header_printed_) {
+  // Human-readable rows sit under the last printed header, so a table
+  // whose rows resume after another table's re-prints its own.
+  const bool resumed = report_.format_ == OutputFormat::kHuman &&
+                       report_.last_printed_ != this;
+  if (!header_printed_ || resumed) {
     print_header();
     header_printed_ = true;
   }
+  report_.last_printed_ = this;
   if (report_.format_ == OutputFormat::kCsv) {
     std::fputs(Value(id_).csv().c_str(), stdout);
     for (const auto& v : cells) std::printf(",%s", v.csv().c_str());

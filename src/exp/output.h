@@ -134,6 +134,7 @@ class Report {
   OutputFormat format_;
   std::vector<std::unique_ptr<Table>> tables_;  // creation order
   std::vector<std::string> notes_;
+  const Table* last_printed_ = nullptr;  // owner of the latest streamed row
   bool finished_ = false;
 };
 

@@ -164,9 +164,14 @@ std::vector<ByteLanes> lane_distances(const Graph& g, std::size_t row) {
 }  // namespace
 
 EcmpTable all_pairs_ecmp_next_hops(const Graph& g) {
+  EcmpTable table;
+  all_pairs_ecmp_next_hops(g, table);
+  return table;
+}
+
+void all_pairs_ecmp_next_hops(const Graph& g, EcmpTable& table) {
   const auto n = static_cast<std::size_t>(g.num_vertices());
   constexpr Vertex kMaxDegree = EcmpTable::kMaxDegree;
-  EcmpTable table;
   table.n_ = g.num_vertices();
   table.masks_.assign(n * n, 0);
   table.nbrs_.assign(n * static_cast<std::size_t>(kMaxDegree), kNoVertex);
@@ -218,7 +223,6 @@ EcmpTable all_pairs_ecmp_next_hops(const Graph& g) {
                   sizeof(std::uint16_t) * std::min<std::size_t>(16, n - v * 16));
     }
   }
-  return table;
 }
 
 NestedEcmpTable all_pairs_ecmp_next_hops_reference(const Graph& g) {

@@ -102,8 +102,8 @@ class NextHops {
 // neighbour list: a next-hop set is always a subset of the source's
 // neighbours, so bit j of the mask says whether neighbors(src)[j] is in
 // it. A forwarding lookup is one mask load plus one neighbour-row load.
-// At k=24 (N=432, degree <= 12) a table is ~400 KB, so all 432 slice
-// tables fit the slice-table cache's default budget (~173 MB). Graphs with
+// At k=24 (N=432, degree <= 12) a table is ~400 KB (~173 MB for all 432
+// slices, so the slice-table cache keeps a window of them). Graphs with
 // a vertex of degree above kMaxDegree cannot be represented and are
 // rejected at build time.
 class EcmpTable {
@@ -132,7 +132,7 @@ class EcmpTable {
   friend bool operator==(const EcmpTable&, const EcmpTable&) = default;
 
  private:
-  friend EcmpTable all_pairs_ecmp_next_hops(const Graph& g);
+  friend void all_pairs_ecmp_next_hops(const Graph& g, EcmpTable& table);
   Vertex n_ = 0;
   std::vector<std::uint16_t> masks_;  // [src * n + dst]
   std::vector<Vertex> nbrs_;  // [src * kMaxDegree + j] = neighbors(src)[j]
@@ -144,6 +144,10 @@ class EcmpTable {
 // std::invalid_argument, naming the vertex, when a vertex's degree exceeds
 // EcmpTable::kMaxDegree.
 [[nodiscard]] EcmpTable all_pairs_ecmp_next_hops(const Graph& g);
+// The same build into an existing table, overwriting all of its content
+// and reusing its buffers: the slice-table cache rebuilds evicted tables
+// in place instead of allocating (and first-touching) fresh ones.
+void all_pairs_ecmp_next_hops(const Graph& g, EcmpTable& table);
 
 // Reference implementation: one queue BFS per destination into nested
 // vectors. The parity oracle for EcmpTable (tests/test_routing_parity.cc).

@@ -181,6 +181,11 @@ EcmpTable OperaTopology::slice_routes(int slice, const FailureSet* failures) con
   return all_pairs_ecmp_next_hops(slice_graph(slice, failures));
 }
 
+void OperaTopology::slice_routes(int slice, const FailureSet* failures,
+                                 EcmpTable& table) const {
+  all_pairs_ecmp_next_hops(slice_graph(slice, failures), table);
+}
+
 bool OperaTopology::all_slices_connected() const {
   for (int s = 0; s < num_slices(); ++s) {
     if (!is_connected(slice_graph(s))) return false;

@@ -162,6 +162,8 @@ class OperaTopology {
   // forwarding state for that slice (paper §4.3's per-slice tables).
   [[nodiscard]] EcmpTable slice_routes(int slice,
                                        const FailureSet* failures = nullptr) const;
+  // The same table built into `table`, reusing its storage.
+  void slice_routes(int slice, const FailureSet* failures, EcmpTable& table) const;
 
   // All matchings (N of them; matchings_[i] is an involution).
   [[nodiscard]] const std::vector<Matching>& matchings() const { return matchings_; }

@@ -24,8 +24,9 @@ SliceTableCache::SliceTableCache(int num_slices, Config config, Builder builder)
   } else {
     // Auto: size the window off one measured table (slice 0 — we would
     // build it first anyway; all slices have the same table shape).
-    EcmpTable probe = builder_(0);
-    const std::size_t per_table = std::max<std::size_t>(1, probe.memory_bytes());
+    auto probe = std::make_unique<EcmpTable>();
+    builder_(0, *probe);
+    const std::size_t per_table = std::max<std::size_t>(1, probe->memory_bytes());
     install(0, std::move(probe));
     touch(0);
     const std::size_t all = per_table * static_cast<std::size_t>(num_slices_);
@@ -51,9 +52,7 @@ const EcmpTable& SliceTableCache::get(int slice) {
     // deferred to the next barrier prefetch so no reader loses its table.
     const std::lock_guard<std::mutex> lock(*demand_mutex_);
     if (slot == nullptr) {
-      ++stats_.demand_builds;
-      install(slice, builder_(slice));
-      touch(slice);
+      demand_build(slice);
     } else {
       ++stats_.hits;
       touch(slice);
@@ -61,9 +60,7 @@ const EcmpTable& SliceTableCache::get(int slice) {
     return *slot;
   }
   if (slot == nullptr) {
-    ++stats_.demand_builds;
-    install(slice, builder_(slice));
-    touch(slice);
+    demand_build(slice);
     evict_beyond_window();
   } else {
     ++stats_.hits;
@@ -74,18 +71,40 @@ const EcmpTable& SliceTableCache::get(int slice) {
 
 void SliceTableCache::prefetch(int first) {
   assert(first >= 0 && first < num_slices_);
-  // Collect the missing slices of the window [first, first + window).
-  std::vector<int> missing;
-  for (int i = 0; i < window_; ++i) {
-    const int s = (first + i) % num_slices_;
-    if (slots_[static_cast<std::size_t>(s)] == nullptr) missing.push_back(s);
-  }
-  if (!missing.empty()) {
-    // Build into detached tables first: parallel workers touch disjoint
-    // elements of `built` only; cache bookkeeping stays single-threaded.
-    std::vector<EcmpTable> built(missing.size());
+  const auto resident = [&](int i) {
+    return slots_[static_cast<std::size_t>((first + i) % num_slices_)] != nullptr;
+  };
+  // Lookahead: the resident run of the rotation starting at `first`. While
+  // it covers half the window the boundary builds nothing; otherwise one
+  // batch refills the whole window, so a rotating run pays one parallel
+  // build of about window() / 2 tables every window() / 2 boundaries
+  // instead of one serial build per boundary.
+  int ahead = 0;
+  while (ahead < window_ && resident(ahead)) ++ahead;
+  if (2 * ahead < window_) {
+    // Evict the slices behind `first` before building, so residency never
+    // exceeds the window, even transiently; their storage is rebuilt in
+    // place rather than freed and reallocated.
+    std::vector<std::unique_ptr<EcmpTable>> spare;
+    for (int s = 0; s < num_slices_; ++s) {
+      const int offset = (s - first + num_slices_) % num_slices_;
+      if (offset >= window_ && slots_[static_cast<std::size_t>(s)] != nullptr) {
+        spare.push_back(evict(s));
+      }
+    }
+    std::vector<int> missing;
+    for (int i = ahead; i < window_; ++i) {
+      if (!resident(i)) missing.push_back((first + i) % num_slices_);
+    }
+    std::vector<std::unique_ptr<EcmpTable>> built(missing.size());
+    for (std::size_t i = 0; i < built.size(); ++i) {
+      built[i] = i < spare.size() ? std::move(spare[i]) : std::make_unique<EcmpTable>();
+    }
+    spare.clear();  // frees any surplus before the builds allocate
+    // Parallel workers fill disjoint tables only; cache bookkeeping stays
+    // single-threaded.
     sim::parallel_for(missing.size(),
-                      [&](std::size_t i) { built[i] = builder_(missing[i]); });
+                      [&](std::size_t i) { builder_(missing[i], *built[i]); });
     for (std::size_t i = 0; i < missing.size(); ++i) {
       install(missing[i], std::move(built[i]));
       ++stats_.prefetch_builds;
@@ -94,6 +113,7 @@ void SliceTableCache::prefetch(int first) {
   // Freshen the whole window in rotation order so LRU eviction only ever
   // claims slices behind `first`.
   for (int i = window_ - 1; i >= 0; --i) touch((first + i) % num_slices_);
+  // Drops any overhang a concurrent demand build left behind.
   evict_beyond_window();
 }
 
@@ -113,10 +133,18 @@ bool SliceTableCache::shrink_window(int new_window) {
   return true;
 }
 
-void SliceTableCache::install(int slice, EcmpTable table) {
+void SliceTableCache::demand_build(int slice) {
+  ++stats_.demand_builds;
+  auto table = std::make_unique<EcmpTable>();
+  builder_(slice, *table);
+  install(slice, std::move(table));
+  touch(slice);
+}
+
+void SliceTableCache::install(int slice, std::unique_ptr<EcmpTable> table) {
   auto& slot = slots_[static_cast<std::size_t>(slice)];
   assert(slot == nullptr);
-  slot = std::make_unique<EcmpTable>(std::move(table));
+  slot = std::move(table);
   ++stats_.resident;
   stats_.resident_bytes += slot->memory_bytes();
   stats_.peak_resident_bytes =
@@ -126,6 +154,16 @@ void SliceTableCache::install(int slice, EcmpTable table) {
   // table.
   published_[static_cast<std::size_t>(slice)].store(slot.get(),
                                                     std::memory_order_release);
+}
+
+std::unique_ptr<EcmpTable> SliceTableCache::evict(int slice) {
+  auto& slot = slots_[static_cast<std::size_t>(slice)];
+  assert(slot != nullptr);
+  stats_.resident_bytes -= slot->memory_bytes();
+  published_[static_cast<std::size_t>(slice)].store(nullptr, std::memory_order_release);
+  --stats_.resident;
+  ++stats_.evictions;
+  return std::move(slot);
 }
 
 void SliceTableCache::evict_beyond_window() {
@@ -140,12 +178,7 @@ void SliceTableCache::evict_beyond_window() {
       }
     }
     assert(victim >= 0);
-    stats_.resident_bytes -= slots_[static_cast<std::size_t>(victim)]->memory_bytes();
-    published_[static_cast<std::size_t>(victim)].store(nullptr,
-                                                       std::memory_order_release);
-    slots_[static_cast<std::size_t>(victim)].reset();
-    --stats_.resident;
-    ++stats_.evictions;
+    evict(victim);
   }
 }
 

@@ -1,26 +1,28 @@
 // topo::SliceTableCache — the per-slice ECMP tables of an Opera fabric,
-// eager or windowed with LRU eviction.
+// eager or windowed.
 //
-// When every table fits the memory budget (the default 256 MB), the cache
+// When every table fits the memory budget (the default 16 MB), the cache
 // is eager: all tables are built in parallel at construction and slice
-// boundaries build nothing. With next-hop mask tables (topo/graph.h) that
-// covers every scale through k=24 (432 tables, ~0.4 MB each, ~173 MB).
-// Larger fabrics — k=32's 768 tables are ~1.23 MB each, ~940 MB in all —
-// keep a window of the budget's size instead.
+// boundaries build nothing. That covers every fabric up to paper scale
+// (108 racks: 108 tables, ~3.3 MB in all). Larger fabrics keep a window of
+// the budget's size instead: k=24's 432 tables are ~0.4 MB each (~173 MB in
+// all; a ~41-table window) and k=32's 768 are ~1.23 MB each (~940 MB; a
+// ~13-table window).
 //
 // The rotation schedule makes slice access almost perfectly predictable:
 // forwarding only ever reads the current slice's table (or the next one,
-// inside the end-of-slice drain window), so a small window of tables
-// around the current slice — prefetched in parallel off the schedule at
-// each slice boundary — behaves exactly like the full precomputed set.
+// inside the end-of-slice drain window), so a window of tables ahead of
+// the current slice — refilled in parallel batches off the schedule at
+// slice boundaries — behaves exactly like the full precomputed set.
 // Table *content* is a pure function of (topology, slice, failure set);
 // caching changes when tables are built, never what they contain, so a
 // windowed fabric is bit-identical to an eager one (see
 // tests/test_routing_parity.cc).
 //
-// Out-of-window reads still work: get() builds on demand and counts a
-// miss. Failure recovery calls invalidate_all() — only cached entries are
-// dropped; rebuilt tables pick up the new failure set through the builder.
+// Out-of-window reads still work: get() builds on demand, counts a miss
+// and evicts the least recently used table. Failure recovery calls
+// invalidate_all() — only cached entries are dropped; rebuilt tables pick
+// up the new failure set through the builder.
 #pragma once
 
 #include <atomic>
@@ -37,11 +39,12 @@ namespace opera::topo {
 
 class SliceTableCache {
  public:
-  // Builds the table for one slice. Must be a pure function of the slice
-  // index and whatever state it captures (topology + failure set); it may
-  // be invoked from prefetch()'s worker threads, concurrently for
-  // different slices.
-  using Builder = std::function<EcmpTable(int slice)>;
+  // Builds the table for one slice into `table`, overwriting whatever it
+  // held (a fresh table, or an evicted slice's storage being recycled).
+  // Must be a pure function of the slice index and whatever state it
+  // captures (topology + failure set); it may be invoked from prefetch()'s
+  // worker threads, concurrently for different slices.
+  using Builder = std::function<void(int slice, EcmpTable& table)>;
 
   struct Config {
     // Number of resident tables. 0 = auto: keep every slice (eager, the
@@ -51,9 +54,10 @@ class SliceTableCache {
     int window = 0;
     std::size_t memory_budget_bytes = kDefaultBudgetBytes;
   };
-  static constexpr std::size_t kDefaultBudgetBytes = 256ull << 20;
-  // Forwarding needs the current and next slice (drain window) plus some
-  // lookahead for the prefetcher to stay ahead of the rotation.
+  static constexpr std::size_t kDefaultBudgetBytes = 16ull << 20;
+  // Forwarding needs the current and next slice (drain window); prefetch()
+  // keeps at least half the window resident from the current slice on, so
+  // a window of four always holds both.
   static constexpr int kMinWindow = 4;
 
   struct Stats {
@@ -90,10 +94,13 @@ class SliceTableCache {
     return published_[static_cast<std::size_t>(slice)].load(std::memory_order_acquire);
   }
 
-  // Ensures the window() slices starting at `first` (wrapping) are
-  // resident, building the missing ones in parallel, and marks them
-  // most-recently-used so eviction only ever claims slices behind the
-  // rotation. Call at slice boundaries with the new current slice.
+  // Keeps the window() slices starting at `first` (wrapping) resident for
+  // a rotation that calls this at every slice boundary with the new
+  // current slice. Builds nothing while at least half the window from
+  // `first` on is resident; otherwise evicts the slices outside the window
+  // and then builds every missing one in one parallel batch, so residency
+  // never exceeds window(). Marks the window most-recently-used so LRU
+  // eviction only ever claims slices behind the rotation.
   void prefetch(int first);
 
   // Drops every cached table (failure recovery: the builder's inputs
@@ -121,9 +128,11 @@ class SliceTableCache {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
-  void install(int slice, EcmpTable table);  // accounting for one build
+  void demand_build(int slice);  // get()'s cache miss
+  void install(int slice, std::unique_ptr<EcmpTable> table);  // accounting for one build
   void touch(int slice) { last_use_[static_cast<std::size_t>(slice)] = ++tick_; }
-  void evict_beyond_window();
+  std::unique_ptr<EcmpTable> evict(int slice);  // unpublishes; returns the storage
+  void evict_beyond_window();  // LRU victims until resident <= window()
 
   int num_slices_ = 0;
   int window_ = 0;

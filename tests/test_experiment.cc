@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "exp/output.h"
 #include "exp/testbed.h"
 #include "workload/flow_size_dist.h"
@@ -89,6 +94,55 @@ TEST(Value, Renderings) {
   EXPECT_EQ(Value("a,b").csv(), "\"a,b\"");
   EXPECT_EQ(Value("say \"hi\"").json(), "\"say \\\"hi\\\"\"");
   EXPECT_EQ(Value(1.5, 1).json(), "1.5");
+}
+
+// Two tables whose rows interleave, with a note between rows of one.
+std::string render_interleaved(OutputFormat format) {
+  ::testing::internal::CaptureStdout();
+  {
+    Report report("interleave", format);
+    auto& a = report.table("a", {"k", "v"});
+    auto& b = report.table("b", {"k"});
+    a.row({"a1", 1});
+    a.row({"a2", 2});
+    b.row({"b1"});
+    a.row({"a3", 3});
+    report.note("n");
+    a.row({"a4", 4});
+  }
+  return ::testing::internal::GetCapturedStdout();
+}
+
+TEST(Report, HumanRowsResumeUnderTheirOwnHeader) {
+  std::istringstream out(render_interleaved(OutputFormat::kHuman));
+  std::vector<std::string> headers;
+  int rows = 0;
+  for (std::string line; std::getline(out, line);) {
+    if (line == "[a]" || line == "[b]") {
+      headers.push_back(line.substr(1, 1));
+    } else if (line.size() > 1 && (line[0] == 'a' || line[0] == 'b') &&
+               std::isdigit(static_cast<unsigned char>(line[1]))) {
+      ++rows;
+      ASSERT_FALSE(headers.empty()) << line;
+      EXPECT_EQ(line.substr(0, 1), headers.back()) << "row under the wrong header: " << line;
+    }
+  }
+  EXPECT_EQ(rows, 5);
+  EXPECT_EQ(headers, (std::vector<std::string>{"a", "b", "a"}));
+}
+
+TEST(Report, CsvAndJsonIgnoreInterleaving) {
+  EXPECT_EQ(render_interleaved(OutputFormat::kCsv),
+            "# bench: interleave\n"
+            "table,k,v\na,a1,1\na,a2,2\n"
+            "table,k\nb,b1\n"
+            "a,a3,3\n# n\na,a4,4\n");
+  EXPECT_EQ(render_interleaved(OutputFormat::kJson),
+            "{\"bench\":\"interleave\",\"tables\":{"
+            "\"a\":{\"columns\":[\"k\",\"v\"],"
+            "\"rows\":[[\"a1\",1],[\"a2\",2],[\"a3\",3],[\"a4\",4]]},"
+            "\"b\":{\"columns\":[\"k\"],\"rows\":[[\"b1\"]]}},"
+            "\"notes\":[\"n\"]}\n");
 }
 
 TEST(Testbed, QuickAndPaperScales) {

@@ -298,10 +298,10 @@ TEST(SliceWindowParity, WindowedCacheActuallyEvicts) {
   EXPECT_GT(cache.stats().prefetch_builds, 0u);
 }
 
-TEST(SliceWindowParity, K24DefaultBudgetResolvesEager) {
-  // At 432 racks the whole table set fits the default budget, so the auto
-  // window is every slice: all tables are built at construction and slice
-  // boundaries never build, demand-build or evict.
+TEST(SliceWindowParity, K24DefaultWindowStaysBounded) {
+  // At 432 racks the table set (~173 MB) overflows the default budget, so
+  // the auto window keeps what fits and the boundary prefetch refills it
+  // in batches of at least half a window, ahead of every lookup.
   core::OperaConfig cfg;
   cfg.topology.num_racks = 432;
   cfg.topology.num_switches = 12;
@@ -309,7 +309,46 @@ TEST(SliceWindowParity, K24DefaultBudgetResolvesEager) {
   cfg.topology.seed = 1;
   core::OperaNetwork net(cfg);
   const auto& cache = net.slice_tables();
+  ASSERT_FALSE(cache.eager());
+  const int window = cache.window();
+  EXPECT_GT(window, 2 * topo::SliceTableCache::kMinWindow);
+  // One boundary per step, over more than two windows of the rotation.
+  int batches = 0;
+  auto built = cache.stats().prefetch_builds;
+  const int steps = 2 * window + 4;
+  for (int k = 1; k <= steps; ++k) {
+    net.run_until(cfg.slice.duration * k);
+    const auto now = cache.stats().prefetch_builds;
+    if (now != built) {
+      ++batches;
+      EXPECT_GE(2 * (now - built), static_cast<std::uint64_t>(window))
+          << "boundary " << k << " built a partial batch";
+    }
+    built = now;
+    EXPECT_LE(cache.stats().resident, static_cast<std::size_t>(window));
+  }
+  EXPECT_GE(net.current_slice(), 2 * window);
+  EXPECT_EQ(cache.stats().demand_builds, 0u);
+  EXPECT_LE(cache.stats().peak_resident_bytes,
+            topo::SliceTableCache::kDefaultBudgetBytes);
+  // Steady state refills about half the window per batch: ~4 batches over
+  // two windows, never one per boundary.
+  EXPECT_GE(batches, 3);
+  EXPECT_LE(batches, 6);
+}
+
+TEST(SliceWindowParity, PaperScaleDefaultStaysEager) {
+  // The paper's 108-rack fabric (~3.3 MB of tables) fits the default
+  // budget: every table is built at construction and slice boundaries
+  // never build, demand-build or evict.
+  core::OperaConfig cfg;
+  cfg.topology.num_racks = 108;
+  cfg.topology.num_switches = 6;
+  cfg.topology.hosts_per_rack = 6;
+  core::OperaNetwork net(cfg);
+  const auto& cache = net.slice_tables();
   ASSERT_TRUE(cache.eager());
+  EXPECT_EQ(cache.stats().resident, static_cast<std::size_t>(cache.num_slices()));
   EXPECT_LE(cache.stats().peak_resident_bytes,
             topo::SliceTableCache::kDefaultBudgetBytes);
   const auto built = cache.stats().prefetch_builds;

@@ -1,7 +1,7 @@
 // topo::SliceTableCache unit + property tests: resolved window sizing,
-// LRU eviction, prefetch-ahead behavior, invalidation, and — the load-
-// bearing property — that a cached lookup is always bit-identical to a
-// direct build, under randomized access patterns.
+// LRU eviction, batched prefetch-ahead behavior, invalidation, and — the
+// load-bearing property — that a cached lookup, in fresh or recycled
+// storage, is always bit-identical to a direct build.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -24,8 +24,8 @@ OperaTopology make_topo(Vertex racks = 16, int u = 4, std::uint64_t seed = 3) {
 
 SliceTableCache::Builder builder_for(const OperaTopology& topo,
                                      const FailureSet** failures = nullptr) {
-  return [&topo, failures](int s) {
-    return topo.slice_routes(s, failures != nullptr ? *failures : nullptr);
+  return [&topo, failures](int s, EcmpTable& table) {
+    topo.slice_routes(s, failures != nullptr ? *failures : nullptr, table);
   };
 }
 
@@ -140,6 +140,89 @@ TEST(SliceTableCache, StatsBytesTrackResidency) {
   cache.invalidate_all();
   EXPECT_EQ(cache.stats().resident_bytes, 0u);
   EXPECT_GE(cache.stats().peak_resident_bytes, at_peak);
+}
+
+// Resident slices from `first` on, in rotation order (the prefetcher's
+// lookahead), read through the bookkeeping-free peek().
+int lookahead(const SliceTableCache& cache, int first) {
+  int ahead = 0;
+  while (ahead < cache.window() &&
+         cache.peek((first + ahead) % cache.num_slices()) != nullptr) {
+    ++ahead;
+  }
+  return ahead;
+}
+
+TEST(SliceTableCache, PrefetchNeverExceedsWindow) {
+  const auto topo = make_topo(20, 4, 7);
+  const std::size_t per_table = topo.slice_routes(0).memory_bytes();
+  for (const int window : {4, 5, 7, 12}) {
+    SliceTableCache cache(topo.num_slices(), {window, 0}, builder_for(topo));
+    for (int abs = 0; abs < 2 * topo.num_slices(); ++abs) {
+      cache.prefetch(abs % topo.num_slices());
+      EXPECT_LE(cache.stats().resident, static_cast<std::size_t>(window))
+          << "window " << window << ", boundary " << abs;
+    }
+    // The peak tracks every install, so this bounds residency between
+    // boundaries too: eviction precedes each batch's builds.
+    EXPECT_LE(cache.stats().peak_resident_bytes, per_table * window)
+        << "window " << window;
+    EXPECT_GT(cache.stats().evictions, 0u);
+  }
+}
+
+TEST(SliceTableCache, PrefetchBuildsOnlyBelowHalfWindowLookahead) {
+  const auto topo = make_topo(20, 4, 7);
+  for (const int window : {4, 5, 8, 11}) {
+    SliceTableCache cache(topo.num_slices(), {window, 0}, builder_for(topo));
+    int batches = 0;
+    for (int abs = 0; abs < 2 * topo.num_slices(); ++abs) {
+      const int s = abs % topo.num_slices();
+      const int ahead = lookahead(cache, s);
+      const auto before = cache.stats().prefetch_builds;
+      cache.prefetch(s);
+      const auto built = cache.stats().prefetch_builds - before;
+      if (2 * ahead >= window) {
+        EXPECT_EQ(built, 0u) << "window " << window << ", slice " << s
+                             << ": lookahead " << ahead << " needs no batch";
+      } else {
+        ++batches;
+        EXPECT_EQ(built, static_cast<std::uint64_t>(window - ahead))
+            << "window " << window << ", slice " << s;
+        EXPECT_EQ(lookahead(cache, s), window) << "a batch refills the window";
+      }
+    }
+    // About one batch per half window of boundaries, not one per boundary.
+    EXPECT_LE(batches, 2 * (2 * topo.num_slices()) / window + 1) << "window " << window;
+  }
+}
+
+TEST(SliceTableCache, RecycledStorageMatchesFreshBuild) {
+  // k=8: 16 racks, 4 rotor switches. A window of 4 recycles evicted
+  // storage at every batch; compare every slice's table, as the cache
+  // holds it, with a fresh build, over two cycles before and after a
+  // failure-set change.
+  const auto topo = make_topo(16, 4, 3);
+  auto failures = FailureSet::none(topo.num_racks(), topo.num_switches());
+  const FailureSet* active = nullptr;
+  SliceTableCache cache(topo.num_slices(), {4, 0}, builder_for(topo, &active));
+  const auto walk_two_cycles = [&](const char* phase) {
+    for (int abs = 0; abs < 2 * topo.num_slices(); ++abs) {
+      const int s = abs % topo.num_slices();
+      cache.prefetch(s);
+      const EcmpTable* table = cache.peek(s);
+      ASSERT_NE(table, nullptr) << phase << ", slice " << s;
+      EXPECT_EQ(*table, topo.slice_routes(s, active)) << phase << ", slice " << s;
+    }
+  };
+  walk_two_cycles("no failures");
+  failures.switch_failed[1] = true;
+  failures.uplink_failed[3][2] = true;
+  active = &failures;
+  cache.invalidate_all();
+  walk_two_cycles("after failures");
+  EXPECT_EQ(cache.stats().demand_builds, 0u);
+  EXPECT_GT(cache.stats().evictions, static_cast<std::uint64_t>(2 * topo.num_slices()));
 }
 
 }  // namespace
