@@ -98,6 +98,7 @@ int main(int argc, char** argv) {
   const double horizon_ms = Cli::arg_double(argc, argv, "--horizon-ms", 50.0);
   const auto seed = static_cast<std::uint64_t>(Cli::arg_long(argc, argv, "--seed", 1));
   const bool construct_only = Cli::has_flag(argc, argv, "--construct-only");
+  const int slice_window = Cli::arg_count(argc, argv, "--slice-window", 0);
   const std::string scenario_str = Cli::arg_string(argc, argv, "--scenario", "");
 
   // Run guardrails (exp::RunGuard). Any of these flags names a checkpoint
@@ -119,8 +120,7 @@ int main(int argc, char** argv) {
   core::FabricConfig config = core::FabricConfig::make(*kind);
   config.scale(racks, hosts_per_rack);
   config.seed = seed;
-  config.slice_table_window =
-      static_cast<int>(Cli::arg_long(argc, argv, "--slice-window", 0));
+  config.slice_table_window = slice_window;
   // Scenario validation below needs the engine the run will use.
   config.engine = ex.cli().engine.value_or(core::EngineKind::kPacket);
 

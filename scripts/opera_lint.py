@@ -46,6 +46,14 @@ at review time, tree-wide:
                       must match the CMake link graph (e.g. core may not
                       include exp). The static libraries enforce this at
                       link time only for symbols; headers leak silently.
+  sync-primitive      std::atomic, std::mutex, std::condition_variable,
+                      lock_guard and unique_lock (and their headers)
+                      only in src/sim/worker_pool.{h,cc}. The shard
+                      hand-off is the one concurrency mechanism: every
+                      other write to shared state happens at a barrier,
+                      with the workers parked, or inside one shard. A
+                      lock or atomic elsewhere is a second concurrency
+                      model that the parity tests cannot see through.
   checkpoint-coverage Structs serialized into checkpoints are tagged
                       `// checkpoint:v<N> fields=<M>` (docs/CHECKPOINT.md).
                       The rule counts the struct's data members and fails
@@ -85,6 +93,9 @@ RNG_IMPL_FILES = {"src/sim/rng.h", "src/sim/rng.cc"}
 
 # The packet pool — the one place allowed to `new Packet`.
 PACKET_POOL_FILES = {"src/net/packet.cc"}
+
+# The worker pool — the one place allowed atomics, mutexes and condvars.
+SYNC_FILES = {"src/sim/worker_pool.h", "src/sim/worker_pool.cc"}
 
 # Allowed #include edges between src/<layer>/ directories. Must mirror the
 # target_link_libraries graph in CMakeLists.txt (PUBLIC edges are
@@ -353,6 +364,32 @@ def rule_raw_packet_alloc(relpath, code_lines):
                 break
 
 
+_SYNC_PATTERNS = [
+    # \bstd::atomic... never matches std::sig_atomic_t, the signal-flag type.
+    (re.compile(r"\bstd\s*::\s*atomic\w*"), "std::atomic"),
+    (re.compile(r"\bstd\s*::\s*\w*mutex\b"), "std::mutex"),
+    (re.compile(r"\bstd\s*::\s*condition_variable\w*"), "std::condition_variable"),
+    (re.compile(r"\b(?:lock_guard|unique_lock|scoped_lock|shared_lock)\b"), "a lock guard"),
+    (re.compile(r"#\s*include\s*<(?:atomic|\w*mutex|condition_variable)>"),
+     "a synchronization header"),
+]
+
+
+def rule_sync_primitive(relpath, code_lines):
+    if _layer_of(relpath) is None or relpath in SYNC_FILES:
+        return
+    for lineno, line in enumerate(code_lines, 1):
+        for pat, what in _SYNC_PATTERNS:
+            if pat.search(line):
+                yield (lineno,
+                       f"{what} outside src/sim/worker_pool.{{h,cc}}: shared "
+                       "state is written at barriers (workers parked) or "
+                       "inside one shard, never under a lock. Move the "
+                       "hand-off into WorkerPool or make the write a "
+                       "barrier step.")
+                break
+
+
 _QUOTED_INCLUDE = re.compile(r'#\s*include\s+"([^"]+)"')
 
 
@@ -497,6 +534,7 @@ RULES = {
     "wall-clock": rule_wall_clock,
     "raw-packet-alloc": rule_raw_packet_alloc,
     "include-layering": rule_include_layering,
+    "sync-primitive": rule_sync_primitive,
     "checkpoint-coverage": rule_checkpoint_coverage,
 }
 

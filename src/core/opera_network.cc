@@ -42,12 +42,10 @@ OperaNetwork::OperaNetwork(const OperaConfig& config)
   if (config_.low_latency == LowLatencyPlane::kExpander) {
     slice_tables_ = topo::SliceTableCache(
         topo_.num_slices(),
-        {config_.slice_table_window, topo::SliceTableCache::kDefaultBudgetBytes},
-        [this](int s, topo::EcmpTable& table) {
+        config_.slice_table_window, [this](int s, topo::EcmpTable& table) {
           topo_.slice_routes(s, route_around_failures_ ? &table_failures_ : nullptr,
                              table);
         });
-    slice_tables_.set_concurrent(num_shards() > 1);
   }
 
   // Physical wiring of slice 0, then the slice clock. Slice rotation is a
@@ -205,9 +203,8 @@ void OperaNetwork::on_slice_boundary(std::int64_t abs_slice) {
   // Keep the table window ahead of the rotation: once less than half of
   // it lies ahead, evict what fell behind and refill the window in one
   // batch (in parallel — the shard workers are parked at the barrier, so
-  // the batch has the whole pool). Eager mode has everything resident
-  // already.
-  if (!slice_tables_.eager()) slice_tables_.prefetch(slice);
+  // the batch has the whole pool). An eager cache builds nothing here.
+  slice_tables_.prefetch(slice);
 
   if (!grant_at_settle) allocate_bulk(slice);
 
@@ -331,11 +328,10 @@ void OperaNetwork::install_forwarding() {
         // The deciding clock is the ToR's own shard clock — identical to
         // the global clock at this event's timestamp under any sharding.
         const int rslice = self.routing_slice(swch.sim().now());
-        // peek() keeps the per-packet path free of cache bookkeeping; the
-        // boundary prefetch guarantees residency in steady state, and the
-        // get() fallback only fires on out-of-window reads.
+        // rslice is the current or next slice, which the boundary
+        // prefetch (and degrade_memory) keep resident.
         const topo::EcmpTable* table = self.slice_tables_.peek(rslice);
-        if (table == nullptr) table = &self.slice_tables_.get(rslice);
+        assert(table != nullptr);
         const auto nexts = table->next_hops(rack, pkt.dst_rack);
         if (nexts.empty()) return -1;
         const topo::Vertex next = nexts[net::ecmp_pick(
@@ -482,13 +478,12 @@ void OperaNetwork::inject_slice_skew(int rotor_switch, sim::Time extra, int coun
 }
 
 void OperaNetwork::recompute_after_failure() {
-  // Only cached entries are touched: drop them all (their content predates
-  // the failure), then rebuild the active window in parallel — the full
-  // set when eager, the slices around the rotation otherwise; anything
-  // else rebuilds on demand. Builds run against a snapshot of the failure
-  // set taken now — the reconvergence instant — so a failure injected
-  // *after* this point stays invisible to rebuilt tables until its own
-  // recompute fires, exactly like the eager precompute behaved.
+  // Drop every cached table (their content predates the failure), then
+  // rebuild the window in parallel — the full set when eager, the slices
+  // from the current one on otherwise. Builds run against a snapshot of
+  // the failure set taken now — the reconvergence instant — so a failure
+  // injected *after* this point stays invisible to rebuilt tables until
+  // its own recompute fires, exactly like the eager precompute behaved.
   route_around_failures_ = true;
   table_failures_ = failures_;
   slice_tables_.invalidate_all();
@@ -554,7 +549,7 @@ void OperaNetwork::fingerprint(sim::Fingerprint& fp) const {
 
 bool OperaNetwork::degrade_memory() {
   const int window = slice_tables_.window();
-  return slice_tables_.shrink_window(window / 2);
+  return slice_tables_.shrink_window(window / 2, current_slice_);
 }
 
 std::string OperaNetwork::describe() const {

@@ -104,7 +104,7 @@ class OperaNetwork : public PacketFabric {
   void inject_slice_skew(int rotor_switch, sim::Time extra, int count);
 
   // The per-slice low-latency table store (paper §4.3). Eager (all N
-  // tables precomputed) or a sliding window around the current slice,
+  // tables precomputed) or a window from the current slice on,
   // per OperaConfig::slice_table_window; see topo/slice_table_cache.h.
   [[nodiscard]] const topo::SliceTableCache& slice_tables() const {
     return slice_tables_;
@@ -120,8 +120,9 @@ class OperaNetwork : public PacketFabric {
   void fingerprint(sim::Fingerprint& fp) const override;
 
   // Memory-pressure degradation: halves the slice-table window (floor
-  // topo::SliceTableCache::kMinWindow). Content-neutral — window size is
-  // parity-tested to never change output (SliceWindowParity).
+  // topo::SliceTableCache::kMinWindow), keeping the slices from the
+  // current one on. Content-neutral — window size is parity-tested to
+  // never change output (SliceWindowParity).
   bool degrade_memory() override;
 
  private:

@@ -49,11 +49,7 @@ CliOptions CliOptions::parse(int argc, char** argv) {
   } else if (has_flag(argc, argv, "--csv")) {
     opts.format = OutputFormat::kCsv;
   }
-  const long threads = arg_long(argc, argv, "--threads", 0);
-  if (threads < 0 || threads > INT_MAX) {
-    malformed_arg(argv, "--threads", arg_value(argc, argv, "--threads"));
-  }
-  opts.threads = static_cast<int>(threads);
+  opts.threads = arg_count(argc, argv, "--threads", 0);
   if (const char* engine = arg_value(argc, argv, "--engine")) {
     opts.engine = core::parse_engine_kind(engine);
     if (!opts.engine) malformed_arg(argv, "--engine", engine);
@@ -79,6 +75,12 @@ long CliOptions::arg_long(int argc, char** argv, const char* key, long fallback)
   const long parsed = std::strtol(v, &end, 10);
   if (end == v || *end != '\0' || errno == ERANGE) malformed_arg(argv, key, v);
   return parsed;
+}
+
+int CliOptions::arg_count(int argc, char** argv, const char* key, int fallback) {
+  const long parsed = arg_long(argc, argv, key, fallback);
+  if (parsed < 0 || parsed > INT_MAX) malformed_arg(argv, key, arg_value(argc, argv, key));
+  return static_cast<int>(parsed);
 }
 
 double CliOptions::arg_double(int argc, char** argv, const char* key, double fallback) {

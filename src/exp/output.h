@@ -47,6 +47,9 @@ struct CliOptions {
   // does not parse in full ("--racks=sixteen", "--load=abc", "--load=")
   // prints the flag name to stderr and exits 2.
   static long arg_long(int argc, char** argv, const char* key, long fallback);
+  // A count (--threads, --slice-window): negative or above INT_MAX is
+  // malformed too.
+  static int arg_count(int argc, char** argv, const char* key, int fallback);
   static double arg_double(int argc, char** argv, const char* key, double fallback);
   static std::string arg_string(int argc, char** argv, const char* key,
                                 const char* fallback);

@@ -51,6 +51,8 @@ TEST(CliOptions, StrictValueGetters) {
   EXPECT_EQ(CliOptions::parse(5, argv).threads, 3);
   EXPECT_EQ(CliOptions::arg_long(5, argv, "--racks", 108), 16);
   EXPECT_EQ(CliOptions::arg_long(5, argv, "--rack", 108), 108);  // no prefix match
+  EXPECT_EQ(CliOptions::arg_count(5, argv, "--racks", 108), 16);
+  EXPECT_EQ(CliOptions::arg_count(5, argv, "--slice-window", 0), 0);
   EXPECT_DOUBLE_EQ(CliOptions::arg_double(5, argv, "--load", 0.1), 0.25);
   EXPECT_DOUBLE_EQ(CliOptions::arg_double(5, argv, "--horizon-ms", 50.0), 50.0);
   EXPECT_EQ(CliOptions::arg_string(5, argv, "--fabric", "opera"), "rotornet");
@@ -67,6 +69,14 @@ TEST(CliOptionsDeathTest, MalformedValueNamesTheFlagAndExits2) {
   char* negative_argv[] = {kProg, negative};
   EXPECT_EXIT(CliOptions::parse(2, negative_argv), ::testing::ExitedWithCode(2),
               "--threads");
+  char minus[] = "--slice-window=-3";
+  char* minus_argv[] = {kProg, minus};
+  EXPECT_EXIT(CliOptions::arg_count(2, minus_argv, "--slice-window", 0),
+              ::testing::ExitedWithCode(2), "malformed value for --slice-window");
+  char big[] = "--slice-window=2147483648";  // INT_MAX + 1
+  char* big_argv[] = {kProg, big};
+  EXPECT_EXIT(CliOptions::arg_count(2, big_argv, "--slice-window", 0),
+              ::testing::ExitedWithCode(2), "malformed value for --slice-window");
   char warp[] = "--engine=warp";
   char* engine_argv[] = {kProg, warp};
   EXPECT_EXIT(CliOptions::parse(2, engine_argv), ::testing::ExitedWithCode(2),

@@ -250,6 +250,52 @@ class IncludeLayeringTest(unittest.TestCase):
         self.assertEqual(vs, [])
 
 
+class SyncPrimitiveTest(unittest.TestCase):
+    def test_each_primitive_fires(self):
+        for line in ("std::atomic<int> n{0};",
+                     "std::atomic_ref<int> r(x);",
+                     "std::mutex m;",
+                     "std::shared_mutex m;",
+                     "std::condition_variable cv;",
+                     "const std::lock_guard<Mutex> lock(m);",
+                     "std::unique_lock lk(m);",
+                     "#include <atomic>",
+                     "#include <mutex>",
+                     "#include <condition_variable>"):
+            vs, _ = lint("src/core/foo.cc", line + "\n")
+            self.assertEqual(rules_of(vs), [("sync-primitive", 1)], line)
+
+    def test_windowed_cache_mirror_and_demand_lock_fire(self):
+        # The shape of a lock-guarded demand build behind an atomic
+        # publication mirror, as a slice-table cache once had it.
+        src = ("#include <atomic>\n"
+               "#include <mutex>\n"
+               "class SliceTableCache {\n"
+               "  std::unique_ptr<std::mutex> demand_mutex_;\n"
+               "  std::vector<std::atomic<const EcmpTable*>> published_;\n"
+               "};\n"
+               "void f() { const std::lock_guard<std::mutex> lock(*demand_mutex_); }\n")
+        vs, _ = lint("src/topo/slice_table_cache.h", src)
+        self.assertEqual(rules_of(vs), [("sync-primitive", n) for n in (1, 2, 4, 5, 7)])
+
+    def test_sig_atomic_t_is_clean(self):
+        vs, _ = lint("src/exp/run_guard.cc",
+                     "#include <csignal>\nvolatile std::sig_atomic_t g_signal = 0;\n")
+        self.assertEqual(vs, [])
+
+    def test_worker_pool_is_exempt(self):
+        for relpath in ("src/sim/worker_pool.h", "src/sim/worker_pool.cc"):
+            vs, _ = lint(relpath, "#include <atomic>\nstd::atomic<bool> busy_{false};\n"
+                                  "std::mutex error_mutex;\n")
+            self.assertEqual(vs, [], relpath)
+
+    def test_prose_and_lookalike_names_are_clean(self):
+        src = ("// WorkerPool claims work through a std::atomic counter.\n"
+               "int error_mutex_count = 0; bool atomic = true;\n")
+        vs, _ = lint("src/sim/parallel.h", src)
+        self.assertEqual(vs, [])
+
+
 class CheckpointCoverageTest(unittest.TestCase):
     TAGGED = (
         "// checkpoint:v1 fields=2\n"

@@ -195,15 +195,9 @@ struct NetOutcome {
   core::OperaNetwork::TorStats tor;
 };
 
-// Builds an Opera fabric with the given slice-table window, drives a
-// deterministic mixed bulk/low-latency workload (plus optional mid-run
-// failures), and returns every flow completion.
-NetOutcome run_opera(const core::OperaConfig& base, int window,
-                     bool inject_failures) {
-  core::OperaConfig cfg = base;
-  cfg.slice_table_window = window;
-  core::OperaNetwork net(cfg);
-
+// Submits the deterministic mixed bulk/low-latency workload every
+// slice-window parity run drives.
+void submit_mixed_workload(core::OperaNetwork& net) {
   sim::Rng wl(99);
   const auto hosts = static_cast<std::size_t>(net.num_hosts());
   for (int i = 0; i < 160; ++i) {
@@ -215,6 +209,31 @@ NetOutcome run_opera(const core::OperaConfig& base, int window,
     const std::int64_t bytes = (i % 4 == 0) ? 600'000 : 20'000;
     net.submit_flow(src, dst, bytes, sim::Time::us(5 * i));
   }
+}
+
+// Runs `net` to 40 ms and returns every flow completion, by flow id.
+NetOutcome finish(core::OperaNetwork& net) {
+  net.run_until(sim::Time::ms(40));
+  NetOutcome out;
+  out.tor = net.tor_stats();
+  for (const auto& rec : net.tracker().completions()) {
+    out.completions.push_back(Completion{rec.flow.id, rec.flow.start.picoseconds(),
+                                         rec.end.picoseconds()});
+  }
+  std::sort(out.completions.begin(), out.completions.end(),
+            [](const Completion& a, const Completion& b) { return a.id < b.id; });
+  return out;
+}
+
+// Builds an Opera fabric with the given slice-table window, drives the
+// mixed workload (plus optional mid-run failures), and returns every flow
+// completion.
+NetOutcome run_opera(const core::OperaConfig& base, int window,
+                     bool inject_failures) {
+  core::OperaConfig cfg = base;
+  cfg.slice_table_window = window;
+  core::OperaNetwork net(cfg);
+  submit_mixed_workload(net);
   if (inject_failures) {
     net.run_until(sim::Time::us(300));
     net.inject_uplink_failure(1, 0);
@@ -227,34 +246,29 @@ NetOutcome run_opera(const core::OperaConfig& base, int window,
     net.run_until(sim::Time::ms(3));
     net.inject_switch_failure(2);
   }
-  net.run_until(sim::Time::ms(40));
+  return finish(net);
+}
 
-  NetOutcome out;
-  out.tor = net.tor_stats();
-  for (const auto& rec : net.tracker().completions()) {
-    out.completions.push_back(Completion{rec.flow.id, rec.flow.start.picoseconds(),
-                                         rec.end.picoseconds()});
+void expect_same_outcome(const NetOutcome& expected, const NetOutcome& actual,
+                         const std::string& label) {
+  ASSERT_FALSE(expected.completions.empty()) << label;
+  ASSERT_EQ(expected.completions.size(), actual.completions.size()) << label;
+  for (std::size_t i = 0; i < expected.completions.size(); ++i) {
+    EXPECT_EQ(expected.completions[i], actual.completions[i])
+        << label << ": completion " << i;
   }
-  std::sort(out.completions.begin(), out.completions.end(),
-            [](const Completion& a, const Completion& b) { return a.id < b.id; });
-  return out;
+  EXPECT_EQ(expected.tor.trims, actual.tor.trims) << label;
+  EXPECT_EQ(expected.tor.drops, actual.tor.drops) << label;
+  EXPECT_EQ(expected.tor.forward_drops, actual.tor.forward_drops) << label;
+  EXPECT_EQ(expected.tor.wire_drops, actual.tor.wire_drops) << label;
 }
 
 void expect_window_parity(const core::OperaConfig& cfg, bool inject_failures,
                           const std::string& label) {
   // window = num_slices forces eager; 4 is the smallest legal window and
   // maximizes eviction/rebuild churn.
-  const NetOutcome eager = run_opera(cfg, cfg.topology.num_racks, inject_failures);
-  const NetOutcome windowed = run_opera(cfg, 4, inject_failures);
-  ASSERT_FALSE(eager.completions.empty()) << label;
-  ASSERT_EQ(eager.completions.size(), windowed.completions.size()) << label;
-  for (std::size_t i = 0; i < eager.completions.size(); ++i) {
-    EXPECT_EQ(eager.completions[i], windowed.completions[i])
-        << label << ": completion " << i;
-  }
-  EXPECT_EQ(eager.tor.trims, windowed.tor.trims) << label;
-  EXPECT_EQ(eager.tor.drops, windowed.tor.drops) << label;
-  EXPECT_EQ(eager.tor.forward_drops, windowed.tor.forward_drops) << label;
+  expect_same_outcome(run_opera(cfg, cfg.topology.num_racks, inject_failures),
+                      run_opera(cfg, 4, inject_failures), label);
 }
 
 core::OperaConfig small_opera(Vertex racks, int u, int hosts_per_rack) {
@@ -296,6 +310,44 @@ TEST(SliceWindowParity, WindowedCacheActuallyEvicts) {
   EXPECT_LE(cache.stats().resident, 4u);
   EXPECT_GT(cache.stats().evictions, 0u);
   EXPECT_GT(cache.stats().prefetch_builds, 0u);
+}
+
+TEST(SliceWindowParity, DegradeMemoryKeepsTheRoutedSlicesResident) {
+  // exp::RunGuard's memory-pressure path, mid-run: the window halves from
+  // eager (16) to 8 at slice 8, then to the floor at slice 12, and then
+  // has nothing left to give. Each shrink must keep the current and next
+  // slice (the only ones forwarding reads) resident, and the run must
+  // stay bit-identical to an undegraded one.
+  const core::OperaConfig cfg = small_opera(16, 4, 4);
+  core::OperaNetwork net(cfg);
+  submit_mixed_workload(net);
+  const auto& cache = net.slice_tables();
+  ASSERT_TRUE(cache.eager());
+  ASSERT_EQ(cache.num_slices(), 16);
+  const auto expect_routable = [&](const std::string& when) {
+    const int s = net.current_slice();
+    EXPECT_NE(cache.peek(s), nullptr) << when << ": current slice " << s;
+    EXPECT_NE(cache.peek((s + 1) % cache.num_slices()), nullptr)
+        << when << ": next slice " << s + 1;
+    EXPECT_LE(cache.stats().resident, static_cast<std::size_t>(cache.window())) << when;
+  };
+
+  net.run_until(cfg.slice.duration * 8 + cfg.slice.duration / 2);
+  ASSERT_EQ(net.current_slice(), 8);
+  ASSERT_TRUE(net.degrade_memory());
+  EXPECT_EQ(cache.window(), 8);
+  expect_routable("first degrade");
+
+  net.run_until(cfg.slice.duration * 12 + cfg.slice.duration / 2);
+  ASSERT_EQ(net.current_slice(), 12);
+  expect_routable("before the second degrade");
+  ASSERT_TRUE(net.degrade_memory());
+  EXPECT_EQ(cache.window(), topo::SliceTableCache::kMinWindow);
+  expect_routable("second degrade");
+  EXPECT_FALSE(net.degrade_memory()) << "the window is already at the floor";
+
+  expect_same_outcome(run_opera(cfg, 0, false), finish(net), "degraded 16 -> 8 -> 4");
+  EXPECT_GT(cache.stats().evictions, 0u);
 }
 
 TEST(SliceWindowParity, K24DefaultWindowStaysBounded) {

@@ -1,7 +1,7 @@
 // topo::SliceTableCache unit + property tests: resolved window sizing,
-// LRU eviction, batched prefetch-ahead behavior, invalidation, and — the
-// load-bearing property — that a cached lookup, in fresh or recycled
-// storage, is always bit-identical to a direct build.
+// batched prefetch-ahead behavior and eviction by window position,
+// invalidation, and — the load-bearing property — that a cached lookup, in
+// fresh or recycled storage, is always bit-identical to a direct build.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -31,66 +31,83 @@ SliceTableCache::Builder builder_for(const OperaTopology& topo,
 
 TEST(SliceTableCache, ExplicitWindowIsClampedToMinAndSliceCount) {
   const auto topo = make_topo();
-  SliceTableCache tiny(topo.num_slices(), {1, 0}, builder_for(topo));
+  SliceTableCache tiny(topo.num_slices(), 1, builder_for(topo));
   EXPECT_EQ(tiny.window(), SliceTableCache::kMinWindow);
-  SliceTableCache huge(topo.num_slices(), {10'000, 0}, builder_for(topo));
+  SliceTableCache huge(topo.num_slices(), 10'000, builder_for(topo));
   EXPECT_EQ(huge.window(), topo.num_slices());
   EXPECT_TRUE(huge.eager());
 }
 
 TEST(SliceTableCache, AutoModeEagerWhenBudgetFits) {
   const auto topo = make_topo();
-  SliceTableCache cache(topo.num_slices(), {0, 64ull << 20}, builder_for(topo));
+  SliceTableCache cache(topo.num_slices(), 0, builder_for(topo));
   EXPECT_TRUE(cache.eager());
-  // Everything was built up front: all gets are hits.
-  for (int s = 0; s < topo.num_slices(); ++s) cache.get(s);
-  EXPECT_EQ(cache.stats().demand_builds, 0u);
-  EXPECT_EQ(cache.stats().hits, static_cast<std::uint64_t>(topo.num_slices()));
+  // Everything was built up front, and a boundary builds nothing.
+  for (int s = 0; s < topo.num_slices(); ++s) {
+    ASSERT_NE(cache.peek(s), nullptr) << "slice " << s;
+    EXPECT_EQ(*cache.peek(s), topo.slice_routes(s)) << "slice " << s;
+  }
+  const auto built = cache.stats().prefetch_builds;
+  cache.prefetch(5);
+  EXPECT_EQ(cache.stats().prefetch_builds, built);
   EXPECT_EQ(cache.stats().resident, static_cast<std::size_t>(topo.num_slices()));
 }
 
 TEST(SliceTableCache, AutoModeWindowsUnderTightBudget) {
-  const auto topo = make_topo();
-  const std::size_t per_table = topo.slice_routes(0).memory_bytes();
-  // Budget for about six tables: the window must land near that, far
-  // below the slice count, and eviction must keep residency bounded.
-  SliceTableCache cache(topo.num_slices(), {0, per_table * 6}, builder_for(topo));
+  // Tables of a 1024-vertex circulant graph are ~2.1 MB each, so sixteen
+  // of them overflow the 16 MB budget: the auto window must land at what
+  // fits, far below the slice count, and a rotation must stay within it.
+  // (Content is irrelevant here; every slice gets the same table.)
+  Graph g(1024);
+  for (Vertex v = 0; v < 1024; ++v) {
+    g.add_edge(v, (v + 1) % 1024);
+    g.add_edge(v, (v + 32) % 1024);
+  }
+  const std::size_t per_table = all_pairs_ecmp_next_hops(g).memory_bytes();
+  constexpr int kSlices = 16;
+  SliceTableCache cache(kSlices, 0, [&g](int, EcmpTable& table) {
+    all_pairs_ecmp_next_hops(g, table);
+  });
   EXPECT_FALSE(cache.eager());
-  EXPECT_GE(cache.window(), SliceTableCache::kMinWindow);
-  EXPECT_LE(cache.window(), 8);
-  for (int s = 0; s < topo.num_slices(); ++s) cache.get(s);
-  EXPECT_LE(cache.stats().resident, static_cast<std::size_t>(cache.window()));
+  EXPECT_EQ(cache.window(),
+            static_cast<int>(SliceTableCache::kDefaultBudgetBytes / per_table));
+  EXPECT_LT(cache.window(), kSlices);
+  for (int abs = 0; abs < 2 * kSlices; ++abs) {
+    cache.prefetch(abs % kSlices);
+    EXPECT_LE(cache.stats().resident, static_cast<std::size_t>(cache.window()));
+  }
   EXPECT_GT(cache.stats().evictions, 0u);
-  EXPECT_LE(cache.stats().resident_bytes, per_table * 8);
+  EXPECT_LE(cache.stats().peak_resident_bytes, SliceTableCache::kDefaultBudgetBytes);
 }
 
 TEST(SliceTableCache, PrefetchKeepsRotationLookupsHit) {
   const auto topo = make_topo();
-  SliceTableCache cache(topo.num_slices(), {5, 0}, builder_for(topo));
+  SliceTableCache cache(topo.num_slices(), 5, builder_for(topo));
   // Walk two full cycles the way the network does: prefetch at each
   // boundary, then read the current and next slice (drain window).
   for (int abs = 0; abs < 2 * topo.num_slices(); ++abs) {
     const int s = abs % topo.num_slices();
     cache.prefetch(s);
-    const auto before = cache.stats().demand_builds;
-    cache.get(s);
-    cache.get((s + 1) % topo.num_slices());
-    EXPECT_EQ(cache.stats().demand_builds, before)
-        << "slice " << s << " should be prefetched, never demand-built";
+    EXPECT_NE(cache.peek(s), nullptr) << "slice " << s;
+    EXPECT_NE(cache.peek((s + 1) % topo.num_slices()), nullptr) << "slice " << s;
   }
   EXPECT_LE(cache.stats().resident, static_cast<std::size_t>(cache.window()));
 }
 
 TEST(SliceTableCache, PeekIsBookkeepingFreeAndNullWhenEvicted) {
   const auto topo = make_topo();
-  SliceTableCache cache(topo.num_slices(), {4, 0}, builder_for(topo));
+  SliceTableCache cache(topo.num_slices(), 4, builder_for(topo));
   EXPECT_EQ(cache.peek(0), nullptr);  // nothing built yet
-  const EcmpTable& built = cache.get(0);
-  const auto hits = cache.stats().hits;
-  EXPECT_EQ(cache.peek(0), &built);
-  EXPECT_EQ(cache.stats().hits, hits) << "peek must not count as a hit";
-  // Fill past the window: slice 0 falls out, peek reports the eviction.
-  for (int s = 1; s <= 4; ++s) cache.get(s);
+  cache.prefetch(0);
+  const EcmpTable* built = cache.peek(0);
+  ASSERT_NE(built, nullptr);
+  const auto before = cache.stats();
+  EXPECT_EQ(cache.peek(0), built);
+  EXPECT_EQ(cache.stats().prefetch_builds, before.prefetch_builds)
+      << "peek must not build";
+  EXPECT_EQ(cache.stats().resident, before.resident);
+  // Rotate past the window: slice 0 falls out, peek reports the eviction.
+  for (int s = 1; s <= 4; ++s) cache.prefetch(s);
   EXPECT_EQ(cache.peek(0), nullptr);
   EXPECT_NE(cache.peek(4), nullptr);
 }
@@ -99,11 +116,15 @@ TEST(SliceTableCache, RandomAccessMatchesDirectBuildExactly) {
   const auto topo = make_topo(20, 4, 7);
   sim::Rng rng(123);
   for (const int window : {4, 7, 20}) {
-    SliceTableCache cache(topo.num_slices(), {window, 0}, builder_for(topo));
+    SliceTableCache cache(topo.num_slices(), window, builder_for(topo));
     for (int i = 0; i < 200; ++i) {
       const int s = static_cast<int>(rng.index(static_cast<std::size_t>(topo.num_slices())));
-      EXPECT_EQ(cache.get(s), topo.slice_routes(s)) << "window " << window;
-      if (i % 37 == 0) cache.prefetch(s);
+      const int next = (s + 1) % topo.num_slices();
+      cache.prefetch(s);
+      ASSERT_NE(cache.peek(s), nullptr) << "window " << window;
+      ASSERT_NE(cache.peek(next), nullptr) << "window " << window;
+      EXPECT_EQ(*cache.peek(s), topo.slice_routes(s)) << "window " << window;
+      EXPECT_EQ(*cache.peek(next), topo.slice_routes(next)) << "window " << window;
     }
   }
 }
@@ -112,9 +133,9 @@ TEST(SliceTableCache, InvalidateAllPicksUpNewBuilderInputs) {
   const auto topo = make_topo();
   auto failures = FailureSet::none(topo.num_racks(), topo.num_switches());
   const FailureSet* active = nullptr;
-  SliceTableCache cache(topo.num_slices(), {4, 0},
-                        builder_for(topo, &active));
-  const EcmpTable before = cache.get(2);
+  SliceTableCache cache(topo.num_slices(), 4, builder_for(topo, &active));
+  cache.prefetch(2);
+  const EcmpTable before = *cache.peek(2);
   EXPECT_EQ(before, topo.slice_routes(2));
 
   // A switch dies: cached tables are stale until invalidated.
@@ -123,15 +144,17 @@ TEST(SliceTableCache, InvalidateAllPicksUpNewBuilderInputs) {
   cache.invalidate_all();
   EXPECT_EQ(cache.stats().resident, 0u);
   EXPECT_EQ(cache.stats().resident_bytes, 0u);
-  const EcmpTable after = cache.get(2);
+  EXPECT_EQ(cache.peek(2), nullptr);
+  cache.prefetch(2);
+  const EcmpTable after = *cache.peek(2);
   EXPECT_EQ(after, topo.slice_routes(2, &failures));
   EXPECT_NE(after, before);
 }
 
 TEST(SliceTableCache, StatsBytesTrackResidency) {
   const auto topo = make_topo();
-  SliceTableCache cache(topo.num_slices(), {4, 0}, builder_for(topo));
-  for (int s = 0; s < topo.num_slices(); ++s) cache.get(s);
+  SliceTableCache cache(topo.num_slices(), 4, builder_for(topo));
+  for (int s = 0; s < topo.num_slices(); ++s) cache.prefetch(s);
   const auto& st = cache.stats();
   EXPECT_EQ(st.resident, 4u);
   EXPECT_GT(st.resident_bytes, 0u);
@@ -157,7 +180,7 @@ TEST(SliceTableCache, PrefetchNeverExceedsWindow) {
   const auto topo = make_topo(20, 4, 7);
   const std::size_t per_table = topo.slice_routes(0).memory_bytes();
   for (const int window : {4, 5, 7, 12}) {
-    SliceTableCache cache(topo.num_slices(), {window, 0}, builder_for(topo));
+    SliceTableCache cache(topo.num_slices(), window, builder_for(topo));
     for (int abs = 0; abs < 2 * topo.num_slices(); ++abs) {
       cache.prefetch(abs % topo.num_slices());
       EXPECT_LE(cache.stats().resident, static_cast<std::size_t>(window))
@@ -174,7 +197,7 @@ TEST(SliceTableCache, PrefetchNeverExceedsWindow) {
 TEST(SliceTableCache, PrefetchBuildsOnlyBelowHalfWindowLookahead) {
   const auto topo = make_topo(20, 4, 7);
   for (const int window : {4, 5, 8, 11}) {
-    SliceTableCache cache(topo.num_slices(), {window, 0}, builder_for(topo));
+    SliceTableCache cache(topo.num_slices(), window, builder_for(topo));
     int batches = 0;
     for (int abs = 0; abs < 2 * topo.num_slices(); ++abs) {
       const int s = abs % topo.num_slices();
@@ -205,7 +228,7 @@ TEST(SliceTableCache, RecycledStorageMatchesFreshBuild) {
   const auto topo = make_topo(16, 4, 3);
   auto failures = FailureSet::none(topo.num_racks(), topo.num_switches());
   const FailureSet* active = nullptr;
-  SliceTableCache cache(topo.num_slices(), {4, 0}, builder_for(topo, &active));
+  SliceTableCache cache(topo.num_slices(), 4, builder_for(topo, &active));
   const auto walk_two_cycles = [&](const char* phase) {
     for (int abs = 0; abs < 2 * topo.num_slices(); ++abs) {
       const int s = abs % topo.num_slices();
@@ -221,7 +244,6 @@ TEST(SliceTableCache, RecycledStorageMatchesFreshBuild) {
   active = &failures;
   cache.invalidate_all();
   walk_two_cycles("after failures");
-  EXPECT_EQ(cache.stats().demand_builds, 0u);
   EXPECT_GT(cache.stats().evictions, static_cast<std::uint64_t>(2 * topo.num_slices()));
 }
 
