@@ -87,9 +87,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "bench_custom: unknown fabric '%s'\n", fabric_name.c_str());
     return usage();
   }
-  const auto racks = static_cast<std::int32_t>(Cli::arg_long(argc, argv, "--racks", 108));
-  const auto hosts_per_rack =
-      static_cast<std::int32_t>(Cli::arg_long(argc, argv, "--hosts-per-rack", 6));
+  const std::int32_t racks = Cli::arg_count(argc, argv, "--racks", 108);
+  const std::int32_t hosts_per_rack = Cli::arg_count(argc, argv, "--hosts-per-rack", 6);
+  if (racks < 1 || hosts_per_rack < 1) {
+    std::fprintf(stderr, "bench_custom: --racks and --hosts-per-rack must be at least 1\n");
+    return 2;
+  }
   const std::string workload_name = Cli::arg_string(argc, argv, "--workload", "poisson");
   const double load = Cli::arg_double(argc, argv, "--load", 0.10);
   const std::string dist_name = Cli::arg_string(argc, argv, "--dist", "datamining");

@@ -33,11 +33,9 @@ int main(int argc, char** argv) {
   long long bulk_rules = 0;
   for (int s = 0; s < topo.num_slices(); ++s) {
     ll_rules += static_cast<long long>(topo.num_racks() - 1);
-    const int down = topo.reconfiguring_switch(s);
+    // Rack 0's live direct circuits this slice (self-matches need no rule).
     for (int sw = 0; sw < topo.num_switches(); ++sw) {
-      if (sw == down) continue;
-      // Rack 0's direct circuits this slice (self-matches need no rule).
-      if (topo.circuit_peer(sw, 0, s) != 0) ++bulk_rules;
+      if (topo.live_peer(sw, 0, s, nullptr) >= 0) ++bulk_rules;
     }
   }
   auto& check = ex.report().table(

@@ -54,6 +54,15 @@ at review time, tree-wide:
                       with the workers parked, or inside one shard. A
                       lock or atomic elsewhere is a second concurrency
                       model that the parity tests cannot see through.
+  circuit-rule        circuit_peer( and FailureSet's rack_failed,
+                      switch_failed and uplink_failed only under
+                      src/topo/. Which rotor circuits are live is one
+                      rule, OperaTopology::live_peer / live_uplink;
+                      a fabric or model that reads the raw circuit map or
+                      failure bits writes out a second copy of it, and
+                      copies drift (one once enabled an uplink whose far
+                      end had failed). Failures are set through
+                      FailureSet's setters.
   checkpoint-coverage Structs serialized into checkpoints are tagged
                       `// checkpoint:v<N> fields=<M>` (docs/CHECKPOINT.md).
                       The rule counts the struct's data members and fails
@@ -390,6 +399,26 @@ def rule_sync_primitive(relpath, code_lines):
                 break
 
 
+_CIRCUIT_PATTERNS = [
+    (re.compile(r"\bcircuit_peer\s*\("), "circuit_peer()"),
+    (re.compile(r"\b(?:rack|switch|uplink)_failed\b"), "a FailureSet bit"),
+]
+
+
+def rule_circuit_rule(relpath, code_lines):
+    if _layer_of(relpath) in (None, "topo"):
+        return
+    for lineno, line in enumerate(code_lines, 1):
+        for pat, what in _CIRCUIT_PATTERNS:
+            if pat.search(line):
+                yield (lineno,
+                       f"{what} outside src/topo/: ask "
+                       "OperaTopology::live_peer / live_uplink which circuits "
+                       "are live, and set failures through FailureSet's "
+                       "setters.")
+                break
+
+
 _QUOTED_INCLUDE = re.compile(r'#\s*include\s+"([^"]+)"')
 
 
@@ -535,6 +564,7 @@ RULES = {
     "raw-packet-alloc": rule_raw_packet_alloc,
     "include-layering": rule_include_layering,
     "sync-primitive": rule_sync_primitive,
+    "circuit-rule": rule_circuit_rule,
     "checkpoint-coverage": rule_checkpoint_coverage,
 }
 

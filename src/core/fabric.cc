@@ -122,35 +122,6 @@ std::int32_t FabricConfig::num_racks() const {
   return 0;
 }
 
-std::string FabricConfig::describe() const {
-  char buf[128];
-  switch (kind) {
-    case FabricKind::kOpera:
-      std::snprintf(buf, sizeof buf, "Opera (%d racks x %d hosts, %d rotors)",
-                    static_cast<int>(opera.num_racks), opera.hosts_per_rack,
-                    opera.num_switches);
-      break;
-    case FabricKind::kFoldedClos:
-      std::snprintf(buf, sizeof buf, "%d:1 folded Clos (k=%d, %d hosts)",
-                    clos.oversubscription, clos.radix, num_hosts());
-      break;
-    case FabricKind::kExpander:
-      std::snprintf(buf, sizeof buf, "static expander (%d ToRs, u=%d, d=%d)",
-                    static_cast<int>(expander.num_tors), expander.uplinks,
-                    expander.hosts_per_tor);
-      break;
-    case FabricKind::kRotorNet:
-      std::snprintf(buf, sizeof buf, "RotorNet%s (%d racks x %d hosts, %d switches)",
-                    rotornet.hybrid ? " hybrid" : "",
-                    static_cast<int>(rotornet.num_racks), rotornet_hosts_per_rack,
-                    rotornet.num_switches);
-      break;
-    default:
-      std::snprintf(buf, sizeof buf, "unknown fabric");
-  }
-  return buf;
-}
-
 OperaConfig FabricConfig::opera_config() const {
   OperaConfig cfg;
   cfg.topology = opera;

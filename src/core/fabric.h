@@ -104,7 +104,6 @@ struct FabricConfig {
   // Host/rack counts the built network will report (no construction).
   [[nodiscard]] std::int32_t num_hosts() const;
   [[nodiscard]] std::int32_t num_racks() const;
-  [[nodiscard]] std::string describe() const;
 
   // Lowered per-fabric configs (shared knobs folded in).
   [[nodiscard]] OperaConfig opera_config() const;

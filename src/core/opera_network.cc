@@ -52,7 +52,7 @@ OperaNetwork::OperaNetwork(const OperaConfig& config)
   // *global* (barrier-aligned) event: it retargets circuits and allocates
   // bulk grants across every rack, so it runs single-threaded between
   // epochs, before any shard processes events of the same timestamp.
-  wire_slice(0);
+  wire(0, config_.topology.num_switches, 0);
   sim().schedule_at(sim::Time::zero(), [this] { on_slice_boundary(0); });
 }
 
@@ -88,7 +88,7 @@ void OperaNetwork::build_nodes() {
       tor.port(core_port()).connect(core, r);
       core->port(r).connect(&tor, -1);
     }
-    relays_.push_back(std::make_unique<transport::RotorRelayBuffer>(n));
+    relays_.push_back(std::make_unique<transport::RotorRelayBuffer>());
     tors_.push_back(&tor);
   }
   for (net::Switch* tor : tors_) add_hosts(*tor, host_q);
@@ -112,37 +112,18 @@ int OperaNetwork::routing_slice(sim::Time now) const {
   return current_slice_;
 }
 
-int OperaNetwork::uplink_to(int slice, std::int32_t rack, std::int32_t peer_rack) const {
-  const int u = config_.topology.num_switches;
-  const int down = topo_.reconfiguring_switch(slice);
-  for (int sw = 0; sw < u; ++sw) {
-    if (sw == down || topo_.circuit_peer(sw, rack, slice) != peer_rack) continue;
-    // The circuit needs the switch and both racks' uplinks to it.
-    const auto ssw = static_cast<std::size_t>(sw);
-    if (failures_.switch_failed[ssw] ||
-        failures_.uplink_failed[static_cast<std::size_t>(rack)][ssw] ||
-        failures_.uplink_failed[static_cast<std::size_t>(peer_rack)][ssw]) {
-      continue;
-    }
-    return sw;
-  }
-  return -1;
-}
-
-void OperaNetwork::wire_slice(int slice) {
-  // Point every (non-reconfiguring) uplink at its circuit peer.
-  const int u = config_.topology.num_switches;
+void OperaNetwork::wire(int first, int last, int slice) {
   const int d = config_.topology.hosts_per_rack;
   for (topo::Vertex r = 0; r < topo_.num_racks(); ++r) {
-    for (int sw = 0; sw < u; ++sw) {
-      const topo::Vertex peer = topo_.circuit_peer(sw, r, slice);
+    for (int sw = first; sw < last; ++sw) {
       auto& port = tors_[static_cast<std::size_t>(r)]->port(uplink_port(sw));
-      if (peer == r) {
-        port.set_enabled(false);  // self-match: no circuit this matching
-      } else {
-        port.connect(tors_[static_cast<std::size_t>(peer)], d + sw);
-        port.set_enabled(true);
+      const topo::Vertex peer = topo_.live_peer(sw, r, slice, &failures_);
+      if (peer < 0) {
+        port.set_enabled(false);
+        continue;
       }
+      port.connect(tors_[static_cast<std::size_t>(peer)], d + sw);
+      port.set_enabled(true);
     }
   }
 }
@@ -180,23 +161,7 @@ void OperaNetwork::on_slice_boundary(std::int64_t abs_slice) {
   const bool grant_at_settle = config_.dark_prefix() > sim::Time::zero();
   sim().schedule_in(config_.slice.reconfiguration + skew,
                     [this, slice, first, last, grant_at_settle] {
-    const int d = config_.topology.hosts_per_rack;
-    const int target = topo_.settle_slice(slice);
-    for (topo::Vertex r = 0; r < topo_.num_racks(); ++r) {
-      for (int sw = first; sw < last; ++sw) {
-        if (failures_.switch_failed[static_cast<std::size_t>(sw)]) continue;
-        const topo::Vertex peer = topo_.circuit_peer(sw, r, target);
-        auto& port = tors_[static_cast<std::size_t>(r)]->port(uplink_port(sw));
-        if (peer == r ||
-            failures_.uplink_failed[static_cast<std::size_t>(r)]
-                                   [static_cast<std::size_t>(sw)]) {
-          port.set_enabled(false);
-        } else {
-          port.connect(tors_[static_cast<std::size_t>(peer)], d + sw);
-          port.set_enabled(true);
-        }
-      }
-    }
+    wire(first, last, topo_.settle_slice(slice));
     if (grant_at_settle) allocate_bulk(slice);
   });
 
@@ -215,7 +180,6 @@ void OperaNetwork::on_slice_boundary(std::int64_t abs_slice) {
 void OperaNetwork::allocate_bulk(int slice) {
   const int u = config_.topology.num_switches;
   const int d = config_.topology.hosts_per_rack;
-  const int down = topo_.reconfiguring_switch(slice);
   const std::int64_t uplink_budget = config_.slice_bulk_budget();
 
   std::vector<std::int64_t> host_budget(static_cast<std::size_t>(num_hosts()),
@@ -240,16 +204,8 @@ void OperaNetwork::allocate_bulk(int slice) {
 
   for (topo::Vertex r = 0; r < topo_.num_racks(); ++r) {
     for (const int sw : order) {
-      if (sw == down) continue;
-      if (failures_.switch_failed[static_cast<std::size_t>(sw)]) continue;
-      if (failures_.uplink_failed[static_cast<std::size_t>(r)][static_cast<std::size_t>(sw)]) {
-        continue;
-      }
-      const topo::Vertex peer = topo_.circuit_peer(sw, r, slice);
-      if (peer == r) continue;
-      if (failures_.uplink_failed[static_cast<std::size_t>(peer)][static_cast<std::size_t>(sw)]) {
-        continue;
-      }
+      const topo::Vertex peer = topo_.live_peer(sw, r, slice, &failures_);
+      if (peer < 0) continue;
       std::int64_t budget = uplink_budget;
       net::Switch& tor = *tors_[static_cast<std::size_t>(r)];
       auto& peer_in = in_budget[static_cast<std::size_t>(peer)];
@@ -315,7 +271,7 @@ void OperaNetwork::install_forwarding() {
       }
       const std::int32_t target = pkt.vlb_relay ? pkt.relay_rack : pkt.dst_rack;
       if (target == rack) return pkt.dst_host - rack * d;
-      const int sw = uplink_to(current_slice_, rack, target);
+      const int sw = topo_.live_uplink(current_slice_, rack, target, &failures_);
       return sw < 0 ? -1 : uplink_port(sw);
     };
   };
@@ -338,7 +294,7 @@ void OperaNetwork::install_forwarding() {
             pkt, net::ecmp_salt(self.config_.seed, static_cast<std::uint32_t>(rack),
                                 static_cast<std::uint32_t>(rslice)),
             nexts.size())];
-        const int sw = self.uplink_to(rslice, rack, next);
+        const int sw = self.topo_.live_uplink(rslice, rack, next, &self.failures_);
         return sw < 0 ? -1 : self.uplink_port(sw);
       });
       break;
@@ -351,7 +307,8 @@ void OperaNetwork::install_forwarding() {
       // No packet-switched path: control still needs to travel, so it
       // rides the current circuits if one exists.
       fn = forward([](OperaNetwork& self, net::Switch& swch, const net::Packet& pkt) {
-        const int sw = self.uplink_to(self.current_slice_, swch.id(), pkt.dst_rack);
+        const int sw = self.topo_.live_uplink(self.current_slice_, swch.id(), pkt.dst_rack,
+                                              &self.failures_);
         return sw < 0 ? -1 : self.uplink_port(sw);
       });
       break;
@@ -395,8 +352,7 @@ void OperaNetwork::nack(net::Switch& tor, const net::Packet& pkt) {
 }
 
 void OperaNetwork::inject_uplink_failure(std::int32_t rack, int rotor_switch) {
-  failures_.uplink_failed[static_cast<std::size_t>(rack)]
-                         [static_cast<std::size_t>(rotor_switch)] = true;
+  failures_.set_uplink_failed(rack, rotor_switch, true);
   // Anything queued on the dead uplink is lost now; NACK bulk back to the
   // sources over the (still connected) expander.
   net::Switch& t = tor(rack);
@@ -409,7 +365,7 @@ void OperaNetwork::inject_uplink_failure(std::int32_t rack, int rotor_switch) {
 }
 
 void OperaNetwork::inject_switch_failure(int rotor_switch) {
-  failures_.switch_failed[static_cast<std::size_t>(rotor_switch)] = true;
+  failures_.set_switch_failed(rotor_switch, true);
   for (topo::Vertex r = 0; r < topo_.num_racks(); ++r) {
     net::Switch& t = tor(r);
     t.port(uplink_port(rotor_switch)).queue().flush(
@@ -419,38 +375,23 @@ void OperaNetwork::inject_switch_failure(int rotor_switch) {
   sim().schedule_in(config_.cycle_time(), [this] { recompute_after_failure(); });
 }
 
-void OperaNetwork::rewire_switch_now(int rotor_switch) {
-  const int d = config_.topology.hosts_per_rack;
-  const auto sw = static_cast<std::size_t>(rotor_switch);
-  if (failures_.switch_failed[sw]) return;
-  // The currently-reconfiguring switch's ports belong to its pending
-  // settle event (which re-checks the failure bits we just cleared).
-  if (rotor_switch == topo_.reconfiguring_switch(current_slice_)) return;
-  for (topo::Vertex r = 0; r < topo_.num_racks(); ++r) {
-    if (failures_.uplink_failed[static_cast<std::size_t>(r)][sw]) continue;
-    const topo::Vertex peer = topo_.circuit_peer(rotor_switch, r, current_slice_);
-    auto& port = tors_[static_cast<std::size_t>(r)]->port(uplink_port(rotor_switch));
-    if (peer == r || failures_.uplink_failed[static_cast<std::size_t>(peer)][sw]) {
-      port.set_enabled(false);
-    } else {
-      port.connect(tors_[static_cast<std::size_t>(peer)], d + rotor_switch);
-      port.set_enabled(true);
-    }
-  }
-}
-
 void OperaNetwork::recover_uplink(std::int32_t rack, int rotor_switch) {
-  failures_.uplink_failed[static_cast<std::size_t>(rack)]
-                         [static_cast<std::size_t>(rotor_switch)] = false;
+  failures_.set_uplink_failed(rack, rotor_switch, false);
   // Both endpoints of any circuit through (rack, rotor_switch) may come
   // back; re-wiring the whole switch is idempotent for untouched racks.
-  rewire_switch_now(rotor_switch);
-  sim().schedule_in(config_.cycle_time(), [this] { recompute_after_failure(); });
+  rejoin(rotor_switch);
 }
 
 void OperaNetwork::recover_switch(int rotor_switch) {
-  failures_.switch_failed[static_cast<std::size_t>(rotor_switch)] = false;
-  rewire_switch_now(rotor_switch);
+  failures_.set_switch_failed(rotor_switch, false);
+  rejoin(rotor_switch);
+}
+
+void OperaNetwork::rejoin(int rotor_switch) {
+  // The reconfiguring switch's ports belong to its pending settle event.
+  if (rotor_switch != topo_.reconfiguring_switch(current_slice_)) {
+    wire(rotor_switch, rotor_switch + 1, current_slice_);
+  }
   sim().schedule_in(config_.cycle_time(), [this] { recompute_after_failure(); });
 }
 
@@ -488,21 +429,32 @@ void OperaNetwork::recompute_after_failure() {
   table_failures_ = failures_;
   slice_tables_.invalidate_all();
   slice_tables_.prefetch(current_slice_);
-  // Recompute direct reachability, purge relay buffers of traffic whose
-  // final direct circuit no longer exists (its matching lived on a failed
-  // switch/uplink), and stop routing new VLB traffic through dead-end
-  // relays. NACKs send stranded packets back to their sources.
+  // Recompute direct reachability (one sweep of every slice's live
+  // circuits), purge relay buffers of traffic whose final direct circuit no
+  // longer exists (its matching lived on a failed switch/uplink), and stop
+  // routing new VLB traffic through dead-end relays. NACKs send stranded
+  // packets back to their sources.
+  const auto n = static_cast<std::size_t>(topo_.num_racks());
+  for (std::size_t r = 0; r < n; ++r) {
+    relay_reach_[r].assign(n, false);
+    relay_reach_[r][r] = true;
+  }
+  for (int s = 0; s < topo_.num_slices(); ++s) {
+    for (topo::Vertex r = 0; r < topo_.num_racks(); ++r) {
+      auto& reach = relay_reach_[static_cast<std::size_t>(r)];
+      for (int sw = 0; sw < config_.topology.num_switches; ++sw) {
+        const topo::Vertex peer = topo_.live_peer(sw, r, s, &failures_);
+        if (peer >= 0) reach[static_cast<std::size_t>(peer)] = true;
+      }
+    }
+  }
   for (topo::Vertex r = 0; r < topo_.num_racks(); ++r) {
     auto& relay = *relays_[static_cast<std::size_t>(r)];
     for (topo::Vertex dst = 0; dst < topo_.num_racks(); ++dst) {
-      if (dst == r) continue;
-      bool reachable = false;
-      for (int s = 0; s < topo_.num_slices() && !reachable; ++s) {
-        reachable = uplink_to(s, r, dst) >= 0;
+      if (relay_reach_[static_cast<std::size_t>(r)][static_cast<std::size_t>(dst)] ||
+          relay.queued_bytes(dst) == 0) {
+        continue;
       }
-      relay_reach_[static_cast<std::size_t>(r)][static_cast<std::size_t>(dst)] =
-          reachable;
-      if (reachable || relay.queued_bytes(dst) == 0) continue;
       for (auto& pkt : relay.take(dst, std::numeric_limits<std::int64_t>::max())) {
         nack(tor(r), *pkt);
       }

@@ -110,6 +110,13 @@ class OperaNetwork : public PacketFabric {
     return slice_tables_;
   }
 
+  // relay_reach()[r][dst]: rack r has a live direct circuit to dst in some
+  // slice, by the failure set of the last reconvergence (all true before
+  // any). VLB picks only relays that can finish the second hop.
+  [[nodiscard]] const std::vector<std::vector<bool>>& relay_reach() const {
+    return relay_reach_;
+  }
+
   // Structural memory of the sparse bulk VOQs (host agents + ToR relay
   // buffers) — the k=32 memory probe (see transport/sparse_voq.h).
   [[nodiscard]] std::size_t voq_memory_bytes() const;
@@ -128,11 +135,14 @@ class OperaNetwork : public PacketFabric {
  private:
   void build_nodes();
   void recompute_after_failure();
-  // Re-wires one rotor switch's ports to the matching active *now* (used
-  // by recovery; skips racks whose own uplink is failed / self-matches /
-  // the currently-reconfiguring switch, which its settle event owns).
-  void rewire_switch_now(int rotor_switch);
-  void wire_slice(int slice);
+  // Points every ToR uplink to switches [first, last) at its live circuit
+  // in `slice` (topo::OperaTopology::live_peer) and disables the uplinks
+  // without one (reconfiguring, self-matched, failed at either end).
+  void wire(int first, int last, int slice);
+  // Recovery: re-wires `rotor_switch` to the current slice (unless it is
+  // reconfiguring: its settle event owns its ports) and schedules the
+  // tables' reconvergence.
+  void rejoin(int rotor_switch);
   void on_slice_boundary(std::int64_t abs_slice);
   void allocate_bulk(int slice);
   void install_forwarding();
@@ -151,9 +161,6 @@ class OperaNetwork : public PacketFabric {
   [[nodiscard]] int core_port() const {
     return config_.topology.hosts_per_rack + config_.topology.num_switches;
   }
-  // The active uplink (rotor switch index) whose circuit currently reaches
-  // `peer_rack` from `rack` in `slice`; -1 if none.
-  [[nodiscard]] int uplink_to(int slice, std::int32_t rack, std::int32_t peer_rack) const;
 
   OperaConfig config_;
   topo::OperaTopology topo_;
@@ -173,9 +180,7 @@ class OperaNetwork : public PacketFabric {
   // route_around_failures_ is set.
   topo::FailureSet table_failures_;
   bool route_around_failures_ = false;
-  // relay_reach_[r][dst]: rack r still gets a direct circuit to dst in some
-  // slice (used to keep VLB from picking dead-end relays after failures).
-  std::vector<std::vector<bool>> relay_reach_;
+  std::vector<std::vector<bool>> relay_reach_;  // see relay_reach()
 
   int current_slice_ = 0;
   std::int64_t abs_slice_ = 0;

@@ -79,7 +79,7 @@ void PacketFabric::add_hosts(net::Switch& tor, const net::PortQueue::Config& hos
     });
     if (rotorlb_bulk_) {
       agents_.push_back(
-          std::make_unique<transport::RotorLbAgent>(host, tracker_, num_racks_));
+          std::make_unique<transport::RotorLbAgent>(host, tracker_));
     }
   }
 }

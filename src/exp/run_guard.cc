@@ -1,5 +1,6 @@
 #include "exp/run_guard.h"
 
+#include <cerrno>
 #include <chrono>
 #include <cinttypes>
 #include <csignal>
@@ -33,6 +34,17 @@ std::string i64_dec(std::int64_t v) {
   char buf[24];
   std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
   return buf;
+}
+
+// Inverse of i64_dec for a picosecond time: the whole string must be a
+// non-negative decimal that fits in 64 bits.
+bool parse_ps(const std::string& text, sim::Time* out) {
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0' || errno == ERANGE || v < 0) return false;
+  *out = sim::Time::ps(v);
+  return true;
 }
 
 // The guard tick equals run_to_completion's default check interval, so a
@@ -98,7 +110,7 @@ std::string recipe_from_checkpoint(const sim::CheckpointData& data,
   }
   const auto* horizon = sim::find_entry(data.run, "horizon_ps");
   if (horizon == nullptr) return "checkpoint missing [run] horizon_ps";
-  recipe->horizon = sim::Time::ps(std::strtoll(horizon->c_str(), nullptr, 10));
+  if (!parse_ps(*horizon, &recipe->horizon)) return "malformed [run] horizon_ps";
 
   if (std::string err = core::parse_fabric_config(data.config, &recipe->config);
       !err.empty()) {
@@ -112,7 +124,7 @@ std::string recipe_from_checkpoint(const sim::CheckpointData& data,
 
   const auto* time_ps = sim::find_entry(data.state, "time_ps");
   if (time_ps == nullptr) return "checkpoint missing [state] time_ps";
-  *resume_time = sim::Time::ps(std::strtoll(time_ps->c_str(), nullptr, 10));
+  if (!parse_ps(*time_ps, resume_time)) return "malformed [state] time_ps";
   const auto* digest = sim::find_entry(data.state, "fingerprint");
   if (digest == nullptr) return "checkpoint missing [state] fingerprint";
   char* end = nullptr;

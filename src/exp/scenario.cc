@@ -566,7 +566,6 @@ std::vector<workload::FlowSpec> adversarial_permutation_workload(
     const topo::OperaTopology& topo, std::int32_t hosts_per_rack,
     std::int64_t flow_bytes) {
   const auto n = topo.num_racks();
-  const int u = topo.num_switches();
   // wait[r][p]: slices until the first direct circuit r -> p, counting
   // from slice 0 (-1 until discovered; the one-factorization guarantees
   // every pair connects within one cycle).
@@ -574,10 +573,9 @@ std::vector<workload::FlowSpec> adversarial_permutation_workload(
       static_cast<std::size_t>(n), std::vector<int>(static_cast<std::size_t>(n), -1));
   for (topo::Vertex r = 0; r < n; ++r) {
     for (int s = 0; s < topo.num_slices(); ++s) {
-      for (int sw = 0; sw < u; ++sw) {
-        if (sw == topo.reconfiguring_switch(s)) continue;
-        const topo::Vertex peer = topo.circuit_peer(sw, r, s);
-        if (peer != r && wait[static_cast<std::size_t>(r)][static_cast<std::size_t>(peer)] < 0) {
+      for (int sw = 0; sw < topo.num_switches(); ++sw) {
+        const topo::Vertex peer = topo.live_peer(sw, r, s, nullptr);
+        if (peer >= 0 && wait[static_cast<std::size_t>(r)][static_cast<std::size_t>(peer)] < 0) {
           wait[static_cast<std::size_t>(r)][static_cast<std::size_t>(peer)] = s;
         }
       }

@@ -194,24 +194,22 @@ void FluidNetwork::run_until(sim::Time t) {
 }
 
 void FluidNetwork::inject_uplink_failure(std::int32_t rack, int rotor_switch) {
-  failures_.uplink_failed[static_cast<std::size_t>(rack)]
-                         [static_cast<std::size_t>(rotor_switch)] = true;
+  failures_.set_uplink_failed(rack, rotor_switch, true);
   any_failure_ = true;
 }
 
 void FluidNetwork::recover_uplink(std::int32_t rack, int rotor_switch) {
-  failures_.uplink_failed[static_cast<std::size_t>(rack)]
-                         [static_cast<std::size_t>(rotor_switch)] = false;
+  failures_.set_uplink_failed(rack, rotor_switch, false);
   any_failure_ = failures_.any();
 }
 
 void FluidNetwork::inject_switch_failure(int rotor_switch) {
-  failures_.switch_failed[static_cast<std::size_t>(rotor_switch)] = true;
+  failures_.set_switch_failed(rotor_switch, true);
   any_failure_ = true;
 }
 
 void FluidNetwork::recover_switch(int rotor_switch) {
-  failures_.switch_failed[static_cast<std::size_t>(rotor_switch)] = false;
+  failures_.set_switch_failed(rotor_switch, false);
   any_failure_ = failures_.any();
 }
 

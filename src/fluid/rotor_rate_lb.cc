@@ -13,31 +13,18 @@ std::vector<GroupRate> RotorRateLb::allocate(
   const auto su = static_cast<std::size_t>(u);
   const double circuit_rate = params_.link_rate_bps * params_.duty;
   const double host_cap = params_.hosts_per_rack * params_.link_rate_bps;
-  const int down = topo_.reconfiguring_switch(slice);
 
-  // The slice's live circuits, resolved once: live[r * u + sw] is the rack
-  // that r's uplink to sw reaches, or -1 when the switch is reconfiguring,
-  // the matching self-matches r, or a failed switch, rack or uplink at
-  // either end breaks the circuit. Each rack's circuit budget is one
+  // The slice's live circuits, resolved once: live[r * u + sw] is
+  // topo::OperaTopology::live_peer. Each rack's circuit budget is one
   // circuit_rate per live uplink; matchings are involutions, so the same
   // budget bounds both egress and ingress.
   std::vector<topo::Vertex> live(n * su, -1);
   std::vector<double> budget(n, 0.0);
   for (std::size_t r = 0; r < n; ++r) {
-    const auto rack = static_cast<topo::Vertex>(r);
     for (int sw = 0; sw < u; ++sw) {
-      if (sw == down) continue;
-      const topo::Vertex peer = topo_.circuit_peer(sw, rack, slice);
-      if (peer == rack) continue;
-      if (failures != nullptr) {
-        const auto ssw = static_cast<std::size_t>(sw);
-        const auto sp = static_cast<std::size_t>(peer);
-        if (failures->switch_failed[ssw] || failures->rack_failed[r] ||
-            failures->rack_failed[sp] || failures->uplink_failed[r][ssw] ||
-            failures->uplink_failed[sp][ssw]) {
-          continue;
-        }
-      }
+      const topo::Vertex peer =
+          topo_.live_peer(sw, static_cast<topo::Vertex>(r), slice, failures);
+      if (peer < 0) continue;
       live[r * su + static_cast<std::size_t>(sw)] = peer;
       budget[r] += circuit_rate;
     }

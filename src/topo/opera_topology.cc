@@ -150,28 +150,14 @@ void OperaTopology::index_circuits() {
   }
 }
 
-Graph OperaTopology::slice_graph(int slice, const FailureSet* failures,
-                                 bool include_reconfiguring) const {
+Graph OperaTopology::slice_graph(int slice, const FailureSet* failures) const {
   const Vertex n = params_.num_racks;
   const int u = params_.num_switches;
   Graph g(n, u);
-  const int down = reconfiguring_switch(slice);
   for (int sw = 0; sw < u; ++sw) {
-    if (sw == down && !include_reconfiguring) continue;
-    if (failures != nullptr && failures->switch_failed[static_cast<std::size_t>(sw)]) continue;
-    const auto& m = matchings_[matching_index(sw, slice)];
     for (Vertex a = 0; a < n; ++a) {
-      const Vertex b = m[static_cast<std::size_t>(a)];
-      if (a >= b) continue;  // self-loops and double-visits
-      if (failures != nullptr) {
-        if (failures->rack_failed[static_cast<std::size_t>(a)] ||
-            failures->rack_failed[static_cast<std::size_t>(b)] ||
-            failures->uplink_failed[static_cast<std::size_t>(a)][static_cast<std::size_t>(sw)] ||
-            failures->uplink_failed[static_cast<std::size_t>(b)][static_cast<std::size_t>(sw)]) {
-          continue;
-        }
-      }
-      g.add_edge(a, b);
+      const Vertex b = live_peer(sw, a, slice, failures);
+      if (b > a) g.add_edge(a, b);  // each circuit once
     }
   }
   return g;
@@ -195,16 +181,8 @@ bool OperaTopology::all_slices_connected() const {
 
 std::vector<int> OperaTopology::direct_slices(Vertex src, Vertex dst) const {
   std::vector<int> out;
-  const int u = params_.num_switches;
   for (int s = 0; s < num_slices(); ++s) {
-    const int down = reconfiguring_switch(s);
-    for (int sw = 0; sw < u; ++sw) {
-      if (sw == down) continue;
-      if (circuit_peer(sw, src, s) == dst) {
-        out.push_back(s);
-        break;
-      }
-    }
+    if (live_uplink(s, src, dst, nullptr) >= 0) out.push_back(s);
   }
   return out;
 }

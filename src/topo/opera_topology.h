@@ -79,6 +79,24 @@ struct FailureSet {
   static FailureSet none(Vertex num_racks, int num_switches);
   [[nodiscard]] bool any() const;
 
+  // Runtime injection and recovery (the fabrics' fault entry points).
+  void set_uplink_failed(Vertex rack, int sw, bool failed) {
+    uplink_failed[static_cast<std::size_t>(rack)][static_cast<std::size_t>(sw)] = failed;
+  }
+  void set_switch_failed(int sw, bool failed) {
+    switch_failed[static_cast<std::size_t>(sw)] = failed;
+  }
+
+  // The circuit a--b through switch `sw` needs the switch, both racks and
+  // both racks' uplinks to it.
+  [[nodiscard]] bool circuit_up(int sw, Vertex a, Vertex b) const {
+    const auto ssw = static_cast<std::size_t>(sw);
+    const auto sa = static_cast<std::size_t>(a);
+    const auto sb = static_cast<std::size_t>(b);
+    return !switch_failed[ssw] && !rack_failed[sa] && !rack_failed[sb] &&
+           !uplink_failed[sa][ssw] && !uplink_failed[sb][ssw];
+  }
+
   // Checkpoint hook: the full membership, in index order.
   void fingerprint(sim::Fingerprint& fp) const {
     fp.mix_u64(rack_failed.size());
@@ -141,8 +159,9 @@ class OperaTopology {
   }
 
   // The rack that `rack`'s uplink to `sw` connects to during `slice`
-  // (== rack when the matching self-matches it; callers must also check
-  // reconfiguring_switch()). `slice` is in [0, num_slices()).
+  // (== rack when the matching self-matches it), whether or not the circuit
+  // is live. `slice` is in [0, num_slices()). Everything outside topo asks
+  // live_peer / live_uplink instead.
   [[nodiscard]] Vertex circuit_peer(int sw, Vertex rack, int slice) const {
     assert(rack >= 0 && rack < params_.num_racks);
     return peers_[circuits_[circuit_slot(sw, slice)] *
@@ -150,13 +169,38 @@ class OperaTopology {
                   static_cast<std::size_t>(rack)];
   }
 
-  // Union of the u-1 active matchings in `slice` (u matchings if
-  // `include_reconfiguring` — used to model the instant after the switch
-  // settles — and always u under the unison schedule). Optional failures
-  // remove racks/switches/uplinks.
+  // The circuit rule: the rack that `rack`'s uplink to `sw` reaches in
+  // `slice`, or -1 when the switch is reconfiguring, the matching
+  // self-matches `rack`, or (with `failures`) the circuit has failed.
+  [[nodiscard]] Vertex live_peer(int sw, Vertex rack, int slice,
+                                 const FailureSet* failures) const {
+    if (sw == reconfiguring_switch(slice)) return -1;
+    const Vertex peer = circuit_peer(sw, rack, slice);
+    if (peer == rack) return -1;
+    if (failures != nullptr && !failures->circuit_up(sw, rack, peer)) return -1;
+    return peer;
+  }
+
+  // The switch whose live circuit carries rack -> peer in `slice`, or -1.
+  // The same rule as live_peer, but it tests the peer before the failure
+  // bits: it runs on every packet hop, and the peer test rejects all but at
+  // most one switch.
+  [[nodiscard]] int live_uplink(int slice, Vertex rack, Vertex peer,
+                                const FailureSet* failures) const {
+    if (peer == rack) return -1;
+    const int down = reconfiguring_switch(slice);
+    for (int sw = 0; sw < params_.num_switches; ++sw) {
+      if (sw == down || circuit_peer(sw, rack, slice) != peer) continue;
+      if (failures != nullptr && !failures->circuit_up(sw, rack, peer)) continue;
+      return sw;
+    }
+    return -1;
+  }
+
+  // The graph of the slice's live circuits (live_peer): the u-1 active
+  // matchings, all u under the unison schedule, minus `failures`.
   [[nodiscard]] Graph slice_graph(int slice,
-                                  const FailureSet* failures = nullptr,
-                                  bool include_reconfiguring = false) const;
+                                  const FailureSet* failures = nullptr) const;
 
   // ECMP next-hop table over slice_graph(slice): the low-latency
   // forwarding state for that slice (paper §4.3's per-slice tables).
@@ -177,8 +221,8 @@ class OperaTopology {
   // design-time acceptance test from §3.3.
   [[nodiscard]] bool all_slices_connected() const;
 
-  // Slices (within one cycle) during which src and dst have a direct
-  // circuit on a non-reconfiguring switch.
+  // Slices (within one cycle) during which src and dst have a live direct
+  // circuit (no failures).
   [[nodiscard]] std::vector<int> direct_slices(Vertex src, Vertex dst) const;
 
  private:

@@ -5,10 +5,8 @@
 
 namespace opera::transport {
 
-RotorLbAgent::RotorLbAgent(net::Host& host, FlowTracker& tracker, std::int32_t num_racks)
-    : host_(host), tracker_(tracker) {
-  (void)num_racks;  // VOQ slots materialize on first touch
-}
+RotorLbAgent::RotorLbAgent(net::Host& host, FlowTracker& tracker)
+    : host_(host), tracker_(tracker) {}
 
 std::int64_t RotorLbAgent::segment_wire_bytes(const Segment& seg) const {
   const Flow* flow = tracker_.find(seg.flow_id);

@@ -32,9 +32,8 @@ namespace opera::transport {
 // memory.
 class RotorLbAgent {
  public:
-  // `num_racks` is advisory (VOQ slots materialize on first touch; see
-  // transport/sparse_voq.h) and kept for interface stability.
-  RotorLbAgent(net::Host& host, FlowTracker& tracker, std::int32_t num_racks);
+  // VOQ slots materialize on first touch (see transport/sparse_voq.h).
+  RotorLbAgent(net::Host& host, FlowTracker& tracker);
 
   // Queues a registered bulk flow for transmission.
   void add_flow(const Flow& flow);
@@ -121,14 +120,11 @@ class RotorLbSink {
 };
 
 // ToR-side relay buffer for once-relayed (VLB) traffic awaiting a direct
-// circuit to its final destination.
+// circuit to its final destination. Relay VOQs materialize on first touch,
+// which is what takes the per-ToR relay state from O(racks) — O(racks²)
+// across all ToRs, the k=32 blocker — to O(active destinations).
 class RotorRelayBuffer {
  public:
-  // `num_racks` is advisory: relay VOQs materialize on first touch, which
-  // is what takes the per-ToR relay state from O(racks) — O(racks²)
-  // across all ToRs, the k=32 blocker — to O(active destinations).
-  explicit RotorRelayBuffer(std::int32_t num_racks) { (void)num_racks; }
-
   // Stores a relayed packet (clears its relay marking).
   void store(net::PacketPtr pkt);
 

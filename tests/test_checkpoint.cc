@@ -352,6 +352,30 @@ TEST(RunRecipe, MissingStateKeysRejected) {
   EXPECT_NE(err.find("fingerprint"), std::string::npos) << err;
 }
 
+// A time that does not parse in full must not fall back to 0: a [state]
+// time_ps of 0 means "fresh run", which would skip digest verification.
+TEST(RunRecipe, MalformedTimesRejected) {
+  const auto recipe = make_recipe("");
+  const auto net = replay(recipe, 1, sim::Time::ms(1));
+  const auto good = exp::make_run_checkpoint(recipe, *net);
+  for (const char* key : {"horizon_ps", "time_ps"}) {
+    for (const char* bad : {"", "abc", "1000x", "-5", "99999999999999999999"}) {
+      auto data = good;
+      for (auto* section : {&data.run, &data.state}) {
+        for (auto& e : *section) {
+          if (e.key == key) e.value = bad;
+        }
+      }
+      exp::RunRecipe restored;
+      sim::Time resume_time;
+      std::uint64_t resume_digest = 0;
+      const auto err = exp::recipe_from_checkpoint(data, &restored, &resume_time,
+                                                   &resume_digest);
+      EXPECT_NE(err.find(key), std::string::npos) << key << "='" << bad << "': " << err;
+    }
+  }
+}
+
 struct ReplayCase {
   const char* name;
   const char* scenario;

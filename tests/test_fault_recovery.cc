@@ -90,5 +90,86 @@ TEST(FaultRecovery, PostReconvergenceTailIsClean) {
   EXPECT_LT(fct.percentile(99), 500.0);
 }
 
+OperaConfig config_16x4(topo::RotorSchedule schedule) {
+  OperaConfig cfg;
+  cfg.topology.num_racks = 16;
+  cfg.topology.num_switches = 4;
+  cfg.topology.hosts_per_rack = 4;
+  cfg.topology.seed = 7;
+  cfg.schedule = schedule;
+  if (schedule == topo::RotorSchedule::kUnison) {
+    cfg.low_latency = LowLatencyPlane::kDirectCircuit;
+  }
+  return cfg;
+}
+
+// After every settle, a settled switch's uplink on each ToR is enabled
+// exactly when topo's circuit rule calls its circuit live — including the
+// far end of a failed uplink, which must stay dark.
+TEST(FaultRecovery, SettleEnablesExactlyTheLiveCircuits) {
+  for (const auto schedule : {topo::RotorSchedule::kOffset, topo::RotorSchedule::kUnison}) {
+    const OperaConfig cfg = config_16x4(schedule);
+    OperaNetwork net(cfg);
+    net.inject_uplink_failure(2, 1);
+    const auto& topo = net.topology();
+    const int slices = 2 * topo.num_slices();
+    int checks = 0;
+    for (int s = 0; s < slices; ++s) {
+      const sim::Time after_settle =
+          cfg.slice.duration * s + cfg.slice.reconfiguration + sim::Time::ns(1);
+      net.sim().schedule_at(after_settle, [&net, &topo, &checks, &cfg, s] {
+        const int slice = s % topo.num_slices();
+        const auto [first, last] = topo.retargeting_switches(slice);
+        const int target = topo.settle_slice(slice);
+        for (topo::Vertex r = 0; r < topo.num_racks(); ++r) {
+          for (int sw = first; sw < last; ++sw) {
+            const bool live = topo.live_peer(sw, r, target, &net.failures()) >= 0;
+            EXPECT_EQ(net.tor(r).port(cfg.topology.hosts_per_rack + sw).enabled(), live)
+                << "slice " << slice << " rack " << r << " switch " << sw;
+            ++checks;
+          }
+        }
+      });
+    }
+    net.run_until(cfg.slice.duration * slices);
+    const int per_settle = schedule == topo::RotorSchedule::kOffset ? 1 : 4;
+    EXPECT_EQ(checks, slices * 16 * per_settle);
+  }
+}
+
+// The reconvergence sweep of live circuits agrees with a brute-force
+// search of every slice and switch for each rack pair.
+TEST(FaultRecovery, RelayReachMatchesBruteForce) {
+  const OperaConfig cfg = config_16x4(topo::RotorSchedule::kOffset);
+  OperaNetwork net(cfg);
+  net.inject_switch_failure(1);
+  net.inject_uplink_failure(2, 3);
+  net.inject_uplink_failure(9, 0);
+  net.run_until(cfg.cycle_time() + cfg.slice.duration);
+  const auto& topo = net.topology();
+  const auto& f = net.failures();
+  int unreachable = 0;
+  for (topo::Vertex r = 0; r < 16; ++r) {
+    const auto sr = static_cast<std::size_t>(r);
+    EXPECT_TRUE(net.relay_reach()[sr][sr]);
+    for (topo::Vertex dst = 0; dst < 16; ++dst) {
+      if (dst == r) continue;
+      const auto sd = static_cast<std::size_t>(dst);
+      bool reachable = false;
+      for (int s = 0; s < topo.num_slices(); ++s) {
+        for (int sw = 0; sw < 4; ++sw) {
+          const auto ssw = static_cast<std::size_t>(sw);
+          if (sw == topo.reconfiguring_switch(s) || topo.circuit_peer(sw, r, s) != dst) continue;
+          if (f.switch_failed[ssw] || f.uplink_failed[sr][ssw] || f.uplink_failed[sd][ssw]) continue;
+          reachable = true;
+        }
+      }
+      EXPECT_EQ(net.relay_reach()[sr][sd], reachable) << r << " -> " << dst;
+      if (!reachable) ++unreachable;
+    }
+  }
+  EXPECT_GT(unreachable, 0);  // switch 1's pairs lost their only circuit
+}
+
 }  // namespace
 }  // namespace opera::core

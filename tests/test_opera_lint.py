@@ -296,6 +296,51 @@ class SyncPrimitiveTest(unittest.TestCase):
         self.assertEqual(vs, [])
 
 
+class CircuitRuleTest(unittest.TestCase):
+    # OperaNetwork's uplink lookup and settle loop as they once read the
+    # raw circuit map and failure bits in src/core/opera_network.cc.
+    PARENT_OPERA_NETWORK = (
+        "int OperaNetwork::uplink_to(int slice, std::int32_t rack, std::int32_t peer) const {\n"
+        "  for (int sw = 0; sw < u; ++sw) {\n"
+        "    if (sw == down || topo_.circuit_peer(sw, rack, slice) != peer) continue;\n"
+        "    if (failures_.switch_failed[ssw] ||\n"
+        "        failures_.uplink_failed[rack][ssw]) continue;\n"
+        "    return sw;\n"
+        "  }\n"
+        "}\n"
+        "void OperaNetwork::inject_switch_failure(int rotor_switch) {\n"
+        "  failures_.switch_failed[static_cast<std::size_t>(rotor_switch)] = true;\n"
+        "}\n")
+
+    def test_parent_opera_network_fires(self):
+        vs, _ = lint("src/core/opera_network.cc", self.PARENT_OPERA_NETWORK)
+        self.assertEqual(rules_of(vs), [("circuit-rule", n) for n in (3, 4, 5, 10)])
+
+    def test_every_failure_bit_fires(self):
+        for line in ("if (f->rack_failed[r]) return;",
+                     "if (f->switch_failed[sw]) return;",
+                     "if (f->uplink_failed[r][sw]) return;",
+                     "const auto peer = topo.circuit_peer (sw, r, s);"):
+            vs, _ = lint("src/fluid/rotor_rate_lb.cc", line + "\n")
+            self.assertEqual(rules_of(vs), [("circuit-rule", 1)], line)
+
+    def test_topo_and_non_src_are_exempt(self):
+        for relpath in ("src/topo/opera_topology.h", "src/topo/failures.cc",
+                        "tests/test_fault_recovery.cc", "bench/micro_core.cc"):
+            vs, _ = lint(relpath, self.PARENT_OPERA_NETWORK)
+            self.assertEqual([v for v in vs if v.rule == "circuit-rule"], [], relpath)
+
+    def test_rule_api_setters_and_prose_are_clean(self):
+        src = ("// Unlike circuit_peer(), live_peer checks switch_failed too.\n"
+               "const auto peer = topo_.live_peer(sw, r, slice, &failures_);\n"
+               "const int sw = topo_.live_uplink(slice, r, next, &failures_);\n"
+               "failures_.set_uplink_failed(rack, rotor_switch, true);\n"
+               "failures_.set_switch_failed(rotor_switch, false);\n"
+               "const bool ok = failures_.circuit_up(sw, a, b);\n")
+        vs, _ = lint("src/core/opera_network.cc", src)
+        self.assertEqual(vs, [])
+
+
 class CheckpointCoverageTest(unittest.TestCase):
     TAGGED = (
         "// checkpoint:v1 fields=2\n"

@@ -5,6 +5,8 @@
 #include <set>
 #include <utility>
 
+#include "sim/rng.h"
+
 namespace opera::topo {
 namespace {
 
@@ -191,6 +193,79 @@ TEST(OperaTopology, FailedUplinkRemovesOneCircuit) {
   if (peer != 3) {
     EXPECT_EQ(without.num_edges() + 1, with.num_edges());
     EXPECT_FALSE(without.has_edge(3, peer));
+  }
+}
+
+// The circuit rule spelled out from the raw circuit map and failure bits:
+// the brute-force reference live_peer and live_uplink must agree with.
+Vertex reference_live_peer(const OperaTopology& topo, int sw, Vertex rack, int slice,
+                           const FailureSet& f) {
+  if (sw == topo.reconfiguring_switch(slice)) return -1;
+  const Vertex peer = topo.circuit_peer(sw, rack, slice);
+  if (peer == rack) return -1;
+  const auto ssw = static_cast<std::size_t>(sw);
+  const auto a = static_cast<std::size_t>(rack);
+  const auto b = static_cast<std::size_t>(peer);
+  if (f.switch_failed[ssw] || f.rack_failed[a] || f.rack_failed[b] ||
+      f.uplink_failed[a][ssw] || f.uplink_failed[b][ssw]) {
+    return -1;
+  }
+  return peer;
+}
+
+FailureSet random_failures(Vertex n, int u, sim::Rng& rng) {
+  auto f = FailureSet::none(n, u);
+  for (Vertex r = 0; r < n; ++r) {
+    f.rack_failed[static_cast<std::size_t>(r)] = rng.bernoulli(0.1);
+    for (int sw = 0; sw < u; ++sw) {
+      f.uplink_failed[static_cast<std::size_t>(r)][static_cast<std::size_t>(sw)] =
+          rng.bernoulli(0.15);
+    }
+  }
+  for (int sw = 0; sw < u; ++sw) f.switch_failed[static_cast<std::size_t>(sw)] = rng.bernoulli(0.2);
+  return f;
+}
+
+// live_peer and live_uplink against the reference on every (slice,
+// switch, rack), offset and unison, with no failures and under seeded
+// random failure sets that include failed racks.
+TEST(OperaTopology, LiveCircuitRuleMatchesReference) {
+  for (const RotorSchedule schedule : {RotorSchedule::kOffset, RotorSchedule::kUnison}) {
+    const OperaTopology topo(small_params(), schedule);
+    const Vertex n = topo.num_racks();
+    const int u = topo.num_switches();
+    sim::Rng rng(11);
+    std::vector<FailureSet> sets{FailureSet::none(n, u)};
+    for (int i = 0; i < 8; ++i) sets.push_back(random_failures(n, u, rng));
+    for (const FailureSet& f : sets) {
+      for (int s = 0; s < topo.num_slices(); ++s) {
+        std::vector<int> expected_uplink(static_cast<std::size_t>(n) * static_cast<std::size_t>(n), -1);
+        for (int sw = 0; sw < u; ++sw) {
+          for (Vertex r = 0; r < n; ++r) {
+            const Vertex want = reference_live_peer(topo, sw, r, s, f);
+            ASSERT_EQ(topo.live_peer(sw, r, s, &f), want)
+                << "slice " << s << " switch " << sw << " rack " << r;
+            if (!f.any()) {
+              ASSERT_EQ(topo.live_peer(sw, r, s, nullptr), want);
+            }
+            if (want >= 0) {
+              auto& slot = expected_uplink[static_cast<std::size_t>(r) * static_cast<std::size_t>(n) +
+                                           static_cast<std::size_t>(want)];
+              ASSERT_EQ(slot, -1) << "two live circuits join one rack pair";
+              slot = sw;
+            }
+          }
+        }
+        for (Vertex a = 0; a < n; ++a) {
+          for (Vertex b = 0; b < n; ++b) {
+            ASSERT_EQ(topo.live_uplink(s, a, b, &f),
+                      expected_uplink[static_cast<std::size_t>(a) * static_cast<std::size_t>(n) +
+                                      static_cast<std::size_t>(b)])
+                << "slice " << s << " racks " << a << " -> " << b;
+          }
+        }
+      }
+    }
   }
 }
 

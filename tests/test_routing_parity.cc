@@ -119,7 +119,8 @@ TEST(RoutingParity, Expander) {
 
 // k=24 scale (432 racks, u=12): the eager-resolving fabric of
 // opera_k24_websearch. A plain slice, one under a switch plus an uplink
-// failure, and one with the reconfiguring switch included (degree 12).
+// failure, and a unison (RotorNet) slice, where all 12 switches carry
+// circuits (degree 12).
 TEST(RoutingParity, OperaK24Slices) {
   OperaParams p;
   p.num_racks = 432;
@@ -134,13 +135,13 @@ TEST(RoutingParity, OperaK24Slices) {
   failures.uplink_failed[100][7] = true;
   expect_parity(topo.slice_graph(200, &failures), "opera432+failures slice 200");
 
-  const Graph full = topo.slice_graph(431, nullptr, true);
+  const Graph full = OperaTopology(p, RotorSchedule::kUnison).slice_graph(35);
   Vertex max_degree = 0;
   for (Vertex v = 0; v < full.num_vertices(); ++v) {
     max_degree = std::max(max_degree, full.degree(v));
   }
   EXPECT_EQ(max_degree, 12);
-  expect_parity(full, "opera432 slice 431 +reconfiguring");
+  expect_parity(full, "rotornet432 slice 35");
 }
 
 TEST(RoutingParity, RejectsDegreeAboveMaskWidth) {
