@@ -94,12 +94,19 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string workload_name = Cli::arg_string(argc, argv, "--workload", "poisson");
-  const double load = Cli::arg_double(argc, argv, "--load", 0.10);
+  const double load = Cli::arg<double>(argc, argv, "--load", 0.10);
   const std::string dist_name = Cli::arg_string(argc, argv, "--dist", "datamining");
-  const std::int64_t flow_bytes = Cli::arg_long(argc, argv, "--flow-kb", 100) * 1000;
-  const double duration_ms = Cli::arg_double(argc, argv, "--duration-ms", 1.0);
-  const double horizon_ms = Cli::arg_double(argc, argv, "--horizon-ms", 50.0);
-  const auto seed = static_cast<std::uint64_t>(Cli::arg_long(argc, argv, "--seed", 1));
+  const auto flow_kb = Cli::arg<std::int64_t>(argc, argv, "--flow-kb", 100);
+  if (constexpr auto kMaxKb = std::numeric_limits<std::int64_t>::max() / 1000;
+      flow_kb < 1 || flow_kb > kMaxKb) {
+    std::fprintf(stderr, "bench_custom: --flow-kb must be in [1, %lld]\n",
+                 static_cast<long long>(kMaxKb));
+    return 2;
+  }
+  const std::int64_t flow_bytes = flow_kb * 1000;
+  const double duration_ms = Cli::arg<double>(argc, argv, "--duration-ms", 1.0);
+  const double horizon_ms = Cli::arg<double>(argc, argv, "--horizon-ms", 50.0);
+  const auto seed = Cli::arg<std::uint64_t>(argc, argv, "--seed", 1);
   const bool construct_only = Cli::has_flag(argc, argv, "--construct-only");
   const int slice_window = Cli::arg_count(argc, argv, "--slice-window", 0);
   const std::string scenario_str = Cli::arg_string(argc, argv, "--scenario", "");
@@ -107,9 +114,9 @@ int main(int argc, char** argv) {
   // Run guardrails (exp::RunGuard). Any of these flags names a checkpoint
   // destination; a plain run writes none.
   const double checkpoint_every_ms =
-      Cli::arg_double(argc, argv, "--checkpoint-every", 0.0);
-  const double max_wall_s = Cli::arg_double(argc, argv, "--max-wall-s", 0.0);
-  const double max_rss_mb = Cli::arg_double(argc, argv, "--max-rss-mb", 0.0);
+      Cli::arg<double>(argc, argv, "--checkpoint-every", 0.0);
+  const double max_wall_s = Cli::arg<double>(argc, argv, "--max-wall-s", 0.0);
+  const double max_rss_mb = Cli::arg<double>(argc, argv, "--max-rss-mb", 0.0);
   const std::string resume_path = Cli::arg_string(argc, argv, "--resume", "");
   std::string checkpoint_path = Cli::arg_string(argc, argv, "--checkpoint-to", "");
   const bool resuming = !resume_path.empty();

@@ -63,6 +63,13 @@ at review time, tree-wide:
                       copies drift (one once enabled an uplink whose far
                       end had failed). Failures are set through
                       FailureSet's setters.
+  number-parse        No strto*, ato*, std::sto*, sscanf or from_chars in
+                      src/ or bench/ outside src/sim/parse.h. Every
+                      number read from text goes through
+                      sim::parse_number, so every input follows one
+                      rule (whole string, sign only for signed types,
+                      in range of the field, finite); each hand-rolled
+                      wrapper once checked a different subset of it.
   checkpoint-coverage Structs serialized into checkpoints are tagged
                       `// checkpoint:v<N> fields=<M>` (docs/CHECKPOINT.md).
                       The rule counts the struct's data members and fails
@@ -73,7 +80,7 @@ at review time, tree-wide:
                       misparses.
 
 Usage:
-    scripts/opera_lint.py                      # lint src/ under the repo root
+    scripts/opera_lint.py                      # lint src/ and bench/ under the repo root
     scripts/opera_lint.py --list-rules
     scripts/opera_lint.py file.cc ...          # lint specific files
     scripts/opera_lint.py --strict             # unused allowlist entries fail
@@ -105,6 +112,9 @@ PACKET_POOL_FILES = {"src/net/packet.cc"}
 
 # The worker pool — the one place allowed atomics, mutexes and condvars.
 SYNC_FILES = {"src/sim/worker_pool.h", "src/sim/worker_pool.cc"}
+
+# sim::parse_number — the one place allowed a C/C++ number parser.
+PARSE_FILES = {"src/sim/parse.h"}
 
 # Allowed #include edges between src/<layer>/ directories. Must mirror the
 # target_link_libraries graph in CMakeLists.txt (PUBLIC edges are
@@ -419,6 +429,29 @@ def rule_circuit_rule(relpath, code_lines):
                 break
 
 
+_NUMBER_PARSE_PATTERNS = [
+    (re.compile(r"\bstrto(?:[dfl]|ld|ll|ul|ull|imax|umax)\b"), "strto*"),
+    (re.compile(r"\bato(?:[fil]|ll)\b"), "ato*"),
+    (re.compile(r"\bsto(?:[dfil]|ld|ll|ul|ull)\s*\("), "std::sto*"),
+    (re.compile(r"\b[fv]?sscanf\b"), "sscanf"),
+    (re.compile(r"\bfrom_chars\b"), "from_chars"),
+]
+
+
+def rule_number_parse(relpath, code_lines):
+    if not relpath.startswith(("src/", "bench/")) or relpath in PARSE_FILES:
+        return
+    for lineno, line in enumerate(code_lines, 1):
+        for pat, what in _NUMBER_PARSE_PATTERNS:
+            if pat.search(line):
+                yield (lineno,
+                       f"{what} outside src/sim/parse.h: read numbers with "
+                       "sim::parse_number (whole string, sign only for signed "
+                       "types, in range of the field, finite), or the CLI/env "
+                       "wrappers built on it.")
+                break
+
+
 _QUOTED_INCLUDE = re.compile(r'#\s*include\s+"([^"]+)"')
 
 
@@ -565,6 +598,7 @@ RULES = {
     "include-layering": rule_include_layering,
     "sync-primitive": rule_sync_primitive,
     "circuit-rule": rule_circuit_rule,
+    "number-parse": rule_number_parse,
     "checkpoint-coverage": rule_checkpoint_coverage,
 }
 
@@ -611,18 +645,18 @@ def lint_tree(root, relpaths, allowlist=()):
 
 
 def discover_sources(root):
-    src = root / "src"
     return sorted(
         p.relative_to(root).as_posix()
+        for top in ("src", "bench")
         for ext in ("*.h", "*.cc")
-        for p in src.rglob(ext))
+        for p in (root / top).rglob(ext))
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
         description="Statically enforce the bit-identical-threads contract.")
     parser.add_argument("paths", nargs="*",
-                        help="specific files to lint (default: all of src/)")
+                        help="specific files to lint (default: all of src/ and bench/)")
     parser.add_argument("--root", type=pathlib.Path,
                         default=pathlib.Path(__file__).resolve().parent.parent,
                         help="repo root (default: the checkout containing this script)")

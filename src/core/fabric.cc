@@ -1,11 +1,11 @@
 #include "core/fabric.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <concepts>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
+
+#include "sim/parse.h"
 
 namespace opera::core {
 
@@ -215,9 +215,9 @@ void for_each_field(Config& c, Fn&& fn) {
 
 // One codec per field type. Enums travel by name, bools as 0/1, integers
 // in decimal, times as picoseconds, doubles as round-trip %.17g. A decode
-// returns false on a malformed value, including an integer outside its
-// field's range; strtoll/strtoull/strtod accept the exact formats the
-// encoders emit.
+// returns false on a malformed value (sim::parse_number's rule: an
+// integer outside its field's range, a non-finite double), and reads the
+// exact formats the encoders emit.
 std::string encode(FabricKind v) { return fabric_kind_name(v); }
 std::string encode(EngineKind v) { return engine_kind_name(v); }
 std::string encode(bool v) { return v ? "1" : "0"; }
@@ -244,52 +244,23 @@ bool decode(const std::string& text, EngineKind* v) {
   return engine.has_value();
 }
 
-template <std::signed_integral T>
+template <class T>
+  requires std::integral<T> || std::floating_point<T>
 bool decode(const std::string& text, T* v) {
-  char* end = nullptr;
-  errno = 0;
-  const long long parsed = std::strtoll(text.c_str(), &end, 10);
-  if (errno != 0 || end == text.c_str() || *end != '\0') return false;
-  if (parsed < std::numeric_limits<T>::min() || parsed > std::numeric_limits<T>::max()) {
-    return false;
-  }
-  *v = static_cast<T>(parsed);
-  return true;
-}
-
-template <std::unsigned_integral T>
-bool decode(const std::string& text, T* v) {
-  char* end = nullptr;
-  errno = 0;
-  // strtoull wraps a negative value instead of failing; refuse the sign.
-  if (text.find('-') != std::string::npos) return false;
-  const unsigned long long parsed = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end == text.c_str() || *end != '\0') return false;
-  if (parsed > std::numeric_limits<T>::max()) return false;
-  *v = static_cast<T>(parsed);
-  return true;
+  return sim::parse_number(text, v);
 }
 
 bool decode(const std::string& text, bool* v) {
-  std::int64_t i = 0;
-  if (!decode(text, &i) || (i != 0 && i != 1)) return false;
+  int i = 0;
+  if (!sim::parse_number(text, &i) || (i != 0 && i != 1)) return false;
   *v = i != 0;
   return true;
 }
 
 bool decode(const std::string& text, sim::Time* v) {
   std::int64_t ps = 0;
-  if (!decode(text, &ps)) return false;
+  if (!sim::parse_number(text, &ps)) return false;
   *v = sim::Time::ps(ps);
-  return true;
-}
-
-bool decode(const std::string& text, double* v) {
-  char* end = nullptr;
-  errno = 0;
-  const double parsed = std::strtod(text.c_str(), &end);
-  if (errno != 0 || end == text.c_str() || *end != '\0') return false;
-  *v = parsed;
   return true;
 }
 

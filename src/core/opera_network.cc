@@ -159,8 +159,10 @@ void OperaNetwork::on_slice_boundary(std::int64_t abs_slice) {
   // With a dark prefix no circuit exists before the settle, so bulk is
   // granted there; otherwise at the boundary, below.
   const bool grant_at_settle = config_.dark_prefix() > sim::Time::zero();
+  settle_pending_ = true;
   sim().schedule_in(config_.slice.reconfiguration + skew,
                     [this, slice, first, last, grant_at_settle] {
+    settle_pending_ = false;
     wire(first, last, topo_.settle_slice(slice));
     if (grant_at_settle) allocate_bulk(slice);
   });
@@ -388,9 +390,12 @@ void OperaNetwork::recover_switch(int rotor_switch) {
 }
 
 void OperaNetwork::rejoin(int rotor_switch) {
-  // The reconfiguring switch's ports belong to its pending settle event.
-  if (rotor_switch != topo_.reconfiguring_switch(current_slice_)) {
+  const auto [first, last] = topo_.retargeting_switches(current_slice_);
+  const bool retargeting = rotor_switch >= first && rotor_switch < last;
+  if (!retargeting) {
     wire(rotor_switch, rotor_switch + 1, current_slice_);
+  } else if (!settle_pending_) {
+    wire(rotor_switch, rotor_switch + 1, topo_.settle_slice(current_slice_));
   }
   sim().schedule_in(config_.cycle_time(), [this] { recompute_after_failure(); });
 }

@@ -139,9 +139,10 @@ class OperaNetwork : public PacketFabric {
   // in `slice` (topo::OperaTopology::live_peer) and disables the uplinks
   // without one (reconfiguring, self-matched, failed at either end).
   void wire(int first, int last, int slice);
-  // Recovery: re-wires `rotor_switch` to the current slice (unless it is
-  // reconfiguring: its settle event owns its ports) and schedules the
-  // tables' reconvergence.
+  // Recovery: re-wires `rotor_switch` onto the matching it holds now and
+  // schedules the tables' reconvergence. A retargeting switch whose settle
+  // is still pending is left to that settle; one whose settle already ran
+  // is wired onto the settle slice, as the settle would have.
   void rejoin(int rotor_switch);
   void on_slice_boundary(std::int64_t abs_slice);
   void allocate_bulk(int slice);
@@ -184,6 +185,8 @@ class OperaNetwork : public PacketFabric {
 
   int current_slice_ = 0;
   std::int64_t abs_slice_ = 0;
+  // Set at each boundary, cleared when the retargeting switches settle.
+  bool settle_pending_ = false;
 
   // Rotor desync state (inject_slice_skew): per-switch extra settle delay
   // and how many upcoming reconfigurations it still applies to.

@@ -4,21 +4,23 @@
 #include <cassert>
 #include <cstdlib>
 
+#include "sim/parse.h"
+
 namespace opera::core {
 
 namespace {
 
 // Resolved shard count: config override, else $OPERA_TEST_THREADS (the CI
-// matrix leg that runs the whole suite sharded), else 1; always clamped to
-// the rack count (a shard must own at least one rack-granularity domain).
+// matrix leg that runs the whole suite sharded; empty = unset, malformed =
+// exit 2), else 1; always clamped to the rack count (a shard must own at
+// least one rack-granularity domain).
 int resolve_shards(int threads, sim::Time propagation, std::int32_t num_racks) {
   if (threads <= 0) {
     // getenv is mt-unsafe only against concurrent setenv; this runs at
     // fabric construction, before any shard worker exists.
     // NOLINTNEXTLINE(concurrency-mt-unsafe)
-    if (const char* env = std::getenv("OPERA_TEST_THREADS")) {
-      threads = std::atoi(env);
-    }
+    const char* env = std::getenv("OPERA_TEST_THREADS");
+    threads = sim::env_number("OPERA_TEST_THREADS", env, 0);
   }
   if (threads <= 0) threads = 1;
   // Sharding needs lookahead: a (hypothetical) zero-propagation fabric

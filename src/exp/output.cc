@@ -1,13 +1,11 @@
 #include "exp/output.h"
 
 #include <cassert>
-#include <cerrno>
-#include <climits>
-#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string_view>
 
 namespace opera::exp {
 
@@ -32,11 +30,6 @@ std::string json_escape(const std::string& s) {
   }
   out += '"';
   return out;
-}
-
-[[noreturn]] void malformed_arg(char** argv, const char* key, const char* value) {
-  std::fprintf(stderr, "%s: malformed value for %s: '%s'\n", argv[0], key, value);
-  std::exit(2);
 }
 
 }  // namespace
@@ -67,32 +60,15 @@ const char* CliOptions::arg_value(int argc, char** argv, const char* key) {
   return nullptr;
 }
 
-long CliOptions::arg_long(int argc, char** argv, const char* key, long fallback) {
-  const char* v = arg_value(argc, argv, key);
-  if (v == nullptr) return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const long parsed = std::strtol(v, &end, 10);
-  if (end == v || *end != '\0' || errno == ERANGE) malformed_arg(argv, key, v);
-  return parsed;
-}
-
 int CliOptions::arg_count(int argc, char** argv, const char* key, int fallback) {
-  const long parsed = arg_long(argc, argv, key, fallback);
-  if (parsed < 0 || parsed > INT_MAX) malformed_arg(argv, key, arg_value(argc, argv, key));
-  return static_cast<int>(parsed);
+  const int parsed = arg<int>(argc, argv, key, fallback);
+  if (parsed < 0) malformed_arg(argv, key, arg_value(argc, argv, key));
+  return parsed;
 }
 
-double CliOptions::arg_double(int argc, char** argv, const char* key, double fallback) {
-  const char* v = arg_value(argc, argv, key);
-  if (v == nullptr) return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const double parsed = std::strtod(v, &end);
-  if (end == v || *end != '\0' || errno == ERANGE || !std::isfinite(parsed)) {
-    malformed_arg(argv, key, v);
-  }
-  return parsed;
+void CliOptions::malformed_arg(char** argv, const char* key, const char* value) {
+  std::fprintf(stderr, "%s: malformed value for %s: '%s'\n", argv[0], key, value);
+  std::exit(2);
 }
 
 std::string CliOptions::arg_string(int argc, char** argv, const char* key,
@@ -284,7 +260,13 @@ std::size_t proc_status_kb(const char* field, std::size_t field_len) {
   std::size_t kb = 0;
   while (std::fgets(line, sizeof line, f) != nullptr) {
     if (std::strncmp(line, field, field_len) == 0) {
-      kb = std::strtoull(line + field_len, nullptr, 10);
+      // "VmHWM:\t  123456 kB\n": the value is the token after the padding.
+      const std::string_view rest(line + field_len);
+      const std::size_t first = rest.find_first_not_of(" \t");
+      if (first == std::string_view::npos ||
+          !sim::parse_number(rest.substr(first, rest.find(' ', first) - first), &kb)) {
+        kb = 0;
+      }
       break;
     }
   }

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/fabric.h"
+#include "sim/parse.h"
 
 namespace opera::exp {
 
@@ -43,16 +44,26 @@ struct CliOptions {
 
   // `--key=value` getters. The raw value, or null when the flag is absent.
   static const char* arg_value(int argc, char** argv, const char* key);
-  // Typed getters return `fallback` when the flag is absent. A value that
-  // does not parse in full ("--racks=sixteen", "--load=abc", "--load=")
-  // prints the flag name to stderr and exits 2.
-  static long arg_long(int argc, char** argv, const char* key, long fallback);
-  // A count (--threads, --slice-window): negative or above INT_MAX is
-  // malformed too.
+  // The typed getter returns `fallback` when the flag is absent. A value
+  // that is not a T by sim::parse_number's rule ("--racks=sixteen",
+  // "--load=abc", "--load=", "--load=nan", "--seed=-1" for an unsigned
+  // T) prints the flag name to stderr and exits 2.
+  template <class T>
+  static T arg(int argc, char** argv, const char* key, T fallback) {
+    const char* v = arg_value(argc, argv, key);
+    if (v == nullptr) return fallback;
+    T parsed{};
+    if (!sim::parse_number(v, &parsed)) malformed_arg(argv, key, v);
+    return parsed;
+  }
+  // A count (--threads, --slice-window): an int that is not negative.
   static int arg_count(int argc, char** argv, const char* key, int fallback);
-  static double arg_double(int argc, char** argv, const char* key, double fallback);
   static std::string arg_string(int argc, char** argv, const char* key,
                                 const char* fallback);
+
+  // Prints "<argv[0]>: malformed value for <key>: '<value>'" and exits 2.
+  [[noreturn]] static void malformed_arg(char** argv, const char* key,
+                                         const char* value);
 };
 
 // Peak resident-set size of this process in bytes (Linux VmHWM; 0 where

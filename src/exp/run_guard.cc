@@ -1,6 +1,5 @@
 #include "exp/run_guard.h"
 
-#include <cerrno>
 #include <chrono>
 #include <cinttypes>
 #include <csignal>
@@ -10,6 +9,7 @@
 
 #include "exp/output.h"
 #include "exp/scenario.h"
+#include "sim/parse.h"
 
 namespace opera::exp {
 
@@ -39,11 +39,9 @@ std::string i64_dec(std::int64_t v) {
 // Inverse of i64_dec for a picosecond time: the whole string must be a
 // non-negative decimal that fits in 64 bits.
 bool parse_ps(const std::string& text, sim::Time* out) {
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0' || errno == ERANGE || v < 0) return false;
-  *out = sim::Time::ps(v);
+  std::int64_t ps = 0;
+  if (!sim::parse_number(text, &ps) || ps < 0) return false;
+  *out = sim::Time::ps(ps);
   return true;
 }
 
@@ -100,10 +98,9 @@ std::string recipe_from_checkpoint(const sim::CheckpointData& data,
   if (const auto* v = sim::find_entry(data.run, "fabric_label")) {
     recipe->fabric_label = *v;
   }
-  if (const auto* v = sim::find_entry(data.run, "load_pct")) {
-    char* end = nullptr;
-    recipe->load_pct = std::strtod(v->c_str(), &end);
-    if (end == v->c_str() || *end != '\0') return "malformed [run] load_pct";
+  if (const auto* v = sim::find_entry(data.run, "load_pct");
+      v != nullptr && !sim::parse_number(*v, &recipe->load_pct)) {
+    return "malformed [run] load_pct";
   }
   if (const auto* v = sim::find_entry(data.run, "scenario")) {
     recipe->scenario = *v;
@@ -127,9 +124,7 @@ std::string recipe_from_checkpoint(const sim::CheckpointData& data,
   if (!parse_ps(*time_ps, resume_time)) return "malformed [state] time_ps";
   const auto* digest = sim::find_entry(data.state, "fingerprint");
   if (digest == nullptr) return "checkpoint missing [state] fingerprint";
-  char* end = nullptr;
-  *resume_digest = std::strtoull(digest->c_str(), &end, 16);
-  if (end == digest->c_str() || *end != '\0') {
+  if (!sim::parse_number(*digest, resume_digest, 16)) {
     return "malformed [state] fingerprint";
   }
   return "";

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <limits>
 
 #include "fluid/fluid_network.h"
 #include "fluid/hybrid_network.h"
+#include "sim/parse.h"
 #include "sim/rng.h"
 #include "workload/day_in_the_life.h"
 #include "workload/trace_replay.h"
@@ -34,20 +34,6 @@ struct KeyValue {
   std::string value;
 };
 
-bool parse_double_value(const std::string& v, double& out) {
-  if (v.empty()) return false;
-  char* end = nullptr;
-  out = std::strtod(v.c_str(), &end);
-  return end == v.c_str() + v.size();
-}
-
-bool parse_int_value(const std::string& v, long long& out) {
-  if (v.empty()) return false;
-  char* end = nullptr;
-  out = std::strtoll(v.c_str(), &end, 10);
-  return end == v.c_str() + v.size();
-}
-
 // Applies one key=value to `spec`; returns "" or an error message. The
 // per-kind key sets are disjoint from the grammar's point of view: a key
 // another kind owns is as unknown as a typo.
@@ -55,25 +41,15 @@ std::string apply_key(ScenarioSpec& spec, const KeyValue& kv) {
   const auto bad_value = [&] {
     return "bad value '" + kv.value + "' for key '" + kv.key + "'";
   };
-  const auto num = [&](double& field) -> std::string {
-    return parse_double_value(kv.value, field) ? "" : bad_value();
-  };
-  const auto integer = [&](int& field) -> std::string {
-    long long v = 0;
-    if (!parse_int_value(kv.value, v)) return bad_value();
-    field = static_cast<int>(v);
-    return "";
+  // Parses the value straight into the field's own type (sim::parse_number).
+  const auto num = [&](auto& field) -> std::string {
+    return sim::parse_number(kv.value, &field) ? "" : bad_value();
   };
   switch (spec.kind) {
     case ScenarioKind::kDitl:
       if (kv.key == "phase-ms") return num(spec.phase_ms);
       if (kv.key == "load") return num(spec.load);
-      if (kv.key == "seed") {
-        long long v = 0;
-        if (!parse_int_value(kv.value, v) || v < 0) return bad_value();
-        spec.seed = static_cast<std::uint64_t>(v);
-        return "";
-      }
+      if (kv.key == "seed") return num(spec.seed);
       break;
     case ScenarioKind::kTrace:
       if (kv.key == "path") {
@@ -82,15 +58,10 @@ std::string apply_key(ScenarioSpec& spec, const KeyValue& kv) {
       }
       break;
     case ScenarioKind::kAdversarialPerm:
-      if (kv.key == "flow-kb") {
-        long long v = 0;
-        if (!parse_int_value(kv.value, v)) return bad_value();
-        spec.flow_kb = v;
-        return "";
-      }
+      if (kv.key == "flow-kb") return num(spec.flow_kb);
       break;
     case ScenarioKind::kStormRolling:
-      if (kv.key == "switches") return integer(spec.switches);
+      if (kv.key == "switches") return num(spec.switches);
       if (kv.key == "start-ms") return num(spec.start_ms);
       if (kv.key == "period-ms") return num(spec.period_ms);
       if (kv.key == "recover-ms") return num(spec.recover_ms);
@@ -100,8 +71,8 @@ std::string apply_key(ScenarioSpec& spec, const KeyValue& kv) {
       }
       break;
     case ScenarioKind::kStormRacks:
-      if (kv.key == "racks") return integer(spec.racks);
-      if (kv.key == "switch") return integer(spec.rotor_switch);
+      if (kv.key == "racks") return num(spec.racks);
+      if (kv.key == "switch") return num(spec.rotor_switch);
       if (kv.key == "start-ms") return num(spec.start_ms);
       if (kv.key == "recover-ms") return num(spec.recover_ms);
       if (kv.key == "wave-ms") return num(spec.wave_ms);
@@ -111,22 +82,17 @@ std::string apply_key(ScenarioSpec& spec, const KeyValue& kv) {
       }
       break;
     case ScenarioKind::kGray:
-      if (kv.key == "links") return integer(spec.links);
+      if (kv.key == "links") return num(spec.links);
       if (kv.key == "loss") return num(spec.loss);
       if (kv.key == "extra-us") return num(spec.extra_us);
       if (kv.key == "start-ms") return num(spec.start_ms);
       if (kv.key == "recover-ms") return num(spec.recover_ms);
-      if (kv.key == "seed") {
-        long long v = 0;
-        if (!parse_int_value(kv.value, v) || v < 0) return bad_value();
-        spec.seed = static_cast<std::uint64_t>(v);
-        return "";
-      }
+      if (kv.key == "seed") return num(spec.seed);
       break;
     case ScenarioKind::kSkew:
-      if (kv.key == "switch") return integer(spec.rotor_switch);
+      if (kv.key == "switch") return num(spec.rotor_switch);
       if (kv.key == "extra-us") return num(spec.extra_us);
-      if (kv.key == "slices") return integer(spec.skew_slices);
+      if (kv.key == "slices") return num(spec.skew_slices);
       if (kv.key == "start-ms") return num(spec.start_ms);
       break;
   }
@@ -300,7 +266,13 @@ std::string validate_scenario(const ScenarioSpec& spec,
     case ScenarioKind::kTrace:
       return spec.path.empty() ? "trace: path missing" : "";
     case ScenarioKind::kAdversarialPerm:
-      return spec.flow_kb <= 0 ? "adversarial-perm: flow-kb must be > 0" : "";
+      // Each flow carries flow-kb * 1000 bytes in an int64.
+      if (constexpr auto kMax = std::numeric_limits<std::int64_t>::max() / 1000;
+          spec.flow_kb <= 0 || spec.flow_kb > kMax) {
+        return "adversarial-perm: flow-kb must be > 0 and at most " +
+               std::to_string(kMax);
+      }
+      return "";
     case ScenarioKind::kStormRolling: {
       if (spec.switches < 1 || spec.switches > u) {
         return "storm-rolling: switches must be in [1, " + std::to_string(u) + "]";

@@ -1,10 +1,13 @@
 #include "sim/checkpoint.h"
 
+#include <algorithm>
 #include <bit>
 #include <cerrno>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+
+#include "sim/parse.h"
 
 namespace opera::sim {
 
@@ -31,31 +34,6 @@ CheckpointEntry split_entry(std::string_view line) {
   const std::size_t sp = line.find(' ');
   if (sp == std::string_view::npos) return {std::string(line), std::string()};
   return {std::string(line.substr(0, sp)), std::string(line.substr(sp + 1))};
-}
-
-bool parse_i64(std::string_view text, std::int64_t* out) {
-  if (text.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  // Section values are tokenized on spaces already, so strtoll's
-  // leading-whitespace tolerance never hides a malformed field.
-  // `end` points into `owned`, which must outlive the check below.
-  const std::string owned(text);
-  const long long v = std::strtoll(owned.c_str(), &end, 10);
-  if (errno != 0 || end == nullptr || *end != '\0') return false;
-  *out = static_cast<std::int64_t>(v);
-  return true;
-}
-
-bool parse_hex_u64(std::string_view text, std::uint64_t* out) {
-  if (text.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const std::string owned(text);  // outlives `end`, like parse_i64's
-  const unsigned long long v = std::strtoull(owned.c_str(), &end, 16);
-  if (errno != 0 || end == nullptr || *end != '\0') return false;
-  *out = static_cast<std::uint64_t>(v);
-  return true;
 }
 
 }  // namespace
@@ -146,7 +124,7 @@ CheckpointParseResult parse_checkpoint(std::string_view text, std::string_view n
       return result;
     }
     std::int64_t version = 0;
-    if (!parse_i64(header.substr(kMagic.size()), &version)) {
+    if (!parse_number(header.substr(kMagic.size()), &version)) {
       result.error = format_error(name, 1, "malformed version in header");
       return result;
     }
@@ -176,7 +154,7 @@ CheckpointParseResult parse_checkpoint(std::string_view text, std::string_view n
   {
     const std::size_t checksum_lineno = lines.size();
     std::uint64_t stated = 0;
-    if (!parse_hex_u64(lines.back().text.substr(9), &stated)) {
+    if (!parse_number(lines.back().text.substr(9), &stated, 16)) {
       result.error =
           format_error(name, checksum_lineno, "malformed checksum value");
       return result;
@@ -215,15 +193,14 @@ CheckpointParseResult parse_checkpoint(std::string_view text, std::string_view n
       } else if (line == "[config]") {
         section = Section::kConfig;
       } else if (line.substr(0, 7) == std::string_view("[flows]")) {
-        std::int64_t count = 0;
-        if (line.size() < 9 || !parse_i64(line.substr(8), &count) || count < 0) {
+        if (line.size() < 9 || !parse_number(line.substr(8), &flows_expected)) {
           result.error = format_error(name, lineno,
                                       "malformed [flows] header (expected "
                                       "'[flows] <count>')");
           return result;
         }
-        flows_expected = static_cast<std::size_t>(count);
-        data.flows.reserve(flows_expected);
+        // The count is untrusted: reserve no more than the lines left.
+        data.flows.reserve(std::min(flows_expected, lines.size() - i));
         section = Section::kNone;  // flow lines handled below
         // Consume exactly `count` flow lines.
         for (std::size_t k = 0; k < flows_expected; ++k) {
@@ -238,8 +215,6 @@ CheckpointParseResult parse_checkpoint(std::string_view text, std::string_view n
           }
           const std::string_view fl = lines[i].text;
           CheckpointFlow flow;
-          std::int64_t src = 0;
-          std::int64_t dst = 0;
           // start_ps src dst size_bytes
           std::size_t p = 0;
           const auto next_field = [&fl, &p]() -> std::string_view {
@@ -248,17 +223,16 @@ CheckpointParseResult parse_checkpoint(std::string_view text, std::string_view n
             while (p < fl.size() && fl[p] != ' ') ++p;
             return fl.substr(start, p - start);
           };
-          if (!parse_i64(next_field(), &flow.start_ps) ||
-              !parse_i64(next_field(), &src) || !parse_i64(next_field(), &dst) ||
-              !parse_i64(next_field(), &flow.size_bytes) ||
+          if (!parse_number(next_field(), &flow.start_ps) ||
+              !parse_number(next_field(), &flow.src_host) ||
+              !parse_number(next_field(), &flow.dst_host) ||
+              !parse_number(next_field(), &flow.size_bytes) ||
               !next_field().empty()) {
             result.error = format_error(
                 name, i + 1,
                 "malformed flow line (expected 'start_ps src dst size_bytes')");
             return result;
           }
-          flow.src_host = static_cast<std::int32_t>(src);
-          flow.dst_host = static_cast<std::int32_t>(dst);
           data.flows.push_back(flow);
         }
       } else if (line == "[state]") {

@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <system_error>
 
+#include "sim/parse.h"
+
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
 #endif
@@ -90,15 +92,12 @@ WorkerPool::~WorkerPool() {
 
 WorkerPool& WorkerPool::shared() {
   static WorkerPool* pool = [] {
-    unsigned threads = 0;
     // getenv is mt-unsafe only against concurrent setenv; read once,
-    // inside a magic-static initializer, before any worker exists.
+    // inside a magic-static initializer, before any worker exists. Unset,
+    // empty or not positive sizes the pool from the hardware.
     // NOLINTNEXTLINE(concurrency-mt-unsafe)
-    if (const char* env = std::getenv("OPERA_POOL_THREADS")) {
-      const long v = std::atol(env);
-      if (v > 0) threads = static_cast<unsigned>(v);
-    }
-    return new WorkerPool(threads);  // leaked: lives for the process
+    const int v = env_number("OPERA_POOL_THREADS", std::getenv("OPERA_POOL_THREADS"), 0);
+    return new WorkerPool(v > 0 ? static_cast<unsigned>(v) : 0);  // leaked: process-long
   }();
   return *pool;
 }

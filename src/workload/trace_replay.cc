@@ -1,10 +1,13 @@
 #include "workload/trace_replay.h"
 
-#include <cerrno>
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <string_view>
+
+#include "sim/parse.h"
 
 namespace opera::workload {
 
@@ -16,18 +19,6 @@ TraceParseResult fail(std::string message) {
   TraceParseResult r;
   r.error = std::move(message);
   return r;
-}
-
-// Strict signed-integer field parse: the whole field must be consumed
-// (rejects "12x", "1.5", "", and whitespace-embedded garbage).
-bool parse_int(const std::string& field, std::int64_t& out) {
-  if (field.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(field.c_str(), &end, 10);
-  if (errno != 0 || end != field.c_str() + field.size()) return false;
-  out = v;
-  return true;
 }
 
 // Shared semantic validation for one record (both encodings route through
@@ -101,7 +92,8 @@ TraceParseResult parse_trace_csv(std::istream& in, std::int32_t num_hosts) {
     while (pos <= line.size() && field < 4) {
       const std::size_t comma = line.find(',', pos);
       const std::size_t end = comma == std::string::npos ? line.size() : comma;
-      if (!parse_int(line.substr(pos, end - pos), fields[field])) {
+      if (!sim::parse_number(std::string_view(line).substr(pos, end - pos),
+                             &fields[field])) {
         return fail("line " + std::to_string(line_no) + ": field " +
                     std::to_string(field + 1) + " is not an integer");
       }
@@ -171,8 +163,17 @@ TraceParseResult parse_trace_binary(std::istream& in, std::int32_t num_hosts) {
     return fail("truncated trace: missing flow count");
   }
   const auto count = get_le<std::uint64_t>(count_buf);
+  // The count is untrusted: reserve no more than the rest of the stream
+  // can hold (nothing when it cannot tell), so a short file reports
+  // truncation below instead of failing the allocation.
+  std::uint64_t room = 0;
+  if (const auto here = in.tellg(); here >= 0 && in.seekg(0, std::ios::end)) {
+    room = static_cast<std::uint64_t>(in.tellg() - here) / kRecordBytes;
+    in.seekg(here);
+  }
+  in.clear();
   TraceParseResult result;
-  result.flows.reserve(static_cast<std::size_t>(count));
+  result.flows.reserve(static_cast<std::size_t>(std::min(count, room)));
   sim::Time prev_start = sim::Time::zero();
   char rec[kRecordBytes];
   for (std::uint64_t i = 0; i < count; ++i) {

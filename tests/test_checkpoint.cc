@@ -11,7 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -156,6 +158,61 @@ TEST(CheckpointFormat, VersionMismatchRejected) {
       << parsed.error;
 }
 
+// Replaces `from` with `to` in checkpoint text and re-signs the result, so
+// the edit reaches the section grammar instead of the checksum gate.
+std::string edit_and_resign(std::string text, const std::string& from,
+                            const std::string& to) {
+  const auto pos = text.find(from);
+  EXPECT_NE(pos, std::string::npos) << from;
+  if (pos == std::string::npos) return text;
+  text.replace(pos, from.size(), to);
+  text.erase(text.rfind("checksum "));
+  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a, as the writer signs
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "checksum %016" PRIx64 "\n", h);
+  return text + buf;
+}
+
+// The [flows] count is untrusted: a count no file could hold must report
+// the list cut short, not fail the up-front allocation.
+TEST(CheckpointFormat, HugeFlowCountReportsTheListCutShort) {
+  auto data = sample_data();
+  data.state.clear();
+  // The flows run to the checksum line, so the list ends there.
+  auto text = edit_and_resign(sim::write_checkpoint_text(data), "[state]\n[end]\n", "");
+  text = edit_and_resign(text, "[flows] 2", "[flows] 18446744073709551615");
+  const auto parsed = sim::parse_checkpoint(text, "huge.ckpt");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.error.find("huge.ckpt:"), std::string::npos) << parsed.error;
+  EXPECT_NE(parsed.error.find("flow list cut short"), std::string::npos) << parsed.error;
+}
+
+TEST(CheckpointFormat, MalformedFlowFieldsRejectedWithLineNumber) {
+  const auto good = sim::write_checkpoint_text(sample_data());
+  // Hosts are int32: 2^32 must not wrap to 0. Signs and padding are
+  // malformed in every field.
+  for (const char* bad : {"1000 4294967296 5 1500", "1000 0 -2147483649 1500",
+                          "1000 +0 5 1500", "1000 0 5 1500x", "1000 0 5 1e3"}) {
+    const auto parsed =
+        sim::parse_checkpoint(edit_and_resign(good, "1000 0 5 1500", bad), "flows.ckpt");
+    ASSERT_FALSE(parsed.ok()) << bad;
+    EXPECT_NE(parsed.error.find("flows.ckpt:"), std::string::npos) << parsed.error;
+    EXPECT_NE(parsed.error.find("malformed flow line"), std::string::npos)
+        << parsed.error;
+  }
+  for (const char* bad : {"[flows] -1", "[flows] +2", "[flows] 2x"}) {
+    const auto parsed =
+        sim::parse_checkpoint(edit_and_resign(good, "[flows] 2", bad), "flows.ckpt");
+    ASSERT_FALSE(parsed.ok()) << bad;
+    EXPECT_NE(parsed.error.find("malformed [flows] header"), std::string::npos)
+        << parsed.error;
+  }
+}
+
 TEST(CheckpointFormat, GarbageRejected) {
   const auto parsed = sim::parse_checkpoint("not a checkpoint\n", "junk");
   ASSERT_FALSE(parsed.ok());
@@ -210,13 +267,24 @@ TEST(FabricConfigSerialization, UnknownKeyRejected) {
 }
 
 TEST(FabricConfigSerialization, MalformedValueRejected) {
-  auto entries = core::serialize_fabric_config(sample_config());
-  for (auto& e : entries) {
-    if (e.key == "seed") e.value = "not-a-number";
+  // A double must be finite; no value may carry '+' or padding.
+  const std::pair<const char*, const char*> cases[] = {
+      {"seed", "not-a-number"},        {"link.rate_bps", "nan"},
+      {"link.rate_bps", "inf"},        {"link.rate_bps", "1e400"},
+      {"link.rate_bps", "+1e10"},      {"opera.num_racks", " 16"},
+      {"slice.duration_ps", "99000000x"}, {"enable_vlb", "2"},
+  };
+  for (const auto& [key, value] : cases) {
+    auto entries = core::serialize_fabric_config(sample_config());
+    for (auto& e : entries) {
+      if (e.key == key) e.value = value;
+    }
+    core::FabricConfig restored;
+    const auto err = core::parse_fabric_config(entries, &restored);
+    EXPECT_NE(err.find(std::string("malformed value for [config] key '") + key + "'"),
+              std::string::npos)
+        << key << "=" << value << ": " << err;
   }
-  core::FabricConfig restored;
-  const auto err = core::parse_fabric_config(entries, &restored);
-  EXPECT_NE(err.find("seed"), std::string::npos) << err;
 }
 
 TEST(FabricConfigSerialization, OutOfRangeIntegerRejected) {
@@ -373,6 +441,40 @@ TEST(RunRecipe, MalformedTimesRejected) {
                                                    &resume_digest);
       EXPECT_NE(err.find(key), std::string::npos) << key << "='" << bad << "': " << err;
     }
+  }
+}
+
+TEST(RunRecipe, MalformedLoadAndFingerprintRejected) {
+  const auto recipe = make_recipe("");
+  const auto net = replay(recipe, 1, sim::Time::ms(1));
+  const auto good = exp::make_run_checkpoint(recipe, *net);
+  const struct {
+    const char* key;
+    const char* bad;
+    const char* error;
+  } cases[] = {
+      {"load_pct", "nan", "malformed [run] load_pct"},
+      {"load_pct", "inf", "malformed [run] load_pct"},
+      {"load_pct", "25x", "malformed [run] load_pct"},
+      {"fingerprint", "-1", "malformed [state] fingerprint"},
+      {"fingerprint", "10000000000000000", "malformed [state] fingerprint"},  // 17 digits
+      {"fingerprint", "0x1234", "malformed [state] fingerprint"},
+      {"fingerprint", "", "malformed [state] fingerprint"},
+  };
+  for (const auto& c : cases) {
+    auto data = good;
+    for (auto* section : {&data.run, &data.state}) {
+      for (auto& e : *section) {
+        if (e.key == c.key) e.value = c.bad;
+      }
+    }
+    exp::RunRecipe restored;
+    sim::Time resume_time;
+    std::uint64_t resume_digest = 0;
+    const auto err = exp::recipe_from_checkpoint(data, &restored, &resume_time,
+                                                 &resume_digest);
+    EXPECT_NE(err.find(c.error), std::string::npos)
+        << c.key << "='" << c.bad << "': " << err;
   }
 }
 

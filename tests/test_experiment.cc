@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -49,12 +50,13 @@ TEST(CliOptions, StrictValueGetters) {
   char fabric[] = "--fabric=rotornet";
   char* argv[] = {kProg, threads, racks, load, fabric};
   EXPECT_EQ(CliOptions::parse(5, argv).threads, 3);
-  EXPECT_EQ(CliOptions::arg_long(5, argv, "--racks", 108), 16);
-  EXPECT_EQ(CliOptions::arg_long(5, argv, "--rack", 108), 108);  // no prefix match
+  EXPECT_EQ(CliOptions::arg<std::int64_t>(5, argv, "--racks", 108), 16);
+  // No prefix match.
+  EXPECT_EQ(CliOptions::arg<std::int64_t>(5, argv, "--rack", 108), 108);
   EXPECT_EQ(CliOptions::arg_count(5, argv, "--racks", 108), 16);
   EXPECT_EQ(CliOptions::arg_count(5, argv, "--slice-window", 0), 0);
-  EXPECT_DOUBLE_EQ(CliOptions::arg_double(5, argv, "--load", 0.1), 0.25);
-  EXPECT_DOUBLE_EQ(CliOptions::arg_double(5, argv, "--horizon-ms", 50.0), 50.0);
+  EXPECT_DOUBLE_EQ(CliOptions::arg<double>(5, argv, "--load", 0.1), 0.25);
+  EXPECT_DOUBLE_EQ(CliOptions::arg<double>(5, argv, "--horizon-ms", 50.0), 50.0);
   EXPECT_EQ(CliOptions::arg_string(5, argv, "--fabric", "opera"), "rotornet");
   EXPECT_EQ(CliOptions::arg_value(5, argv, "--seed"), nullptr);
 }
@@ -86,15 +88,35 @@ TEST(CliOptionsDeathTest, MalformedValueNamesTheFlagAndExits2) {
   char abc[] = "--load=abc";
   char empty[] = "--load=";
   char* argv[] = {kProg, sixteen, trailing, abc};
-  EXPECT_EXIT(CliOptions::arg_long(4, argv, "--racks", 108),
+  EXPECT_EXIT(CliOptions::arg<std::int64_t>(4, argv, "--racks", 108),
               ::testing::ExitedWithCode(2), "--racks");
-  EXPECT_EXIT(CliOptions::arg_long(4, argv, "--seed", 1), ::testing::ExitedWithCode(2),
-              "--seed");
-  EXPECT_EXIT(CliOptions::arg_double(4, argv, "--load", 0.1),
+  EXPECT_EXIT(CliOptions::arg<std::uint64_t>(4, argv, "--seed", 1),
+              ::testing::ExitedWithCode(2), "--seed");
+  EXPECT_EXIT(CliOptions::arg<double>(4, argv, "--load", 0.1),
               ::testing::ExitedWithCode(2), "--load");
   char* empty_argv[] = {kProg, empty};
-  EXPECT_EXIT(CliOptions::arg_double(2, empty_argv, "--load", 0.1),
+  EXPECT_EXIT(CliOptions::arg<double>(2, empty_argv, "--load", 0.1),
               ::testing::ExitedWithCode(2), "--load");
+  // An unsigned seed rejects a sign instead of wrapping to 2^64 - 1; a
+  // double must be finite; no value carries '+' or padding.
+  char seed[] = "--seed=-1";
+  char nan[] = "--load=nan";
+  char inf[] = "--horizon-ms=inf";
+  char* strict_argv[] = {kProg, seed, nan, inf};
+  EXPECT_EXIT(CliOptions::arg<std::uint64_t>(4, strict_argv, "--seed", 1),
+              ::testing::ExitedWithCode(2), "malformed value for --seed: '-1'");
+  EXPECT_EXIT(CliOptions::arg<double>(4, strict_argv, "--load", 0.1),
+              ::testing::ExitedWithCode(2), "malformed value for --load: 'nan'");
+  EXPECT_EXIT(CliOptions::arg<double>(4, strict_argv, "--horizon-ms", 50.0),
+              ::testing::ExitedWithCode(2), "--horizon-ms");
+  char plus[] = "--racks=+16";
+  char* plus_argv[] = {kProg, plus};
+  EXPECT_EXIT(CliOptions::arg_count(2, plus_argv, "--racks", 108),
+              ::testing::ExitedWithCode(2), "--racks");
+  char padded[] = "--racks= 16";
+  char* padded_argv[] = {kProg, padded};
+  EXPECT_EXIT(CliOptions::arg_count(2, padded_argv, "--racks", 108),
+              ::testing::ExitedWithCode(2), "--racks");
 }
 
 TEST(Value, Renderings) {

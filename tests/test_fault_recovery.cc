@@ -137,6 +137,35 @@ TEST(FaultRecovery, SettleEnablesExactlyTheLiveCircuits) {
   }
 }
 
+// A switch that recovers inside its own reconfiguration slice, after its
+// settle already ran, is wired onto the matching it settled into: in the
+// next slice every one of its live circuits has its uplink enabled, as
+// OperaTopology::live_uplink already assumes.
+TEST(FaultRecovery, RecoveryAfterOwnSettleRewiresTheSwitch) {
+  const OperaConfig cfg = config_16x4(topo::RotorSchedule::kOffset);
+  for (int s = 0; s < cfg.topology.num_switches; ++s) {
+    OperaNetwork net(cfg);
+    const auto& topo = net.topology();
+    net.inject_switch_failure(s);
+    const sim::Time recover = cfg.slice.duration * (s + 4) + sim::Time::us(20);
+    ASSERT_EQ(topo.reconfiguring_switch((s + 4) % topo.num_slices()), s);
+    net.sim().schedule_at(recover, [&net, s] { net.recover_switch(s); });
+    int live = 0;
+    const sim::Time check = cfg.slice.duration * (s + 5) + cfg.slice.duration / 2;
+    net.sim().schedule_at(check, [&net, &topo, &live, &cfg, s] {
+      const int slice = (s + 5) % topo.num_slices();
+      for (topo::Vertex r = 0; r < topo.num_racks(); ++r) {
+        const bool up = topo.live_peer(s, r, slice, &net.failures()) >= 0;
+        EXPECT_EQ(net.tor(r).port(cfg.topology.hosts_per_rack + s).enabled(), up)
+            << "switch " << s << " rack " << r;
+        live += up ? 1 : 0;
+      }
+    });
+    net.run_until(check + sim::Time::ns(1));
+    EXPECT_GT(live, 0) << "switch " << s;
+  }
+}
+
 // The reconvergence sweep of live circuits agrees with a brute-force
 // search of every slice and switch for each rack pair.
 TEST(FaultRecovery, RelayReachMatchesBruteForce) {

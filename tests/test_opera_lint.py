@@ -10,7 +10,7 @@ CLI surface (exit codes, file args, --strict).
 Run directly (python3 tests/test_opera_lint.py) or through ctest, which
 registers it as `opera_lint_py` when a Python interpreter is found at
 configure time. The tree-wide run itself is a separate ctest
-(`opera_lint_tree`), so a determinism violation anywhere in src/ fails
+(`opera_lint_tree`), so a violation anywhere in src/ or bench/ fails
 the tier-1 suite.
 """
 import pathlib
@@ -339,6 +339,43 @@ class CircuitRuleTest(unittest.TestCase):
                "const bool ok = failures_.circuit_up(sw, a, b);\n")
         vs, _ = lint("src/core/opera_network.cc", src)
         self.assertEqual(vs, [])
+
+
+class NumberParseTest(unittest.TestCase):
+    # Number reads as they once stood in src/exp/output.cc,
+    # src/core/packet_fabric.cc and src/sim/checkpoint.cc.
+    PARENT_PARSERS = (
+        "const long parsed = std::strtol(v, &end, 10);\n"
+        "const double d = std::strtod(v, &end);\n"
+        "threads = std::atoi(env);\n"
+        "const long w = atol(env);\n"
+        "const unsigned long long h = strtoull(s.c_str(), &end, 16);\n"
+        "int x = 0;\n"
+        "const auto k = std::stoll(text);\n"
+        "std::sscanf(line, \"%d\", &x);\n"
+        "std::from_chars(first, last, x);\n")
+
+    def test_every_parser_fires_in_src_and_bench(self):
+        for relpath in ("src/exp/output.cc", "src/core/fabric.h", "bench/custom.cc"):
+            vs, _ = lint(relpath, self.PARENT_PARSERS)
+            self.assertEqual(rules_of(vs),
+                             [("number-parse", n) for n in (1, 2, 3, 4, 5, 7, 8, 9)],
+                             relpath)
+
+    def test_parse_header_and_other_trees_are_exempt(self):
+        for relpath in ("src/sim/parse.h", "tests/test_parse.cc",
+                        "benchmark/opera_perf.cc", "examples/quickstart.cc"):
+            vs, _ = lint(relpath, self.PARENT_PARSERS)
+            self.assertEqual([v for v in vs if v.rule == "number-parse"], [], relpath)
+
+    def test_parse_number_prose_and_lookalikes_are_clean(self):
+        src = ("// strtoll once read this field; sim::parse_number does now.\n"
+               "if (!sim::parse_number(text, &field)) return false;\n"
+               "const auto r = CliOptions::arg<double>(argc, argv, \"--load\", 0.1);\n"
+               "std::atomic<int> atoms; bool stop(); int storage = 0;\n"
+               "const char* msg = \"strtod failed\";\n")
+        vs, _ = lint("src/exp/output.cc", src)
+        self.assertEqual([v for v in vs if v.rule == "number-parse"], [])
 
 
 class CheckpointCoverageTest(unittest.TestCase):

@@ -103,6 +103,16 @@ TEST(ScenarioSpecs, ParseErrors) {
       {"gray:period-ms=2", "unknown key 'period-ms'"},  // another kind's key
       {"gray:loss=abc", "bad value"},
       {"ditl:seed=-1", "bad value"},
+      // Integers parse into the field's own type: 2^32 + 2 is not 2.
+      {"storm-rolling:switches=4294967298", "bad value '4294967298' for key 'switches'"},
+      {"storm-racks:racks=4294967297", "bad value '4294967297' for key 'racks'"},
+      // NaN would pass every range check in validate_scenario.
+      {"ditl:load=nan", "bad value 'nan' for key 'load'"},
+      {"gray:loss=nan", "bad value 'nan' for key 'loss'"},
+      {"skew:extra-us=nan", "bad value 'nan' for key 'extra-us'"},
+      {"ditl:phase-ms=inf", "bad value 'inf' for key 'phase-ms'"},
+      {"gray:links=+2", "bad value"},
+      {"adversarial-perm:flow-kb=1.5", "bad value"},
       {"storm-rolling:partitionable=yes", "bad value"},
       {"ditl:load", "expected key=value"},
       {"ditl:=0.3", "expected key=value"},
@@ -142,6 +152,8 @@ TEST(ScenarioSpecs, ValidateChecksRangesAgainstTheFabric) {
       {"ditl:load=1.5", "load must be in (0, 1]"},
       {"ditl:phase-ms=0", "phase-ms must be > 0"},
       {"adversarial-perm:flow-kb=0", "flow-kb must be > 0"},
+      // flow-kb * 1000 bytes must fit an int64.
+      {"adversarial-perm:flow-kb=9223372036854776", "flow-kb must be > 0 and at most"},
       {"storm-rolling:switches=5", "switches must be in [1, 4]"},
       {"storm-rolling:switches=0", "switches must be in [1, 4]"},
       {"storm-racks:racks=17", "racks must be in [1, 16]"},

@@ -117,6 +117,13 @@ TEST(TraceReplay, CsvRejectsMalformedInputs) {
        "not an integer"},
       {"float start", "start_ps,src_host,dst_host,size_bytes\n1.5,0,1,100\n",
        "not an integer"},
+      {"plus sign", "start_ps,src_host,dst_host,size_bytes\n0,+0,1,100\n",
+       "field 2 is not an integer"},
+      {"padded field", "start_ps,src_host,dst_host,size_bytes\n0,0, 1,100\n",
+       "field 3 is not an integer"},
+      {"start overflows int64",
+       "start_ps,src_host,dst_host,size_bytes\n9223372036854775808,0,1,100\n",
+       "field 1 is not an integer"},
       {"decreasing start",
        "start_ps,src_host,dst_host,size_bytes\n500,0,1,100\n400,1,2,100\n",
        "time-sorted"},
@@ -178,6 +185,19 @@ TEST(TraceReplay, BinaryRejectsBadMagicAndTruncation) {
     EXPECT_FALSE(parsed.ok());
     EXPECT_NE(parsed.error.find("flow count"), std::string::npos) << parsed.error;
   }
+}
+
+// The flow count is untrusted: a 14-byte file claiming 2^64 - 1 records
+// must report truncation, not fail the up-front allocation.
+TEST(TraceReplay, BinaryHugeCountReportsTruncation) {
+  std::string bytes = "OPTR1\n";
+  bytes.append(8, '\xff');
+  std::istringstream in(bytes, std::ios::binary);
+  const auto parsed = parse_trace_binary(in);
+  EXPECT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.error.find("truncated trace: 0 of 18446744073709551615"),
+            std::string::npos)
+      << parsed.error;
 }
 
 TEST(TraceReplay, BinaryRunsTheSameSemanticValidationAsCsv) {
