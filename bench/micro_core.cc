@@ -217,7 +217,7 @@ BENCHMARK(BM_CircuitPeer)->Unit(benchmark::kMicrosecond);
 // slices, no failures.
 void BM_RotorRateLbAllocate(benchmark::State& state) {
   const topo::OperaTopology topo(k24_params());
-  const fluid::RotorRateLb lb(topo, fluid::RotorRateLb::Params{10e9, 98.0 / 99.0, 12, true});
+  fluid::RotorRateLb lb(topo, fluid::RotorRateLb::Params{10e9, 98.0 / 99.0, 12, true});
   sim::Rng rng(1);
   std::map<std::pair<std::int32_t, std::int32_t>, std::int64_t> demand;
   while (demand.size() < 600) {

@@ -55,14 +55,50 @@ std::uint64_t FluidNetwork::submit_flow(std::int32_t src_host,
   flow.tclass = core::flow_class(size_bytes, config_.bulk_threshold_bytes, force);
   flow.start = start;
   tracker_.register_flow(flow);
-  const std::uint64_t id = flow.id;
-  sim_.schedule_at(start, [this, id, size_bytes] {
-    on_flow_start(id, size_bytes);
-  });
-  return id;
+  // The start takes its order key now, as its own event would have, and
+  // is clamped to the present as schedule_at clamps.
+  const sim::Time now = sim_.now();
+  const Arrival arrival{start < now ? now : start, sim_.derive_key(), flow.id};
+  if (arrivals_head_ == arrivals_.size() || !arrival.before(arrivals_.back())) {
+    arrivals_.push_back(arrival);
+  } else {
+    late_arrivals_.push_back(arrival);
+    std::push_heap(late_arrivals_.begin(), late_arrivals_.end(), Arrival::after);
+  }
+  arm_start();
+  return flow.id;
 }
 
-void FluidNetwork::on_flow_start(std::uint64_t id, std::int64_t size_bytes) {
+void FluidNetwork::arm_start() {
+  const Arrival* next =
+      arrivals_head_ < arrivals_.size() ? &arrivals_[arrivals_head_] : nullptr;
+  if (!late_arrivals_.empty() && (next == nullptr || late_arrivals_.front().before(*next))) {
+    next = &late_arrivals_.front();
+  }
+  if (next == nullptr) return;
+  if (armed_) {
+    if (!next->before(*armed_)) return;
+    start_event_.cancel();  // a submission overtook the queued start
+  }
+  armed_ = *next;
+  start_event_ = sim_.schedule_keyed_at(next->at, next->key, [this] { on_start_event(); });
+}
+
+void FluidNetwork::on_start_event() {
+  const std::uint64_t id = armed_->id;
+  armed_.reset();
+  if (!late_arrivals_.empty() && late_arrivals_.front().id == id) {
+    std::pop_heap(late_arrivals_.begin(), late_arrivals_.end(), Arrival::after);
+    late_arrivals_.pop_back();
+  } else if (++arrivals_head_ == arrivals_.size()) {
+    arrivals_.clear();
+    arrivals_head_ = 0;
+  }
+  arm_start();
+  on_flow_start(id);
+}
+
+void FluidNetwork::on_flow_start(std::uint64_t id) {
   const sim::Time now = sim_.now();
   const transport::Flow* flow = tracker_.find(id);
   const std::int64_t key =
@@ -79,7 +115,7 @@ void FluidNetwork::on_flow_start(std::uint64_t id, std::int64_t size_bytes) {
   }
   group.live += 1;
   group.heap.push_back(
-      FlowMark{group.drained + static_cast<double>(size_bytes), id});
+      FlowMark{group.drained + static_cast<double>(flow->size_bytes), id});
   std::push_heap(group.heap.begin(), group.heap.end(),
                  [](const FlowMark& a, const FlowMark& b) {
                    return a.threshold > b.threshold ||

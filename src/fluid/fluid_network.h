@@ -141,7 +141,11 @@ class FluidNetwork : public core::Network {
   // (time, id) order, drops empty groups, and recomputes rates.
   void sweep_to(sim::Time t, bool recompute_rates);
   void recompute_rates(int slice);
-  void on_flow_start(std::uint64_t id, std::int64_t size_bytes);
+  // Schedules the earliest pending start, unless it is already scheduled.
+  void arm_start();
+  // The start event: begins the earliest pending flow, re-arms the next.
+  void on_start_event();
+  void on_flow_start(std::uint64_t id);
   void on_tick();
   void arm_tick(sim::Time now);
   [[nodiscard]] sim::Time next_boundary(sim::Time t) const;
@@ -166,6 +170,28 @@ class FluidNetwork : public core::Network {
   };
   std::vector<PendingCompletion> pending_;
   std::vector<GroupDemand> scratch_demands_;  // recompute_rates scratch
+
+  // Pending flow starts. Each keeps the (time, order key) its own start
+  // event would have had, but only the earliest is in the event queue, so
+  // a pending start costs 24 bytes instead of a queued event. Starts
+  // submitted in (at, key) order append to `arrivals_` (consumed from
+  // arrivals_head_); the rest wait in the min-heap `late_arrivals_`.
+  struct Arrival {
+    sim::Time at;
+    std::uint64_t key = 0;
+    std::uint64_t id = 0;
+    // Start order: (time, order key), the event queue's dispatch order.
+    [[nodiscard]] bool before(const Arrival& other) const {
+      return at < other.at || (at == other.at && key < other.key);
+    }
+    // Heap comparator: a max-heap on `after` pops in start order.
+    static bool after(const Arrival& a, const Arrival& b) { return b.before(a); }
+  };
+  std::vector<Arrival> arrivals_;
+  std::size_t arrivals_head_ = 0;
+  std::vector<Arrival> late_arrivals_;
+  std::optional<Arrival> armed_;  // the start in the event queue
+  sim::EventHandle start_event_;
   bool tick_armed_ = false;
   FluidStats stats_;
 };

@@ -5,29 +5,63 @@
 
 namespace opera::fluid {
 
-std::vector<GroupRate> RotorRateLb::allocate(
-    int slice, const std::vector<GroupDemand>& groups,
-    const topo::FailureSet* failures, RateUsage* usage) const {
+RotorRateLb::RotorRateLb(const topo::OperaTopology& topo, const Params& params)
+    : topo_(topo),
+      params_(params),
+      live_(static_cast<std::size_t>(topo.num_racks()) *
+                static_cast<std::size_t>(topo.num_switches()),
+            -1),
+      live_count_(static_cast<std::size_t>(topo.num_racks()), 0),
+      budget_sums_(static_cast<std::size_t>(topo.num_switches()) + 1, 0.0) {
+  const double circuit_rate = params_.link_rate_bps * params_.duty;
+  for (std::size_t c = 1; c < budget_sums_.size(); ++c) {
+    budget_sums_[c] = budget_sums_[c - 1] + circuit_rate;
+  }
+}
+
+void RotorRateLb::refresh_row(int slice, const topo::FailureSet* failures) {
+  const bool same_failures = failures == nullptr
+                                 ? !row_failures_.has_value()
+                                 : row_failures_.has_value() && *row_failures_ == *failures;
+  if (!same_failures) {
+    row_failures_ = failures == nullptr ? std::nullopt : std::optional(*failures);
+  }
+  const bool all = row_slice_ < 0 || !same_failures;
   const auto n = static_cast<std::size_t>(topo_.num_racks());
   const int u = topo_.num_switches();
   const auto su = static_cast<std::size_t>(u);
+  for (int sw = 0; sw < u; ++sw) {
+    if (!all && topo_.matching_index(sw, slice) == topo_.matching_index(sw, row_slice_) &&
+        (sw == topo_.reconfiguring_switch(slice)) ==
+            (sw == topo_.reconfiguring_switch(row_slice_))) {
+      continue;
+    }
+    for (std::size_t r = 0; r < n; ++r) {
+      const topo::Vertex peer =
+          topo_.live_peer(sw, static_cast<topo::Vertex>(r), slice, failures);
+      topo::Vertex& cell = live_[r * su + static_cast<std::size_t>(sw)];
+      live_count_[r] += static_cast<int>(peer >= 0) - static_cast<int>(cell >= 0);
+      cell = peer;
+    }
+  }
+  row_slice_ = slice;
+}
+
+std::vector<GroupRate> RotorRateLb::allocate(
+    int slice, const std::vector<GroupDemand>& groups,
+    const topo::FailureSet* failures, RateUsage* usage) {
+  const auto n = static_cast<std::size_t>(topo_.num_racks());
+  const auto su = static_cast<std::size_t>(topo_.num_switches());
   const double circuit_rate = params_.link_rate_bps * params_.duty;
   const double host_cap = params_.hosts_per_rack * params_.link_rate_bps;
 
-  // The slice's live circuits, resolved once: live[r * u + sw] is
-  // topo::OperaTopology::live_peer. Each rack's circuit budget is one
-  // circuit_rate per live uplink; matchings are involutions, so the same
-  // budget bounds both egress and ingress.
-  std::vector<topo::Vertex> live(n * su, -1);
-  std::vector<double> budget(n, 0.0);
+  // The slice's live circuits (live_), and each rack's circuit budget:
+  // one circuit_rate per live uplink. Matchings are involutions, so the
+  // same budget bounds both egress and ingress.
+  refresh_row(slice, failures);
+  std::vector<double> budget(n);
   for (std::size_t r = 0; r < n; ++r) {
-    for (int sw = 0; sw < u; ++sw) {
-      const topo::Vertex peer =
-          topo_.live_peer(sw, static_cast<topo::Vertex>(r), slice, failures);
-      if (peer < 0) continue;
-      live[r * su + static_cast<std::size_t>(sw)] = peer;
-      budget[r] += circuit_rate;
-    }
+    budget[r] = budget_sums_[static_cast<std::size_t>(live_count_[r])];
   }
 
   // NIC fair shares: every flow a rack sources (sinks) gets an even split
@@ -67,7 +101,7 @@ std::vector<GroupRate> RotorRateLb::allocate(
     }
     int circuits = 0;  // live a<->b circuits
     for (std::size_t sw = 0; sw < su; ++sw) {
-      if (live[a * su + sw] == g.dst_rack) ++circuits;
+      if (live_[a * su + sw] == g.dst_rack) ++circuits;
     }
     const double direct_cap = circuits * circuit_rate;
     const double direct_per_flow = direct_cap / static_cast<double>(g.flows);

@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "topo/opera_topology.h"
@@ -71,23 +72,40 @@ class RotorRateLb {
     bool enable_vlb = true;
   };
 
-  RotorRateLb(const topo::OperaTopology& topo, const Params& params)
-      : topo_(topo), params_(params) {}
+  RotorRateLb(const topo::OperaTopology& topo, const Params& params);
 
   // Rates for `groups` (sorted by (src, dst), flows > 0) during cyclic
   // slice `slice`, honoring `failures` (nullptr: nothing has failed). The
   // result is aligned with `groups`; `usage` (optional) receives the
-  // capacity accounting.
+  // capacity accounting. Any slice may follow any other, and `failures`
+  // may change between calls; the result depends on the arguments alone.
   [[nodiscard]] std::vector<GroupRate> allocate(
       int slice, const std::vector<GroupDemand>& groups,
-      const topo::FailureSet* failures = nullptr,
-      RateUsage* usage = nullptr) const;
+      const topo::FailureSet* failures = nullptr, RateUsage* usage = nullptr);
 
   [[nodiscard]] const Params& params() const { return params_; }
 
  private:
+  // Brings the circuit row to `slice` under `failures`: every column when
+  // the failure set differs from the row's (or on the first call), else
+  // only the switches whose matching or reconfiguring state differs
+  // between the row's slice and `slice` — two per consecutive offset
+  // slice.
+  void refresh_row(int slice, const topo::FailureSet* failures);
+
   const topo::OperaTopology& topo_;
   Params params_;
+  // The circuit row kept between calls: live_[r * u + sw] is
+  // topo::OperaTopology::live_peer(sw, r, row_slice_, failures), and
+  // live_count_[r] counts rack r's live circuits.
+  std::vector<topo::Vertex> live_;
+  std::vector<int> live_count_;
+  int row_slice_ = -1;  // -1: the row is not built yet
+  std::optional<topo::FailureSet> row_failures_;  // nullopt: none applied
+  // budget_sums_[c]: c circuit rates added one at a time, as a sum over
+  // the row's circuits adds them, so a budget is the same double either
+  // way.
+  std::vector<double> budget_sums_;
 };
 
 }  // namespace opera::fluid

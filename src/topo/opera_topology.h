@@ -78,6 +78,7 @@ struct FailureSet {
 
   static FailureSet none(Vertex num_racks, int num_switches);
   [[nodiscard]] bool any() const;
+  [[nodiscard]] bool operator==(const FailureSet&) const = default;
 
   // Runtime injection and recovery (the fabrics' fault entry points).
   void set_uplink_failed(Vertex rack, int sw, bool failed) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 #include "sim/sharded.h"
 
@@ -9,15 +11,13 @@ namespace opera::transport {
 
 const Flow& FlowTracker::register_flow(const Flow& flow) {
   assert(flow.size_bytes > 0);
-  const auto [it, inserted] = flows_.emplace(flow.id, flow);
-  assert(inserted && "duplicate flow id");
-  (void)inserted;
-  return it->second;
-}
-
-const Flow* FlowTracker::find(std::uint64_t id) const {
-  const auto it = flows_.find(id);
-  return it == flows_.end() ? nullptr : &it->second;
+  if (flow.id != flows_.size() + 1) {
+    std::fprintf(stderr, "FlowTracker: flow id %llu registered out of order (next is %zu)\n",
+                 static_cast<unsigned long long>(flow.id), flows_.size() + 1);
+    std::abort();
+  }
+  flows_.push_back(flow);
+  return flows_.back();
 }
 
 void FlowTracker::on_delivered(std::uint64_t id, std::int64_t bytes, sim::Time at) {

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "net/packet.h"
@@ -64,8 +63,16 @@ class FlowTracker {
   using DeliveryHook = std::function<void(const Flow&, std::int64_t bytes, sim::Time at)>;
   void set_delivery_hook(DeliveryHook hook) { delivery_hook_ = std::move(hook); }
 
+  // Stores `flow`, whose id must be the next in registration order
+  // (registered() + 1, as next_flow_id() hands them out to a caller that
+  // registers every id it takes); an id out of order aborts.
   const Flow& register_flow(const Flow& flow);
-  [[nodiscard]] const Flow* find(std::uint64_t id) const;
+  // The flow with `id`, or nullptr outside [1, registered()]. The pointer
+  // (and the reference register_flow returns) stays valid until the next
+  // registration, which may grow the registry.
+  [[nodiscard]] const Flow* find(std::uint64_t id) const {
+    return id - 1 < flows_.size() ? &flows_[id - 1] : nullptr;
+  }
 
   void on_delivered(std::uint64_t id, std::int64_t bytes, sim::Time at);
   void on_complete(std::uint64_t id, sim::Time end);
@@ -105,11 +112,8 @@ class FlowTracker {
     std::vector<StagedDelivery> deliveries;
   };
 
-  // Keyed lookup only — never iterated. Completion/delivery order comes
-  // from `completions_` (a vector in canonical merge order), so the
-  // hash map's iteration order can never leak into output. opera-lint's
-  // unordered-iteration rule enforces this.
-  std::unordered_map<std::uint64_t, Flow> flows_;
+  // flows_[id - 1]: ids are dense from 1, so the registry is a vector.
+  std::vector<Flow> flows_;
   std::vector<FlowRecord> completions_;
   CompletionHook hook_;
   DeliveryHook delivery_hook_;

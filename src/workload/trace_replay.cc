@@ -21,6 +21,13 @@ TraceParseResult fail(std::string message) {
   return r;
 }
 
+// Every load error starts with the trace path, as checkpoint errors do, so
+// a suite that names several traces says which one is bad.
+TraceParseResult with_path(const std::string& path, TraceParseResult result) {
+  if (!result.ok()) result.error = path + ": " + result.error;
+  return result;
+}
+
 // Shared semantic validation for one record (both encodings route through
 // here so CSV and binary can never drift on what a legal flow is).
 std::string validate_record(std::size_t index, const FlowSpec& f,
@@ -130,8 +137,7 @@ TraceParseResult parse_trace_csv(std::istream& in, std::int32_t num_hosts) {
 
 TraceParseResult load_trace_csv(const std::string& path, std::int32_t num_hosts) {
   std::ifstream in(path);
-  if (!in) return fail("cannot open trace '" + path + "'");
-  return parse_trace_csv(in, num_hosts);
+  return with_path(path, in ? parse_trace_csv(in, num_hosts) : fail("cannot open trace"));
 }
 
 void write_trace_csv(std::ostream& out, const std::vector<FlowSpec>& flows) {
@@ -198,8 +204,7 @@ TraceParseResult parse_trace_binary(std::istream& in, std::int32_t num_hosts) {
 
 TraceParseResult load_trace_binary(const std::string& path, std::int32_t num_hosts) {
   std::ifstream in(path, std::ios::binary);
-  if (!in) return fail("cannot open trace '" + path + "'");
-  return parse_trace_binary(in, num_hosts);
+  return with_path(path, in ? parse_trace_binary(in, num_hosts) : fail("cannot open trace"));
 }
 
 void write_trace_binary(std::ostream& out, const std::vector<FlowSpec>& flows) {

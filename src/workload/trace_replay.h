@@ -27,7 +27,8 @@
 
 namespace opera::workload {
 
-// Result of a trace load: either a flow list or a line-numbered error.
+// Result of a trace load: either a flow list or a line-numbered error
+// (load_trace* errors start with "<path>: ").
 struct TraceParseResult {
   std::vector<FlowSpec> flows;
   std::string error;  // empty on success

@@ -103,5 +103,33 @@ TEST(FlowTracker, UniqueIds) {
   EXPECT_NE(a, b);
 }
 
+// The registry is indexed by id: ids run densely from 1, in registration
+// order, and every id outside [1, registered()] finds nothing.
+TEST(FlowTracker, IdsAreDenseFromOne) {
+  FlowTracker t;
+  EXPECT_EQ(t.find(0), nullptr);
+  EXPECT_EQ(t.find(1), nullptr);
+  for (std::uint64_t want = 1; want <= 5; ++want) {
+    const auto id = t.next_flow_id();
+    EXPECT_EQ(id, want);
+    const Flow& stored = t.register_flow(make_flow(id, 1'000 * static_cast<std::int64_t>(id)));
+    EXPECT_EQ(stored.id, id);
+    EXPECT_EQ(t.registered(), want);
+  }
+  EXPECT_EQ(t.find(0), nullptr);
+  EXPECT_EQ(t.find(t.registered() + 1), nullptr);
+  for (std::uint64_t id = 1; id <= t.registered(); ++id) {
+    ASSERT_NE(t.find(id), nullptr);
+    EXPECT_EQ(t.find(id)->id, id);
+    EXPECT_EQ(t.find(id)->size_bytes, 1'000 * static_cast<std::int64_t>(id));
+  }
+}
+
+TEST(FlowTrackerDeathTest, OutOfOrderIdAborts) {
+  FlowTracker t;
+  t.register_flow(make_flow(t.next_flow_id(), 100));
+  EXPECT_DEATH(t.register_flow(make_flow(3, 100)), "registered out of order");
+}
+
 }  // namespace
 }  // namespace opera::transport

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <utility>
@@ -45,9 +46,9 @@ core::FabricConfig small_fluid_config() {
 TEST(RotorRateLb, ConservationUnderRandomDemand) {
   const auto config = small_fluid_config().opera_config();
   const topo::OperaTopology topo(config.topology);
-  const fluid::RotorRateLb lb(topo, fluid::RotorRateLb::Params{config.link.rate_bps, 0.9,
-                                                 config.topology.hosts_per_rack,
-                                                 true});
+  fluid::RotorRateLb lb(topo, fluid::RotorRateLb::Params{config.link.rate_bps, 0.9,
+                                           config.topology.hosts_per_rack,
+                                           true});
   const int n = static_cast<int>(config.topology.num_racks);
   sim::Rng rng(7);
 
@@ -109,9 +110,9 @@ TEST(RotorRateLb, ConservationUnderRandomDemand) {
 TEST(RotorRateLb, FailedUplinkCarriesNothing) {
   const auto config = small_fluid_config().opera_config();
   const topo::OperaTopology topo(config.topology);
-  const fluid::RotorRateLb lb(topo, fluid::RotorRateLb::Params{config.link.rate_bps, 0.9,
-                                                 config.topology.hosts_per_rack,
-                                                 true});
+  fluid::RotorRateLb lb(topo, fluid::RotorRateLb::Params{config.link.rate_bps, 0.9,
+                                           config.topology.hosts_per_rack,
+                                           true});
   auto none =
       topo::FailureSet::none(config.topology.num_racks, config.topology.num_switches);
   auto all_up_0 = none;
@@ -277,12 +278,63 @@ std::vector<fluid::GroupDemand> random_groups(int racks, int count, sim::Rng& rn
   return groups;
 }
 
-void expect_allocate_matches_reference(const topo::OperaParams& params, int group_count) {
-  const topo::OperaTopology topo(params);
-  const fluid::RotorRateLb::Params lb_params{10e9, 98.0 / 99.0, params.hosts_per_rack,
-                                             true};
-  const fluid::RotorRateLb lb(topo, lb_params);
-  const auto none = topo::FailureSet::none(params.num_racks, params.num_switches);
+// One RotorRateLb instance, checked call by call against the reference.
+// The allocator keeps its circuit row between calls, so the oracle drives
+// a single instance through every call order the engine produces.
+class AllocateOracle {
+ public:
+  AllocateOracle(const topo::OperaTopology& topo, int hosts_per_rack)
+      : topo_(topo),
+        params_{10e9, 98.0 / 99.0, hosts_per_rack, true},
+        lb_(topo, params_),
+        none_(topo::FailureSet::none(topo.num_racks(), topo.num_switches())) {}
+
+  // allocate(slice, groups, given) equals the reference bit for bit.
+  ::testing::AssertionResult call(int slice, const std::vector<fluid::GroupDemand>& groups,
+                                  const topo::FailureSet* given) {
+    fluid::RateUsage want_usage;
+    const auto want = reference_allocate(topo_, params_, slice, groups,
+                                         given != nullptr ? *given : none_, want_usage);
+    if (want_usage.relay_used > 0.0) ++vlb_calls_;
+    fluid::RateUsage usage;
+    const auto got = lb_.allocate(slice, groups, given, &usage);
+    if (got.size() != want.size()) return ::testing::AssertionFailure() << "rate count";
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      if (got[i].per_flow != want[i].per_flow || got[i].direct_share != want[i].direct_share ||
+          got[i].vlb_share != want[i].vlb_share) {
+        return ::testing::AssertionFailure() << "slice " << slice << " group " << i;
+      }
+    }
+    if (usage.budget != want_usage.budget) {
+      return ::testing::AssertionFailure() << "slice " << slice << " budget";
+    }
+    if (usage.used_up != want_usage.used_up || usage.used_down != want_usage.used_down) {
+      return ::testing::AssertionFailure() << "slice " << slice << " used_up/used_down";
+    }
+    if (usage.relay_pool != want_usage.relay_pool ||
+        usage.relay_used != want_usage.relay_used) {
+      return ::testing::AssertionFailure() << "slice " << slice << " relay";
+    }
+    return ::testing::AssertionSuccess();
+  }
+
+  [[nodiscard]] const topo::FailureSet& none() const { return none_; }
+  [[nodiscard]] int vlb_calls() const { return vlb_calls_; }
+
+ private:
+  const topo::OperaTopology& topo_;
+  fluid::RotorRateLb::Params params_;
+  fluid::RotorRateLb lb_;
+  topo::FailureSet none_;
+  int vlb_calls_ = 0;
+};
+
+void expect_allocate_matches_reference(const topo::OperaParams& params,
+                                       topo::RotorSchedule schedule, int group_count) {
+  const topo::OperaTopology topo(params, schedule);
+  AllocateOracle oracle(topo, params.hosts_per_rack);
+  const int slices = topo.num_slices();
+  const auto& none = oracle.none();
   auto switch_down = none;
   switch_down.switch_failed[1] = true;
   auto rack_down = none;
@@ -301,58 +353,73 @@ void expect_allocate_matches_reference(const topo::OperaParams& params, int grou
       {"uplinks", &uplinks_down},
       {"all", &everything}};
 
-  // The demand must reach the VLB pass, or half the allocator goes unchecked.
-  int vlb_slices = 0;
   sim::Rng rng(11);
   for (int trial = 0; trial < 2; ++trial) {
     const auto groups = random_groups(static_cast<int>(params.num_racks), group_count, rng);
+    // Consecutive slices across more than one cycle: the engine's
+    // boundary-by-boundary order.
+    for (int step = 0; step < 2 * slices + 3; ++step) {
+      ASSERT_TRUE(oracle.call(step % slices, groups, nullptr)) << "consecutive";
+    }
+    // Slice jumps, as the first allocation after an idle spell makes.
+    int slice = 0;
+    for (int jump = 0; jump < 24; ++jump) {
+      slice = (slice + 2 + static_cast<int>(rng.index(static_cast<std::size_t>(slices)))) %
+              slices;
+      ASSERT_TRUE(oracle.call(slice, groups, nullptr)) << "jump " << jump;
+    }
+    // Each failure set over a whole cycle. A healthy fabric is also
+    // allocated through the no-failure path, alternating with the set.
     for (const auto& [what, failures] : cases) {
-      for (int slice = 0; slice < topo.num_slices(); ++slice) {
-        fluid::RateUsage want_usage;
-        const auto want =
-            reference_allocate(topo, lb_params, slice, groups, *failures, want_usage);
-        if (want_usage.relay_used > 0.0) ++vlb_slices;
-        // A healthy fabric is also allocated through the no-failure path.
-        for (const topo::FailureSet* given :
-             {failures, failures == &none ? nullptr : failures}) {
-          fluid::RateUsage usage;
-          const auto got = lb.allocate(slice, groups, given, &usage);
-          ASSERT_EQ(got.size(), want.size());
-          for (std::size_t i = 0; i < want.size(); ++i) {
-            ASSERT_EQ(got[i].per_flow, want[i].per_flow)
-                << what << " slice " << slice << " group " << i;
-            ASSERT_EQ(got[i].direct_share, want[i].direct_share)
-                << what << " slice " << slice << " group " << i;
-            ASSERT_EQ(got[i].vlb_share, want[i].vlb_share)
-                << what << " slice " << slice << " group " << i;
-          }
-          ASSERT_EQ(usage.budget, want_usage.budget) << what << " slice " << slice;
-          ASSERT_EQ(usage.used_up, want_usage.used_up) << what << " slice " << slice;
-          ASSERT_EQ(usage.used_down, want_usage.used_down) << what << " slice " << slice;
-          ASSERT_EQ(usage.relay_pool, want_usage.relay_pool) << what << " slice " << slice;
-          ASSERT_EQ(usage.relay_used, want_usage.relay_used) << what << " slice " << slice;
+      for (slice = 0; slice < slices; ++slice) {
+        ASSERT_TRUE(oracle.call(slice, groups, failures)) << what;
+        if (failures == &none) {
+          ASSERT_TRUE(oracle.call(slice, groups, nullptr)) << what;
         }
       }
     }
+    // One FailureSet object, changed between calls: each injection and
+    // recovery takes effect at the next call, on the next slice or the
+    // same one.
+    auto live = none;
+    const std::vector<std::pair<const char*, std::function<void()>>> changes{
+        {"switch 1 fails", [&] { live.set_switch_failed(1, true); }},
+        {"uplink 3/2 fails", [&] { live.set_uplink_failed(3, 2, true); }},
+        {"rack 2 fails", [&] { live.rack_failed[2] = true; }},
+        {"switch 1 recovers", [&] { live.set_switch_failed(1, false); }},
+        {"uplink 3/2 recovers", [&] { live.set_uplink_failed(3, 2, false); }},
+        {"rack 2 recovers", [&] { live.rack_failed[2] = false; }}};
+    ASSERT_TRUE(oracle.call(slice % slices, groups, &live)) << "healthy";
+    for (const auto& [what, change] : changes) {
+      change();
+      ASSERT_TRUE(oracle.call(slice % slices, groups, &live)) << what << ", same slice";
+      change();  // idempotent: the set is unchanged at the next call
+      ASSERT_TRUE(oracle.call(++slice % slices, groups, &live)) << what << ", next slice";
+    }
   }
-  EXPECT_GT(vlb_slices, 0);
+  // The demand must reach the VLB pass, or half the allocator goes unchecked.
+  EXPECT_GT(oracle.vlb_calls(), 0);
 }
 
-// allocate resolves each slice's live circuits once into a [rack x u]
-// row; every rate and usage figure must equal the per-circuit reference
-// exactly, at k=8 and k=24, with and without failures.
+// allocate keeps each slice's live circuits in a [rack x u] row between
+// calls and refreshes only the columns that changed; every rate and usage
+// figure must equal the per-circuit reference exactly, at k=8 and k=24,
+// under both schedules, across cycle wraps, slice jumps and failure
+// changes.
 TEST(FluidOracle, RotorRateLbMatchesReference) {
   topo::OperaParams k8;  // the 16 x 4 test fabric
   k8.num_racks = 16;
   k8.num_switches = 4;
   k8.hosts_per_rack = 4;
-  expect_allocate_matches_reference(k8, 60);
-
   topo::OperaParams k24;
   k24.num_racks = 432;
   k24.num_switches = 12;
   k24.hosts_per_rack = 12;
-  expect_allocate_matches_reference(k24, 600);
+  for (const auto schedule : {topo::RotorSchedule::kOffset, topo::RotorSchedule::kUnison}) {
+    SCOPED_TRACE(schedule == topo::RotorSchedule::kOffset ? "offset" : "unison");
+    expect_allocate_matches_reference(k8, schedule, 60);
+    expect_allocate_matches_reference(k24, schedule, 600);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -463,6 +530,49 @@ TEST(FluidNetwork, IntraRackStaysOffCircuits) {
   EXPECT_NEAR(stats.intra_bytes, 1e6, 1.0);
   EXPECT_EQ(stats.direct_bytes, 0.0);
   EXPECT_EQ(stats.vlb_bytes, 0.0);
+}
+
+// Flow starts fire in (start, submission) order however they are
+// submitted: out of start order (with equal starts), at exactly a slice
+// boundary, and from a progress hook in mid-run — one start already past
+// (it begins at submit time) and one ahead of every pending start. The
+// digest (clock, event count, completion stream, fluid state) was recorded
+// when every start was its own queued event.
+TEST(FluidNetwork, StartOrderMatchesRecordedDigest) {
+  const auto config = small_fluid_config().opera_config();
+  fluid::FluidNetwork net(config);
+  const sim::Time slice = config.slice.duration;
+  struct Start {
+    std::int32_t src;
+    std::int32_t dst;
+    std::int64_t bytes;
+    sim::Time at;
+  };
+  const std::vector<Start> starts{
+      {0, 20, 2'000'000, sim::Time::us(900)}, {1, 21, 300'000, sim::Time::us(40)},
+      {2, 37, 1'500'000, slice * 3},          {3, 22, 50'000, sim::Time::us(40)},
+      {4, 60, 4'000'000, sim::Time::zero()},  {5, 23, 80'000, sim::Time::us(2500)},
+      {6, 1, 600'000, slice * 3},             {7, 50, 250'000, sim::Time::us(41)},
+      {8, 9, 120'000, sim::Time::us(900)},    {33, 2, 3'000'000, sim::Time::us(5)}};
+  for (const Start& s : starts) net.submit_flow(s.src, s.dst, s.bytes, s.at);
+
+  int polls = 0;
+  const auto status = net.run_with_progress(
+      sim::Time::ms(80), sim::Time::us(300), [&](core::Network& n) {
+        const sim::Time now = n.sim().now();
+        ++polls;
+        if (polls == 1) {
+          n.submit_flow(40, 5, 700'000, now - sim::Time::us(120));  // past
+          n.submit_flow(41, 6, 200'000, now + sim::Time::us(7));    // first
+        } else if (polls == 2) {
+          n.submit_flow(42, 7, 900'000, slice * (now / slice + 2));  // boundary
+        }
+        return polls > 2 && n.tracker().completed() == n.tracker().registered();
+      });
+  EXPECT_TRUE(status.stopped_early);
+  ASSERT_EQ(net.tracker().registered(), starts.size() + 3);
+  EXPECT_EQ(net.tracker().completed(), net.tracker().registered());
+  EXPECT_EQ(exp::state_digest(net), 0x53bd28ff7b165a85ULL);
 }
 
 // ---------------------------------------------------------------------------

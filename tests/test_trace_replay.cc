@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -139,12 +140,17 @@ TEST(TraceReplay, CsvRejectsMalformedInputs) {
        "start_ps,src_host,dst_host,size_bytes\n0,4294967296,1,100\n",
        "overflows int32"},
   };
+  const std::string path = ::testing::TempDir() + "malformed_trace.csv";
   for (const auto& c : cases) {
     std::istringstream in(c.text);
     const auto parsed = parse_trace_csv(in, /*num_hosts=*/16);
     EXPECT_FALSE(parsed.ok()) << c.name;
     EXPECT_NE(parsed.error.find(c.needle), std::string::npos)
         << c.name << ": got error '" << parsed.error << "'";
+    // Loaded from a file, the same error starts with the file's path.
+    std::ofstream(path) << c.text;
+    const auto loaded = load_trace_csv(path, /*num_hosts=*/16);
+    EXPECT_EQ(loaded.error, path + ": " + parsed.error) << c.name;
   }
 }
 
@@ -198,6 +204,11 @@ TEST(TraceReplay, BinaryHugeCountReportsTruncation) {
   EXPECT_NE(parsed.error.find("truncated trace: 0 of 18446744073709551615"),
             std::string::npos)
       << parsed.error;
+
+  const std::string path = ::testing::TempDir() + "huge_count_trace.bin";
+  std::ofstream(path, std::ios::binary) << bytes;
+  const auto loaded = load_trace_binary(path);
+  EXPECT_EQ(loaded.error, path + ": " + parsed.error);
 }
 
 TEST(TraceReplay, BinaryRunsTheSameSemanticValidationAsCsv) {
@@ -231,9 +242,9 @@ TEST(TraceReplay, LoadTraceDispatchesOnExtension) {
 }
 
 TEST(TraceReplay, LoadTraceReportsMissingFile) {
-  const auto parsed = load_trace(::testing::TempDir() + "no_such_trace.csv");
-  EXPECT_FALSE(parsed.ok());
-  EXPECT_NE(parsed.error.find("cannot open"), std::string::npos) << parsed.error;
+  const std::string path = ::testing::TempDir() + "no_such_trace.csv";
+  const auto parsed = load_trace(path);
+  EXPECT_EQ(parsed.error, path + ": cannot open trace");
 }
 
 // Replay smoke per format: a saved trace, loaded back, must drive a real
