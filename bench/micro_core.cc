@@ -291,6 +291,56 @@ void BM_ForwardHop(benchmark::State& state, int inflight) {
 BENCHMARK_CAPTURE(BM_ForwardHop, idle, 1);
 BENCHMARK_CAPTURE(BM_ForwardHop, back_to_back, 4);
 
+// The same hop through a real Opera ToR: Switch::receive, the expander
+// plane's router (routing slice, slice table, ECMP pick, live uplink),
+// then the uplink port. Every uplink of rack 0's ToR is re-pointed at a
+// node that hands each arriving packet straight back to that ToR, so one
+// low-latency packet bound for rack 5 circulates one ToR hop per event.
+// Slices last 10 s here, so no boundary re-wires the uplinks mid-run.
+class BounceNode : public net::Node {
+ public:
+  explicit BounceNode(net::Switch& tor) : Node(tor.ctx(), "bounce"), tor_(tor) {}
+  void receive(net::PacketPtr pkt, int in_port) override {
+    ++hops;
+    tor_.receive(std::move(pkt), in_port);
+  }
+  std::int64_t hops = 0;
+
+ private:
+  net::Switch& tor_;
+};
+
+void BM_ForwardHopOperaTor(benchmark::State& state) {
+  core::OperaConfig cfg;
+  cfg.topology.num_racks = 16;
+  cfg.topology.num_switches = 4;
+  cfg.topology.hosts_per_rack = 4;
+  cfg.topology.seed = 11;
+  cfg.slice.duration = sim::Time::sec(10);
+  cfg.threads = 1;
+  core::OperaNetwork net(cfg);
+  net.run_until(cfg.slice.reconfiguration + sim::Time::us(1));  // slice 0 settled
+  net::Switch& tor = net.tor(0);
+  BounceNode bounce(tor);
+  const int d = cfg.topology.hosts_per_rack;
+  for (int sw = 0; sw < cfg.topology.num_switches; ++sw) {
+    tor.port(d + sw).connect(&bounce, d + sw);
+  }
+  auto pkt = net::make_packet();
+  pkt->type = net::PacketType::kData;
+  pkt->tclass = net::TrafficClass::kLowLatency;
+  pkt->size_bytes = net::kMtuBytes;
+  pkt->dst_rack = 5;
+  pkt->dst_host = 5 * d;
+  tor.receive(std::move(pkt), 0);
+  for (auto _ : state) net.run_until(net.sim().now() + sim::Time::ms(1));
+  state.counters["ns_per_packet"] = benchmark::Counter(
+      static_cast<double>(bounce.hops), benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["events_per_packet"] =
+      static_cast<double>(net.events_executed()) / static_cast<double>(bounce.hops);
+}
+BENCHMARK(BM_ForwardHopOperaTor)->Iterations(200);
+
 void BM_OperaEndToEnd(benchmark::State& state) {
   // Simulated-time throughput of the whole stack: a 16-rack Opera network
   // at moderate low-latency load for 5 ms of simulated time.

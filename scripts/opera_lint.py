@@ -70,6 +70,13 @@ at review time, tree-wide:
                       rule (whole string, sign only for signed types,
                       in range of the field, finite); each hand-rolled
                       wrapper once checked a different subset of it.
+  per-hop-dispatch    No std::function (nor <functional>) in
+                      src/net/switch.h, src/net/node.h or src/net/host.h,
+                      the files every packet hop runs through. Each
+                      decision on a hop is one direct call (net::Router,
+                      net::Endpoint, net::DefaultHandler); a
+                      std::function there adds an empty check and a
+                      type-erased thunk per packet.
   checkpoint-coverage Structs serialized into checkpoints are tagged
                       `// checkpoint:v<N> fields=<M>` (docs/CHECKPOINT.md).
                       The rule counts the struct's data members and fails
@@ -115,6 +122,9 @@ SYNC_FILES = {"src/sim/worker_pool.h", "src/sim/worker_pool.cc"}
 
 # sim::parse_number — the one place allowed a C/C++ number parser.
 PARSE_FILES = {"src/sim/parse.h"}
+
+# The per-hop path: switch forwarding, port transmission, host dispatch.
+PER_HOP_FILES = {"src/net/switch.h", "src/net/node.h", "src/net/host.h"}
 
 # Allowed #include edges between src/<layer>/ directories. Must mirror the
 # target_link_libraries graph in CMakeLists.txt (PUBLIC edges are
@@ -452,6 +462,25 @@ def rule_number_parse(relpath, code_lines):
                 break
 
 
+_PER_HOP_PATTERNS = [
+    (re.compile(r"\bfunction\s*<"), "std::function"),
+    (re.compile(r"#\s*include\s*<functional>"), "#include <functional>"),
+]
+
+
+def rule_per_hop_dispatch(relpath, code_lines):
+    if relpath not in PER_HOP_FILES:
+        return
+    for lineno, line in enumerate(code_lines, 1):
+        for pat, what in _PER_HOP_PATTERNS:
+            if pat.search(line):
+                yield (lineno,
+                       f"{what} in the per-hop path: a packet hop makes one "
+                       "direct call per decision. Implement net::Router, "
+                       "net::Endpoint or net::DefaultHandler instead.")
+                break
+
+
 _QUOTED_INCLUDE = re.compile(r'#\s*include\s+"([^"]+)"')
 
 
@@ -599,6 +628,7 @@ RULES = {
     "sync-primitive": rule_sync_primitive,
     "circuit-rule": rule_circuit_rule,
     "number-parse": rule_number_parse,
+    "per-hop-dispatch": rule_per_hop_dispatch,
     "checkpoint-coverage": rule_checkpoint_coverage,
 }
 

@@ -1,11 +1,68 @@
 #include "core/clos_network.h"
 
 #include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "net/ecmp.h"
 
 namespace opera::core {
+
+namespace {
+
+// Standard up-down ECMP with per-packet spraying (NDP), one router per
+// tier. Salts: (tier, switch id), tier 0 = ToR, 1 = aggregation; salts_[i]
+// belongs to the tier's switch with id i.
+class TorRouter final : public net::Router {
+ public:
+  TorRouter(int hosts_per_tor, int uplinks, std::vector<std::uint64_t> salts)
+      : d_(hosts_per_tor),
+        ups_(static_cast<std::size_t>(uplinks)),
+        salts_(std::move(salts)) {}
+  int route(net::Switch& tor, net::PacketPtr& pkt) override {
+    if (pkt->dst_rack == tor.id()) return pkt->dst_host - tor.id() * d_;
+    const std::uint64_t salt = salts_[static_cast<std::size_t>(tor.id())];
+    return d_ + static_cast<int>(net::ecmp_pick(*pkt, salt, ups_));
+  }
+
+ private:
+  int d_;
+  std::size_t ups_;
+  std::vector<std::uint64_t> salts_;
+};
+
+class AggRouter final : public net::Router {
+ public:
+  AggRouter(int radix, int uplinks_per_tor, std::vector<std::uint64_t> salts)
+      : k_(radix), u_(uplinks_per_tor), salts_(std::move(salts)) {}
+  int route(net::Switch& agg, net::PacketPtr& pkt) override {
+    const int tors_per_pod = k_ / 2;
+    const int pod = agg.id() / u_;
+    const int dst_pod = pkt->dst_rack / tors_per_pod;
+    if (dst_pod == pod) return pkt->dst_rack - pod * tors_per_pod;
+    return k_ / 2 + static_cast<int>(net::ecmp_pick(
+                        *pkt, salts_[static_cast<std::size_t>(agg.id())],
+                        static_cast<std::size_t>(k_ / 2)));
+  }
+
+ private:
+  int k_;
+  int u_;
+  std::vector<std::uint64_t> salts_;
+};
+
+class CoreRouter final : public net::Router {
+ public:
+  explicit CoreRouter(int tors_per_pod) : tors_per_pod_(tors_per_pod) {}
+  int route(net::Switch&, net::PacketPtr& pkt) override {
+    return pkt->dst_rack / tors_per_pod_;
+  }
+
+ private:
+  int tors_per_pod_;
+};
+
+}  // namespace
 
 ClosNetwork::ClosNetwork(const ClosNetConfig& config)
     : PacketFabric({.num_racks = config.structure.num_tors(),
@@ -72,34 +129,20 @@ void ClosNetwork::build() {
     }
   }
 
-  // Forwarding: standard up-down ECMP with per-packet spraying (NDP).
-  // Salts: (tier, switch id), tier 0 = ToR, 1 = aggregation.
-  const auto salt = [this](std::uint64_t tier, const net::Switch& sw) {
-    return net::ecmp_salt(config_.seed, tier, static_cast<std::uint32_t>(sw.id()));
+  const auto salts = [this](std::uint64_t tier, const std::vector<net::Switch*>& sws) {
+    std::vector<std::uint64_t> out;
+    for (const net::Switch* sw : sws) {
+      out.push_back(
+          net::ecmp_salt(config_.seed, tier, static_cast<std::uint32_t>(sw->id())));
+    }
+    return out;
   };
-  const auto ups = static_cast<std::size_t>(u);
-  for (net::Switch* tor : tors) {
-    tor->set_forward([d, ups, salt = salt(0, *tor)](net::Switch& swch,
-                                                    const net::Packet& pkt, int) {
-      if (pkt.dst_rack == swch.id()) return pkt.dst_host - swch.id() * d;
-      return d + static_cast<int>(net::ecmp_pick(pkt, salt, ups));
-    });
-  }
-  const auto agg_ups = static_cast<std::size_t>(k / 2);
-  for (net::Switch* agg : aggs) {
-    agg->set_forward([k, u, tors_per_pod, agg_ups, salt = salt(1, *agg)](
-                         net::Switch& swch, const net::Packet& pkt, int) {
-      const int pod = swch.id() / u;
-      const int dst_pod = pkt.dst_rack / tors_per_pod;
-      if (dst_pod == pod) return pkt.dst_rack - pod * tors_per_pod;
-      return k / 2 + static_cast<int>(net::ecmp_pick(pkt, salt, agg_ups));
-    });
-  }
-  for (net::Switch* core : cores) {
-    core->set_forward([tors_per_pod](net::Switch&, const net::Packet& pkt, int) {
-      return pkt.dst_rack / tors_per_pod;
-    });
-  }
+  routers_.push_back(std::make_unique<TorRouter>(d, u, salts(0, tors)));
+  routers_.push_back(std::make_unique<AggRouter>(k, u, salts(1, aggs)));
+  routers_.push_back(std::make_unique<CoreRouter>(tors_per_pod));
+  for (net::Switch* tor : tors) tor->set_router(routers_[0].get());
+  for (net::Switch* agg : aggs) agg->set_router(routers_[1].get());
+  for (net::Switch* core : cores) core->set_router(routers_[2].get());
 }
 
 std::string ClosNetwork::describe() const {

@@ -32,6 +32,7 @@ class ClosNetwork : public PacketFabric {
 
   ClosNetConfig config_;
   topo::FoldedClos clos_;
+  std::vector<std::unique_ptr<net::Router>> routers_;  // ToR, agg, core tiers
 };
 
 }  // namespace opera::core

@@ -55,18 +55,20 @@ void ExpanderNetwork::build() {
   }
 
   for (net::Switch* tor : tors) {
-    const std::uint64_t salt =
-        net::ecmp_salt(config_.seed, static_cast<std::uint32_t>(tor->id()));
-    tor->set_forward([this, d, salt](net::Switch& swch, const net::Packet& pkt,
-                                     int) -> int {
-      const std::int32_t rack = swch.id();
-      if (pkt.dst_rack == rack) return pkt.dst_host - rack * d;
-      const auto nexts = routes_.next_hops(rack, pkt.dst_rack);
-      if (nexts.empty()) return -1;
-      const topo::Vertex next = nexts[net::ecmp_pick(pkt, salt, nexts.size())];
-      return uplink_of_[static_cast<std::size_t>(rack)][static_cast<std::size_t>(next)];
-    });
+    salts_.push_back(net::ecmp_salt(config_.seed, static_cast<std::uint32_t>(tor->id())));
+    tor->set_router(this);
   }
+}
+
+int ExpanderNetwork::route(net::Switch& tor, net::PacketPtr& pkt) {
+  const std::int32_t rack = tor.id();
+  const int d = config_.structure.hosts_per_tor;
+  if (pkt->dst_rack == rack) return pkt->dst_host - rack * d;
+  const auto nexts = routes_.next_hops(rack, pkt->dst_rack);
+  if (nexts.empty()) return kNoRoute;
+  const topo::Vertex next =
+      nexts[net::ecmp_pick(*pkt, salts_[static_cast<std::size_t>(rack)], nexts.size())];
+  return uplink_of_[static_cast<std::size_t>(rack)][static_cast<std::size_t>(next)];
 }
 
 std::string ExpanderNetwork::describe() const {

@@ -10,6 +10,7 @@
 
 #include "core/config.h"
 #include "core/packet_fabric.h"
+#include "net/switch.h"
 #include "topo/expander.h"
 
 namespace opera::core {
@@ -17,8 +18,9 @@ namespace opera::core {
 // Defaults: 130 ToRs x u=7 x d=5 (650 hosts).
 using ExpanderNetConfig = StaticNetConfig<topo::ExpanderParams>;
 
-// Shard placement: each ToR and its hosts in the rack's domain.
-class ExpanderNetwork : public PacketFabric {
+// Shard placement: each ToR and its hosts in the rack's domain. The
+// network is its ToRs' router: shortest-path ECMP, per-ToR salts.
+class ExpanderNetwork : public PacketFabric, private net::Router {
  public:
   explicit ExpanderNetwork(const ExpanderNetConfig& config);
 
@@ -27,12 +29,14 @@ class ExpanderNetwork : public PacketFabric {
 
  private:
   void build();
+  int route(net::Switch& tor, net::PacketPtr& pkt) override;
 
   ExpanderNetConfig config_;
   topo::ExpanderTopology expander_;
   topo::EcmpTable routes_;
   // uplink_of_[a] maps neighbor rack -> uplink port index on ToR a.
   std::vector<std::vector<int>> uplink_of_;
+  std::vector<std::uint64_t> salts_;  // per ToR
 };
 
 }  // namespace opera::core

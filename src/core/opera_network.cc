@@ -10,6 +10,27 @@
 
 namespace opera::core {
 
+template <LowLatencyPlane kPlane>
+class OperaNetwork::TorRouter final : public net::Router {
+ public:
+  explicit TorRouter(OperaNetwork& net) : net_(net) {}
+  int route(net::Switch& tor, net::PacketPtr& pkt) override {
+    return net_.forward<kPlane>(tor, pkt);
+  }
+  void no_route(net::Switch& tor, const net::Packet& pkt) override {
+    net_.nack(tor, pkt);
+  }
+
+ private:
+  OperaNetwork& net_;
+};
+
+// Hybrid RotorNet's packet core: port r leads to rack r's ToR.
+class OperaNetwork::CoreRouter final : public net::Router {
+ public:
+  int route(net::Switch&, net::PacketPtr& pkt) override { return pkt->dst_rack; }
+};
+
 OperaNetwork::OperaNetwork(const OperaConfig& config)
     : PacketFabric({.num_racks = config.topology.num_racks,
                     .hosts_per_rack = config.topology.hosts_per_rack,
@@ -73,9 +94,8 @@ void OperaNetwork::build_nodes() {
   if (config_.low_latency == LowLatencyPlane::kPacketCore) {
     core = &add_switch(0, "core", 0);
     for (topo::Vertex r = 0; r < n; ++r) core->add_port(rate, prop, tor_q);
-    core->set_forward([](net::Switch&, const net::Packet& pkt, int) {
-      return pkt.dst_rack;
-    });
+    core_router_ = std::make_unique<CoreRouter>();
+    core->set_router(core_router_.get());
   }
 
   for (topo::Vertex r = 0; r < n; ++r) {
@@ -105,7 +125,10 @@ int OperaNetwork::routing_slice(sim::Time now) const {
   // boundary, so nothing is left queued on it when it flushes (§4.1's
   // epsilon rule). The next-slice tables are physically valid here: the
   // currently-reconfiguring switch settled onto its next matching at +r.
-  const sim::Time into_slice = now % config_.slice.duration;
+  // Slice boundaries are barrier-aligned global events, so `now` lies in
+  // abs_slice_'s span and a subtraction replaces the 64-bit modulo.
+  const sim::Time into_slice = now - config_.slice.duration * abs_slice_;
+  assert(into_slice >= sim::Time::zero() && into_slice < config_.slice.duration);
   if (config_.slice.duration - into_slice <= config_.slice.drain_window) {
     return (current_slice_ + 1) % topo_.num_slices();
   }
@@ -117,7 +140,7 @@ void OperaNetwork::wire(int first, int last, int slice) {
   for (topo::Vertex r = 0; r < topo_.num_racks(); ++r) {
     for (int sw = first; sw < last; ++sw) {
       auto& port = tors_[static_cast<std::size_t>(r)]->port(uplink_port(sw));
-      const topo::Vertex peer = topo_.live_peer(sw, r, slice, &failures_);
+      const topo::Vertex peer = topo_.live_peer(sw, r, slice, live_failures_);
       if (peer < 0) {
         port.set_enabled(false);
         continue;
@@ -204,9 +227,22 @@ void OperaNetwork::allocate_bulk(int slice) {
   std::iota(order.begin(), order.end(), 0);
   rng_.shuffle(std::span<int>{order});
 
+  // The loop costs what is queued: a rack with an empty relay buffer and
+  // no host backlog, and a host with nothing queued, are skipped. Their
+  // take and grants would return nothing and change nothing, and the
+  // shuffle above still draws, so the output is the same.
+  const auto queued = [this](std::size_t h) {
+    return agent(static_cast<std::int32_t>(h)).total_queued() > 0;
+  };
   for (topo::Vertex r = 0; r < topo_.num_racks(); ++r) {
+    const auto first_host = static_cast<std::size_t>(r) * static_cast<std::size_t>(d);
+    bool backlog = relays_[static_cast<std::size_t>(r)]->total_bytes() > 0;
+    for (std::size_t i = 0; i < static_cast<std::size_t>(d) && !backlog; ++i) {
+      backlog = queued(first_host + i);
+    }
+    if (!backlog) continue;
     for (const int sw : order) {
-      const topo::Vertex peer = topo_.live_peer(sw, r, slice, &failures_);
+      const topo::Vertex peer = topo_.live_peer(sw, r, slice, live_failures_);
       if (peer < 0) continue;
       std::int64_t budget = uplink_budget;
       net::Switch& tor = *tors_[static_cast<std::size_t>(r)];
@@ -222,10 +258,9 @@ void OperaNetwork::allocate_bulk(int slice) {
 
       // (b) Hosts' direct traffic, round-robin offset by slice for fairness.
       for (int i = 0; i < d && budget > 0 && peer_in > 0; ++i) {
-        const auto h = static_cast<std::size_t>(r) * static_cast<std::size_t>(d) +
-                       static_cast<std::size_t>((i + slice) % d);
+        const std::size_t h = first_host + static_cast<std::size_t>((i + slice) % d);
         const std::int64_t grant = std::min({budget, host_budget[h], peer_in});
-        if (grant <= 0) continue;
+        if (grant <= 0 || !queued(h)) continue;
         const std::int64_t sent =
             agent(static_cast<std::int32_t>(h)).grant_direct(peer, grant);
         budget -= sent;
@@ -239,10 +274,9 @@ void OperaNetwork::allocate_bulk(int slice) {
       // buffer), but the final destinations are.
       if (config_.enable_vlb) {
         for (int i = 0; i < d && budget > 0; ++i) {
-          const auto h = static_cast<std::size_t>(r) * static_cast<std::size_t>(d) +
-                         static_cast<std::size_t>((i + slice) % d);
+          const std::size_t h = first_host + static_cast<std::size_t>((i + slice) % d);
           const std::int64_t grant = std::min(budget, host_budget[h]);
-          if (grant <= 0) continue;
+          if (grant <= 0 || !queued(h)) continue;
           const std::int64_t sent = agent(static_cast<std::int32_t>(h)).grant_vlb(
               peer, grant, std::span<std::int64_t>(vlb_budget),
               &relay_reach_[static_cast<std::size_t>(peer)]);
@@ -254,80 +288,66 @@ void OperaNetwork::allocate_bulk(int slice) {
   }
 }
 
-void OperaNetwork::install_forwarding() {
+template <LowLatencyPlane kPlane>
+int OperaNetwork::forward(net::Switch& tor, net::PacketPtr& pkt) {
+  const std::int32_t rack = tor.id();
+  if (pkt->vlb_relay && pkt->relay_rack == rack && pkt->dst_rack != rack) {
+    relays_[static_cast<std::size_t>(rack)]->store(std::move(pkt));
+    return net::Router::kConsumed;
+  }
   const int d = config_.topology.hosts_per_rack;
-  // Wraps the plane's uplink choice for inter-rack low-latency traffic and
-  // control (`hop`) into a ToR forward function. Bulk data rides direct
-  // circuits only (§4.3's bulk table) on every plane. `hop` captures
-  // nothing, so the closure still fits std::function's inline storage (no
-  // extra indirection per packet).
-  const auto forward = [this, d](auto hop) -> net::Switch::ForwardFn {
-    return [this, d, hop](net::Switch& swch, const net::Packet& pkt, int) -> int {
-      const std::int32_t rack = swch.id();
-      const bool low_latency_path =
-          pkt.tclass == net::TrafficClass::kLowLatency ||
-          pkt.type != net::PacketType::kData;
-      if (low_latency_path) {
-        if (pkt.dst_rack == rack) return pkt.dst_host - rack * d;
-        return hop(*this, swch, pkt);
-      }
-      const std::int32_t target = pkt.vlb_relay ? pkt.relay_rack : pkt.dst_rack;
-      if (target == rack) return pkt.dst_host - rack * d;
-      const int sw = topo_.live_uplink(current_slice_, rack, target, &failures_);
-      return sw < 0 ? -1 : uplink_port(sw);
-    };
-  };
-  // Chosen once here, so the per-packet path never branches on the plane.
-  net::Switch::ForwardFn fn;
-  switch (config_.low_latency) {
-    case LowLatencyPlane::kExpander:
-      fn = forward([](OperaNetwork& self, net::Switch& swch, const net::Packet& pkt) {
-        const std::int32_t rack = swch.id();
-        // The deciding clock is the ToR's own shard clock — identical to
-        // the global clock at this event's timestamp under any sharding.
-        const int rslice = self.routing_slice(swch.sim().now());
-        // rslice is the current or next slice, which the boundary
-        // prefetch (and degrade_memory) keep resident.
-        const topo::EcmpTable* table = self.slice_tables_.peek(rslice);
-        assert(table != nullptr);
-        const auto nexts = table->next_hops(rack, pkt.dst_rack);
-        if (nexts.empty()) return -1;
-        const topo::Vertex next = nexts[net::ecmp_pick(
-            pkt, net::ecmp_salt(self.config_.seed, static_cast<std::uint32_t>(rack),
-                                static_cast<std::uint32_t>(rslice)),
-            nexts.size())];
-        const int sw = self.topo_.live_uplink(rslice, rack, next, &self.failures_);
-        return sw < 0 ? -1 : self.uplink_port(sw);
-      });
-      break;
-    case LowLatencyPlane::kPacketCore:
-      fn = forward([](OperaNetwork& self, net::Switch&, const net::Packet&) {
-        return self.core_port();
-      });
-      break;
-    case LowLatencyPlane::kDirectCircuit:
+  if (pkt->tclass == net::TrafficClass::kLowLatency ||
+      pkt->type != net::PacketType::kData) {
+    if (pkt->dst_rack == rack) return pkt->dst_host - rack * d;
+    if constexpr (kPlane == LowLatencyPlane::kExpander) {
+      // The deciding clock is the ToR's own shard clock — identical to
+      // the global clock at this event's timestamp under any sharding.
+      const int rslice = routing_slice(tor.sim().now());
+      // rslice is the current or next slice, which the boundary prefetch
+      // (and degrade_memory) keep resident.
+      const topo::EcmpTable* table = slice_tables_.peek(rslice);
+      assert(table != nullptr);
+      const auto nexts = table->next_hops(rack, pkt->dst_rack);
+      if (nexts.empty()) return net::Router::kNoRoute;
+      const topo::Vertex next = nexts[net::ecmp_pick(
+          *pkt,
+          net::ecmp_salt(config_.seed, static_cast<std::uint32_t>(rack),
+                         static_cast<std::uint32_t>(rslice)),
+          nexts.size())];
+      const int sw = topo_.live_uplink(rslice, rack, next, live_failures_);
+      return sw < 0 ? net::Router::kNoRoute : uplink_port(sw);
+    } else if constexpr (kPlane == LowLatencyPlane::kPacketCore) {
+      return core_port();
+    } else {
       // No packet-switched path: control still needs to travel, so it
       // rides the current circuits if one exists.
-      fn = forward([](OperaNetwork& self, net::Switch& swch, const net::Packet& pkt) {
-        const int sw = self.topo_.live_uplink(self.current_slice_, swch.id(), pkt.dst_rack,
-                                              &self.failures_);
-        return sw < 0 ? -1 : self.uplink_port(sw);
-      });
+      const int sw =
+          topo_.live_uplink(current_slice_, rack, pkt->dst_rack, live_failures_);
+      return sw < 0 ? net::Router::kNoRoute : uplink_port(sw);
+    }
+  }
+  const std::int32_t target = pkt->vlb_relay ? pkt->relay_rack : pkt->dst_rack;
+  if (target == rack) return pkt->dst_host - rack * d;
+  const int sw = topo_.live_uplink(current_slice_, rack, target, live_failures_);
+  return sw < 0 ? net::Router::kNoRoute : uplink_port(sw);
+}
+
+void OperaNetwork::install_forwarding() {
+  // Chosen once here, so the per-packet path never branches on the plane.
+  switch (config_.low_latency) {
+    case LowLatencyPlane::kExpander:
+      tor_router_ = std::make_unique<TorRouter<LowLatencyPlane::kExpander>>(*this);
+      break;
+    case LowLatencyPlane::kPacketCore:
+      tor_router_ = std::make_unique<TorRouter<LowLatencyPlane::kPacketCore>>(*this);
+      break;
+    case LowLatencyPlane::kDirectCircuit:
+      tor_router_ = std::make_unique<TorRouter<LowLatencyPlane::kDirectCircuit>>(*this);
       break;
   }
 
   for (net::Switch* tor : tors_) {
-    tor->set_intercept([this](net::Switch& swch, net::PacketPtr& pkt, int) {
-      if (pkt->vlb_relay && pkt->relay_rack == swch.id() &&
-          pkt->dst_rack != swch.id()) {
-        relays_[static_cast<std::size_t>(swch.id())]->store(std::move(pkt));
-        return true;
-      }
-      return false;
-    });
-    tor->set_forward(fn);
-    tor->set_drop_hook(
-        [this](net::Switch& swch, const net::Packet& pkt) { nack(swch, pkt); });
+    tor->set_router(tor_router_.get());
 
     // Bulk overflow on any ToR queue NACKs the source (RotorLB, §4.2.2).
     // Downlinks matter too: direct and VLB-relayed traffic can converge on
@@ -355,6 +375,7 @@ void OperaNetwork::nack(net::Switch& tor, const net::Packet& pkt) {
 
 void OperaNetwork::inject_uplink_failure(std::int32_t rack, int rotor_switch) {
   failures_.set_uplink_failed(rack, rotor_switch, true);
+  refresh_failures();
   // Anything queued on the dead uplink is lost now; NACK bulk back to the
   // sources over the (still connected) expander.
   net::Switch& t = tor(rack);
@@ -368,6 +389,7 @@ void OperaNetwork::inject_uplink_failure(std::int32_t rack, int rotor_switch) {
 
 void OperaNetwork::inject_switch_failure(int rotor_switch) {
   failures_.set_switch_failed(rotor_switch, true);
+  refresh_failures();
   for (topo::Vertex r = 0; r < topo_.num_racks(); ++r) {
     net::Switch& t = tor(r);
     t.port(uplink_port(rotor_switch)).queue().flush(
@@ -379,6 +401,7 @@ void OperaNetwork::inject_switch_failure(int rotor_switch) {
 
 void OperaNetwork::recover_uplink(std::int32_t rack, int rotor_switch) {
   failures_.set_uplink_failed(rack, rotor_switch, false);
+  refresh_failures();
   // Both endpoints of any circuit through (rack, rotor_switch) may come
   // back; re-wiring the whole switch is idempotent for untouched racks.
   rejoin(rotor_switch);
@@ -386,6 +409,7 @@ void OperaNetwork::recover_uplink(std::int32_t rack, int rotor_switch) {
 
 void OperaNetwork::recover_switch(int rotor_switch) {
   failures_.set_switch_failed(rotor_switch, false);
+  refresh_failures();
   rejoin(rotor_switch);
 }
 
@@ -448,7 +472,7 @@ void OperaNetwork::recompute_after_failure() {
     for (topo::Vertex r = 0; r < topo_.num_racks(); ++r) {
       auto& reach = relay_reach_[static_cast<std::size_t>(r)];
       for (int sw = 0; sw < config_.topology.num_switches; ++sw) {
-        const topo::Vertex peer = topo_.live_peer(sw, r, s, &failures_);
+        const topo::Vertex peer = topo_.live_peer(sw, r, s, live_failures_);
         if (peer >= 0) reach[static_cast<std::size_t>(peer)] = true;
       }
     }

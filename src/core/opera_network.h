@@ -133,7 +133,16 @@ class OperaNetwork : public PacketFabric {
   bool degrade_memory() override;
 
  private:
+  // The ToR router of one low-latency plane, and the packet core's.
+  template <LowLatencyPlane kPlane>
+  class TorRouter;
+  class CoreRouter;
+
   void build_nodes();
+  // The failure set every circuit lookup passes: nullptr while nothing
+  // has failed, so the lookups skip the failure bits. Rerun after every
+  // change to failures_.
+  void refresh_failures() { live_failures_ = failures_.any() ? &failures_ : nullptr; }
   void recompute_after_failure();
   // Points every ToR uplink to switches [first, last) at its live circuit
   // in `slice` (topo::OperaTopology::live_peer) and disables the uplinks
@@ -147,6 +156,12 @@ class OperaNetwork : public PacketFabric {
   void on_slice_boundary(std::int64_t abs_slice);
   void allocate_bulk(int slice);
   void install_forwarding();
+  // The ToR forwarding rule under plane kPlane (TorRouter<kPlane>::route):
+  // VLB relay traffic at its relay ToR is stored there (kConsumed);
+  // low-latency traffic and control take the plane's path; bulk data
+  // rides direct circuits only (§4.3's bulk table) on every plane.
+  template <LowLatencyPlane kPlane>
+  int forward(net::Switch& tor, net::PacketPtr& pkt);
   // RotorLB loss notification for a bulk data packet lost at `tor` (other
   // packets are ignored). The expander plane sends it in band; the RotorNet
   // planes have no always-on path (all rotors blink together), so the
@@ -169,10 +184,13 @@ class OperaNetwork : public PacketFabric {
 
   std::vector<net::Switch*> tors_;  // owned by the base
   std::vector<std::unique_ptr<transport::RotorRelayBuffer>> relays_;  // per ToR
+  std::unique_ptr<net::Router> tor_router_;   // every ToR's
+  std::unique_ptr<net::Router> core_router_;  // kPacketCore only
 
   // Per-slice low-latency ECMP tables (paper §4.3): eager or windowed.
   topo::SliceTableCache slice_tables_;
   topo::FailureSet failures_;
+  const topo::FailureSet* live_failures_ = nullptr;  // see refresh_failures()
   // The failure set tables are built against: a snapshot of failures_
   // taken at each hello-protocol reconvergence (recompute_after_failure),
   // NOT the live set — a freshly injected failure must not leak into

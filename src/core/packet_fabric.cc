@@ -35,7 +35,7 @@ void attach_sink(std::vector<std::unique_ptr<Sink>>& pool, net::Host& h,
                  const transport::Flow& flow, transport::FlowTracker& tracker,
                  net::PacketPtr pkt) {
   Sink* raw = pool.emplace_back(std::make_unique<Sink>(h, flow, tracker)).get();
-  h.register_flow(flow.id, [raw](net::PacketPtr p) { raw->on_packet(std::move(p)); });
+  h.register_flow(flow.id, raw);
   raw->on_packet(std::move(pkt));
 }
 
@@ -76,9 +76,7 @@ void PacketFabric::add_hosts(net::Switch& tor, const net::PortQueue::Config& hos
     host.add_port(link_.rate_bps, link_.propagation, host_q);
     host.uplink().connect(&tor, i);
     tor.port(i).connect(&host, 0);
-    host.set_default_handler([this, sh](net::Host& h, net::PacketPtr pkt) {
-      on_unclaimed_packet(h, std::move(pkt), sh);
-    });
+    host.set_default_handler(this);
     if (rotorlb_bulk_) {
       agents_.push_back(
           std::make_unique<transport::RotorLbAgent>(host, tracker_));
@@ -86,7 +84,7 @@ void PacketFabric::add_hosts(net::Switch& tor, const net::PortQueue::Config& hos
   }
 }
 
-void PacketFabric::on_unclaimed_packet(net::Host& h, net::PacketPtr pkt, int shard) {
+void PacketFabric::on_unclaimed(net::Host& h, net::PacketPtr pkt) {
   const transport::Flow* flow = tracker_.find(pkt->flow_id);
   if (flow == nullptr) return;
   const bool rotorlb = rotorlb_bulk_ && flow->tclass == net::TrafficClass::kBulk;
@@ -101,7 +99,7 @@ void PacketFabric::on_unclaimed_packet(net::Host& h, net::PacketPtr pkt, int sha
     return;  // stray control for a finished flow
   }
   if (flow->dst_host != h.id()) return;
-  EndpointPool& pool = endpoints_[static_cast<std::size_t>(shard)];
+  EndpointPool& pool = endpoints_[static_cast<std::size_t>(shard_of_rack(h.rack()))];
   if (rotorlb) {
     attach_sink(pool.bulk_sinks, h, *flow, tracker_, std::move(pkt));
   } else {

@@ -41,7 +41,7 @@
 
 namespace opera::core {
 
-class PacketFabric : public Network {
+class PacketFabric : public Network, private net::DefaultHandler {
  public:
   ~PacketFabric() override;
 
@@ -120,10 +120,10 @@ class PacketFabric : public Network {
   }
 
  private:
-  // Host default handler: a packet no endpoint claimed. NACKs reach the
-  // source's RotorLB agent; a flow's first data packet at its destination
-  // creates the sink in the shard's pool.
-  void on_unclaimed_packet(net::Host& h, net::PacketPtr pkt, int shard);
+  // Every host's default handler: a packet no endpoint claimed. NACKs
+  // reach the source's RotorLB agent; a flow's first data packet at its
+  // destination creates the sink in the pool of the host's shard.
+  void on_unclaimed(net::Host& h, net::PacketPtr pkt) override;
 
   std::int32_t num_racks_;
   int hosts_per_rack_;

@@ -54,12 +54,12 @@ void OutPort::pump() {
 
 void OutPort::transmit(PacketPtr pkt) {
   assert(pkt != nullptr);
-  const sim::Time serialization = sim::Time::transmission(pkt->size_bytes, rate_bps_);
+  const sim::Time wire_time = serialization(pkt->size_bytes);
   // Capture the wire endpoints at serialization start: a rotor retarget
   // mid-flight must not redirect bits already on the fiber.
   Node* peer = peer_;
   const int in_port = peer_in_port_;
-  sim::Time arrival_delay = serialization + latency_;
+  sim::Time arrival_delay = wire_time + latency_;
   bool lost = false;
   if (gray_) {
     // Hash of (packet identity, per-port salt, per-port transmission
@@ -87,7 +87,7 @@ void OutPort::transmit(PacketPtr pkt) {
     // sharded engine's lookahead. The callback owns the packet
     // (SmallCallback is move-only-capable), so an in-flight packet whose
     // arrival never fires — simulator torn down mid-run — is still
-    // reclaimed.
+    // reclaimed. post() builds the closure once, in its queue slot.
     ctx_.post(peer->ctx(), ctx_.now() + arrival_delay,
               [peer, in_port, pkt = std::move(pkt)]() mutable {
                 peer->receive(std::move(pkt), in_port);
@@ -95,7 +95,7 @@ void OutPort::transmit(PacketPtr pkt) {
   }
   // The wake takes its key after the arrival's, so every child index of
   // the executing event is the same whether or not the wake is ever armed.
-  serializer_.start(ctx_.sim(), ctx_.now() + serialization);
+  serializer_.start(ctx_.sim(), ctx_.now() + wire_time);
 }
 
 }  // namespace opera::net

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -35,7 +34,12 @@ class OutPort {
  public:
   OutPort(sim::ShardContext& ctx, double rate_bps, sim::Time latency,
           const PortQueue::Config& queue_config)
-      : ctx_(ctx), rate_bps_(rate_bps), latency_(latency), queue_(queue_config) {}
+      : ctx_(ctx),
+        rate_bps_(rate_bps),
+        mtu_time_(sim::Time::transmission(kMtuBytes, rate_bps)),
+        header_time_(sim::Time::transmission(kHeaderBytes, rate_bps)),
+        latency_(latency),
+        queue_(queue_config) {}
 
   // Wires the far end. May be re-pointed at any time (rotor reconfigure);
   // packets already serialized continue to their original destination.
@@ -76,6 +80,13 @@ class OutPort {
   [[nodiscard]] const PortQueue& queue() const { return queue_; }
   [[nodiscard]] Node* peer() const { return peer_; }
   [[nodiscard]] double rate_bps() const { return rate_bps_; }
+  // Time::transmission(bytes, rate_bps()), precomputed for the two sizes
+  // nearly every packet has (MTU data, header-only control and trims).
+  [[nodiscard]] sim::Time serialization(std::int32_t bytes) const {
+    if (bytes == kMtuBytes) return mtu_time_;
+    if (bytes == kHeaderBytes) return header_time_;
+    return sim::Time::transmission(bytes, rate_bps_);
+  }
   [[nodiscard]] sim::Time latency() const { return latency_; }
 
   // Bytes of bulk-band headroom currently available.
@@ -104,6 +115,8 @@ class OutPort {
 
   sim::ShardContext& ctx_;
   double rate_bps_;
+  sim::Time mtu_time_;
+  sim::Time header_time_;
   sim::Time latency_;
   PortQueue queue_;
   Node* peer_ = nullptr;

@@ -1,49 +1,62 @@
-// Packet switch with pluggable forwarding. Topologies install a forwarding
-// function; the switch mechanically moves packets between ports and keeps
-// drop statistics. This mirrors the paper's P4 ToR (§4.3): the forwarding
+// Packet switch with pluggable forwarding. Each fabric installs a Router;
+// the switch mechanically moves packets between ports and keeps drop
+// statistics. This mirrors the paper's P4 ToR (§4.3): the forwarding
 // table is consulted per packet based on class and the current network
 // configuration.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "net/node.h"
 #include "net/packet.h"
 
 namespace opera::net {
 
+class Switch;
+
+// A fabric's forwarding rule for the switches it is installed on: one
+// direct (virtual) call per hop.
+class Router {
+ public:
+  // route()'s verdicts besides an output port.
+  static constexpr int kNoRoute = -1;   // dropped; no_route() runs
+  static constexpr int kConsumed = -2;  // route() moved the packet out
+
+  virtual ~Router() = default;
+
+  // The output port for `pkt` at `sw`, kNoRoute, or kConsumed after
+  // taking the packet (Opera ToRs absorb VLB relay traffic into the rotor
+  // relay buffer this way, before forwarding).
+  virtual int route(Switch& sw, PacketPtr& pkt) = 0;
+
+  // Runs for a packet route() had no route for (e.g. a bulk packet whose
+  // direct circuit just retargeted) — Opera ToRs NACK the source.
+  virtual void no_route(Switch& sw, const Packet& pkt) {
+    (void)sw;
+    (void)pkt;
+  }
+};
+
 class Switch : public Node {
  public:
-  // Returns the output port for `pkt`, or -1 to drop.
-  using ForwardFn = std::function<int(Switch&, const Packet&, int in_port)>;
-  // Runs before forwarding; may consume the packet (move it out and return
-  // true). Used by Opera ToRs to absorb VLB relay traffic into the rotor
-  // relay buffer.
-  using InterceptFn = std::function<bool(Switch&, PacketPtr& pkt, int in_port)>;
-  // Invoked when the forwarding function has no route (e.g. a bulk packet
-  // whose direct circuit just retargeted) — Opera ToRs NACK the source.
-  using DropHook = std::function<void(Switch&, const Packet&)>;
-
   Switch(sim::ShardContext& ctx, std::string name, std::int32_t id)
       : Node(ctx, std::move(name)), id_(id) {}
 
   [[nodiscard]] std::int32_t id() const { return id_; }
 
-  void set_forward(ForwardFn fn) { forward_ = std::move(fn); }
-  void set_intercept(InterceptFn fn) { intercept_ = std::move(fn); }
-  void set_drop_hook(DropHook hook) { drop_hook_ = std::move(hook); }
+  // `router` must outlive every packet this switch receives.
+  void set_router(Router* router) { router_ = router; }
 
   void receive(PacketPtr pkt, int in_port) override {
+    (void)in_port;
     ++pkt->hops;
-    if (intercept_ && intercept_(*this, pkt, in_port)) return;
-    const int out = forward_ ? forward_(*this, *pkt, in_port) : -1;
-    if (out < 0) {
+    const int out = router_->route(*this, pkt);
+    if (out >= 0) {
+      port(out).send(std::move(pkt));
+    } else if (out == Router::kNoRoute) {
       ++forward_drops_;
-      if (drop_hook_) drop_hook_(*this, *pkt);
-      return;
+      router_->no_route(*this, *pkt);
     }
-    port(out).send(std::move(pkt));
   }
 
   [[nodiscard]] std::uint64_t forward_drops() const { return forward_drops_; }
@@ -58,9 +71,7 @@ class Switch : public Node {
 
  private:
   std::int32_t id_;
-  ForwardFn forward_;
-  InterceptFn intercept_;
-  DropHook drop_hook_;
+  Router* router_ = nullptr;
   std::uint64_t forward_drops_ = 0;
 };
 

@@ -370,20 +370,25 @@ bool EventHandle::pending() const {
 
 EventQueue::~EventQueue() { detail::retire_impl(impl_); }
 
-EventHandle EventQueue::schedule(Time at, Callback fn) {
+EventHandle EventQueue::schedule(Time at, Callback&& fn) {
   return schedule_keyed(at, impl_->next_seq++, std::move(fn));
 }
 
-EventHandle EventQueue::schedule_keyed(Time at, std::uint64_t key, Callback fn) {
+EventHandle EventQueue::schedule_keyed(Time at, std::uint64_t key, Callback&& fn) {
+  const std::uint32_t id = impl_->alloc_slot();
+  impl_->fns[id] = std::move(fn);
+  insert(id, at, key);
+  return EventHandle{impl_, id, impl_->meta[id].generation};
+}
+
+void EventQueue::insert(std::uint32_t id, Time at, std::uint64_t key) {
   detail::EventQueueImpl& q = *impl_;
-  const std::uint32_t id = q.alloc_slot();
   detail::EventQueueImpl::Meta& m = q.meta[id];
   m.at = at;
   m.key = key;
   m.unsorted = false;  // link_sorted() keeps flags, so resize() can too
-  q.fns[id] = std::move(fn);
   const std::int64_t at_ps = at.picoseconds();
-  if (at_ps == q.front_at && q.push_front(id)) return EventHandle{impl_, id, m.generation};
+  if (at_ps == q.front_at && q.push_front(id)) return;
   if (at_ps < q.front_at) {
     // An insert before the front (next_time() peeks past a window's end,
     // and the raw queue takes any time) starts a new front run of one;
@@ -414,7 +419,6 @@ EventHandle EventQueue::schedule_keyed(Time at, std::uint64_t key, Callback fn) 
     q.long_walks = 0;
     q.resize();
   }
-  return EventHandle{impl_, id, m.generation};
 }
 
 EventQueue::Callback EventQueue::take_next(Time* at, std::uint64_t* key) {

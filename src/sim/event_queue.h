@@ -56,6 +56,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "sim/small_callback.h"
@@ -268,11 +269,20 @@ class EventQueue {
 
   // Schedules `fn` to run at absolute time `at`. Equal-time events fire in
   // schedule order (an internal counter supplies the order key).
-  EventHandle schedule(Time at, Callback fn);
+  EventHandle schedule(Time at, Callback&& fn);
 
   // Schedules `fn` at `at` with a caller-chosen equal-time order key.
   // Events with equal (at, key) fire in schedule order.
-  EventHandle schedule_keyed(Time at, std::uint64_t key, Callback fn);
+  EventHandle schedule_keyed(Time at, std::uint64_t key, Callback&& fn);
+
+  // schedule_keyed for an event nobody cancels (a packet arrival): `fn` is
+  // constructed once, in the event's callback slot, and no handle is made.
+  template <typename F>
+  void post_keyed(Time at, std::uint64_t key, F&& fn) {
+    const std::uint32_t id = impl_->alloc_slot();
+    impl_->fns[id].emplace(std::forward<F>(fn));
+    insert(id, at, key);
+  }
 
   // Exact: cancelled events leave the queue immediately.
   [[nodiscard]] bool empty() const { return impl_->pending() == 0; }
@@ -303,6 +313,9 @@ class EventQueue {
   [[nodiscard]] std::uint64_t rebuilds() const { return impl_->rebuilds; }
 
  private:
+  // Orders slot `id`, whose callback is already in place, at (at, key).
+  void insert(std::uint32_t id, Time at, std::uint64_t key);
+
   detail::EventQueueImpl* impl_;
 };
 

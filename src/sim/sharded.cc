@@ -17,19 +17,8 @@ struct ShardScope {
 
 int current_shard() { return t_current_shard; }
 
-void ShardContext::post(ShardContext& dst, Time at, SmallCallback fn) {
-  // Derive the key from the causal parent (the executing event's dispatch
-  // frame, thread-local) via the *source* simulator — the parent executed
-  // there; outside any dispatch this falls back to the source's root
-  // counter, which is fine for standalone contexts and test seeding.
-  const std::uint64_t key = sim_->derive_key();
-  if (owner_ == nullptr || owner_ != dst.owner_ || dst.shard_ == shard_) {
-    // Same shard, standalone, or foreign engine: the destination queue is
-    // only ever touched by the thread running this domain — schedule
-    // directly.
-    dst.sim_->schedule_keyed_at(at, key, std::move(fn));
-    return;
-  }
+void ShardContext::mail(ShardContext& dst, Time at, std::uint64_t key,
+                        SmallCallback&& fn) {
   owner_->push_mail(shard_, dst.shard_, at, key, std::move(fn));
 }
 
@@ -58,13 +47,13 @@ ShardedSimulator::ShardedSimulator(int num_shards, Time lookahead)
 
 ShardedSimulator::~ShardedSimulator() = default;
 
-void ShardedSimulator::seed(int s, Time at, SmallCallback fn) {
+void ShardedSimulator::seed(int s, Time at, SmallCallback&& fn) {
   shards_[static_cast<std::size_t>(s)]->schedule_keyed_at(
       at, Simulator::kSeedKeyBase + seed_count_++, std::move(fn));
 }
 
 void ShardedSimulator::push_mail(int src, int dst, Time at, std::uint64_t key,
-                                 SmallCallback fn) {
+                                 SmallCallback&& fn) {
   // Conservative-lookahead contract: during a phase, a cross-shard event
   // may not land before the horizon every shard is already running to.
   assert(!in_phase_ || at >= phase_end_);

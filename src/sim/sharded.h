@@ -39,6 +39,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -70,10 +71,10 @@ class ShardContext {
   [[nodiscard]] int shard() const { return shard_; }
   [[nodiscard]] ShardedSimulator* owner() const { return owner_; }
 
-  EventHandle schedule_in(Time delay, SmallCallback fn) {
+  EventHandle schedule_in(Time delay, SmallCallback&& fn) {
     return sim_->schedule_in(delay, std::move(fn));
   }
-  EventHandle schedule_at(Time at, SmallCallback fn) {
+  EventHandle schedule_at(Time at, SmallCallback&& fn) {
     return sim_->schedule_at(at, std::move(fn));
   }
 
@@ -82,11 +83,31 @@ class ShardContext {
   // shard posts must respect the lookahead: `at` may not precede the
   // receiving epoch's start (asserted in debug builds); they are delivered
   // at the next epoch's mailbox drain — an event posted for horizon + ε is
-  // delivered next epoch, never dropped.
-  void post(ShardContext& dst, Time at, SmallCallback fn);
+  // delivered next epoch, never dropped. A same-shard post builds `fn` in
+  // place in the destination queue (Simulator::post_keyed_at); the event
+  // cannot be cancelled.
+  template <typename F>
+  void post(ShardContext& dst, Time at, F&& fn) {
+    // Derive the key from the causal parent (the executing event's
+    // dispatch frame, thread-local) via the *source* simulator — the
+    // parent executed there; outside any dispatch this falls back to the
+    // source's root counter, which is fine for standalone contexts and
+    // test seeding.
+    const std::uint64_t key = sim_->derive_key();
+    if (owner_ == nullptr || owner_ != dst.owner_ || dst.shard_ == shard_) {
+      // Same shard, standalone, or foreign engine: the destination queue
+      // is only ever touched by the thread running this domain — schedule
+      // directly.
+      dst.sim_->post_keyed_at(at, key, std::forward<F>(fn));
+      return;
+    }
+    mail(dst, at, key, SmallCallback(std::forward<F>(fn)));
+  }
 
  private:
   friend class ShardedSimulator;
+  // post()'s cross-shard leg: into the owner's (this shard, dst) mailbox.
+  void mail(ShardContext& dst, Time at, std::uint64_t key, SmallCallback&& fn);
   ShardContext(Simulator& sim, ShardedSimulator* owner, int shard)
       : sim_(&sim), owner_(owner), shard_(shard) {}
 
@@ -121,7 +142,7 @@ class ShardedSimulator {
   // Schedules a root event on shard `s` with a partition-independent key
   // (a global submission counter): how flow starts are injected so their
   // equal-time order is the submission order under any shard count.
-  void seed(int s, Time at, SmallCallback fn);
+  void seed(int s, Time at, SmallCallback&& fn);
 
   // Runs after every epoch barrier, before the next global events — the
   // deterministic point to merge per-shard staging (FlowTracker lanes).
@@ -171,7 +192,7 @@ class ShardedSimulator {
                       static_cast<std::size_t>(dst)];
   }
 
-  void push_mail(int src, int dst, Time at, std::uint64_t key, SmallCallback fn);
+  void push_mail(int src, int dst, Time at, std::uint64_t key, SmallCallback&& fn);
   // Swaps every mailbox's buffers; returns entries now awaiting delivery.
   std::size_t swap_mailboxes();
   [[nodiscard]] std::size_t mail_pending() const;

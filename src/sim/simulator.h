@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <utility>
 
 #include "sim/checkpoint.h"
 #include "sim/event_queue.h"
@@ -66,18 +67,25 @@ class alignas(64) Simulator {
   [[nodiscard]] KeyMode key_mode() const { return key_mode_; }
 
   // Schedules `fn` `delay` after the current time.
-  EventHandle schedule_in(Time delay, EventQueue::Callback fn) {
+  EventHandle schedule_in(Time delay, EventQueue::Callback&& fn) {
     return queue_.schedule_keyed(now_ + delay, derive_key(), std::move(fn));
   }
 
   // Schedules `fn` at absolute time `at` (must not be in the past).
-  EventHandle schedule_at(Time at, EventQueue::Callback fn) {
+  EventHandle schedule_at(Time at, EventQueue::Callback&& fn) {
     return queue_.schedule_keyed(at < now_ ? now_ : at, derive_key(), std::move(fn));
   }
 
   // Schedules with an explicit order key (cross-shard delivery, seeding).
-  EventHandle schedule_keyed_at(Time at, std::uint64_t key, EventQueue::Callback fn) {
+  EventHandle schedule_keyed_at(Time at, std::uint64_t key, EventQueue::Callback&& fn) {
     return queue_.schedule_keyed(at < now_ ? now_ : at, key, std::move(fn));
+  }
+
+  // schedule_keyed_at for an event nobody cancels: `fn` is built in place
+  // in the queue (EventQueue::post_keyed) and no handle is returned.
+  template <typename F>
+  void post_keyed_at(Time at, std::uint64_t key, F&& fn) {
+    queue_.post_keyed(at < now_ ? now_ : at, key, std::forward<F>(fn));
   }
 
   // The order key for a new event scheduled right now, per key_mode():
@@ -200,7 +208,7 @@ class DeferredWake {
 
   // Schedules the wake to run `fn` at (until, key); at most once per span.
   // Precondition: busy(sim).
-  void arm(Simulator& sim, EventQueue::Callback fn) {
+  void arm(Simulator& sim, EventQueue::Callback&& fn) {
     if (armed_) return;
     armed_ = true;
     sim.schedule_keyed_at(until_, key_, std::move(fn));

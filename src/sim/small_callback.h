@@ -28,16 +28,7 @@ class SmallCallback {
                 !std::is_same_v<std::decay_t<F>, SmallCallback> &&
                 std::is_invocable_r_v<void, std::decay_t<F>&>>>
   SmallCallback(F&& f) {  // NOLINT(google-explicit-constructor)
-    using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineBytes &&
-                  alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
-      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
-      ops_ = &inline_ops<Fn>;
-    } else {
-      *reinterpret_cast<Fn**>(buf_) = new Fn(std::forward<F>(f));
-      ops_ = &heap_ops<Fn>;
-    }
+    construct(std::forward<F>(f));
   }
 
   SmallCallback(SmallCallback&& other) noexcept { move_from(other); }
@@ -71,7 +62,30 @@ class SmallCallback {
     }
   }
 
+  // Replaces the held callable with `f`, constructed in place: one
+  // construction, no relocation through a temporary SmallCallback.
+  template <typename F>
+  void emplace(F&& f) {
+    reset();
+    construct(std::forward<F>(f));
+  }
+
  private:
+  // Precondition: empty.
+  template <typename F>
+  void construct(F&& f) {
+    using Fn = std::decay_t<F>;
+    if constexpr (sizeof(Fn) <= kInlineBytes &&
+                  alignof(Fn) <= alignof(std::max_align_t) &&
+                  std::is_nothrow_move_constructible_v<Fn>) {
+      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
+      ops_ = &inline_ops<Fn>;
+    } else {
+      *reinterpret_cast<Fn**>(buf_) = new Fn(std::forward<F>(f));
+      ops_ = &heap_ops<Fn>;
+    }
+  }
+
   struct Ops {
     void (*invoke)(void* buf);
     // Move-construct `to` from `from`, then destroy `from`'s value.

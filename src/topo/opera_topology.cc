@@ -55,6 +55,9 @@ OperaTopology::OperaTopology(const OperaParams& params, RotorSchedule schedule)
         "OperaTopology: num_racks must be divisible by num_switches so each "
         "rotor switch gets an equal share of the N matchings");
   }
+  if (u > std::numeric_limits<std::uint8_t>::max()) {
+    throw std::invalid_argument("OperaTopology: at most 255 rotor switches");
+  }
   // Design-time generate-and-test (paper §3.3): a random factorization is
   // an expander in every slice with high probability. We accept a
   // realization once every (sampled) slice is connected and the worst slice
@@ -88,7 +91,10 @@ OperaTopology::OperaTopology(const OperaParams& params, RotorSchedule schedule)
       assignment_[i / per_switch].push_back(deal[i]);
     }
     index_circuits();
-    if (schedule_ == RotorSchedule::kUnison) return;
+    if (schedule_ == RotorSchedule::kUnison) {
+      index_pairs();
+      return;
+    }
 
     // The sampled slices are independent BFS sweeps; reduce them in slice
     // order so the verdict does not depend on the thread count.
@@ -107,7 +113,10 @@ OperaTopology::OperaTopology(const OperaParams& params, RotorSchedule schedule)
       worst = std::max(worst, static_cast<int>(st.worst));
     }
     if (!connected) continue;
-    if (worst <= diameter_bound) return;  // accepted
+    if (worst <= diameter_bound) {  // accepted
+      index_pairs();
+      return;
+    }
     if (worst < best_worst) {
       best_worst = worst;
       best_matchings = matchings_;
@@ -122,6 +131,21 @@ OperaTopology::OperaTopology(const OperaParams& params, RotorSchedule schedule)
   matchings_ = std::move(best_matchings);
   assignment_ = std::move(best_assignment);
   index_circuits();
+  index_pairs();
+}
+
+void OperaTopology::index_pairs() {
+  const auto n = static_cast<std::size_t>(params_.num_racks);
+  pair_switch_.assign(n * n, 0);
+  for (std::size_t sw = 0; sw < assignment_.size(); ++sw) {
+    for (const std::size_t m : assignment_[sw]) {
+      const Matching& matching = matchings_[m];
+      for (std::size_t a = 0; a < n; ++a) {
+        pair_switch_[a * n + static_cast<std::size_t>(matching[a])] =
+            static_cast<std::uint8_t>(sw);
+      }
+    }
+  }
 }
 
 void OperaTopology::index_circuits() {

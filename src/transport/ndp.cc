@@ -7,7 +7,7 @@ namespace opera::transport {
 NdpSource::NdpSource(net::Host& host, const Flow& flow, FlowTracker& tracker)
     : host_(host), flow_(flow), tracker_(tracker) {
   acked_seq_.assign(flow_.total_packets(), false);
-  host_.register_flow(flow_.id, [this](net::PacketPtr pkt) { on_packet(std::move(pkt)); });
+  host_.register_flow(flow_.id, this);
 }
 
 NdpSource::~NdpSource() {

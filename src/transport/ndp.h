@@ -24,9 +24,9 @@ inline constexpr std::uint64_t kInitialWindowPackets = 10;
 // Fallback timer that recovers from lost control packets.
 inline constexpr sim::Time kFallbackRto = sim::Time::ms(1);
 
-class NdpSource {
+class NdpSource final : public net::Endpoint {
  public:
-  // Registers itself as `flow.id`'s handler on `host`. The flow must
+  // Registers itself as `flow.id`'s endpoint on `host`. The flow must
   // already be registered with `tracker`.
   NdpSource(net::Host& host, const Flow& flow, FlowTracker& tracker);
   ~NdpSource();
@@ -40,7 +40,7 @@ class NdpSource {
   [[nodiscard]] bool complete() const { return acked_ == flow_.total_packets(); }
 
  private:
-  void on_packet(net::PacketPtr pkt);
+  void on_packet(net::PacketPtr pkt) override;
   void send_seq(std::uint64_t seq);
   void send_next();
   void arm_timer();
@@ -59,7 +59,7 @@ class NdpSource {
 
 // Receiver endpoint; one per flow, usually created lazily by a host
 // default handler on the flow's first packet (see core::PacketFabric).
-class NdpSink {
+class NdpSink final : public net::Endpoint {
  public:
   NdpSink(net::Host& host, const Flow& flow, FlowTracker& tracker);
   ~NdpSink();
@@ -67,7 +67,7 @@ class NdpSink {
   NdpSink(const NdpSink&) = delete;
   NdpSink& operator=(const NdpSink&) = delete;
 
-  void on_packet(net::PacketPtr pkt);
+  void on_packet(net::PacketPtr pkt) override;
 
   [[nodiscard]] bool complete() const { return received_ == flow_.total_packets(); }
 

@@ -89,7 +89,7 @@ class RotorLbAgent {
 // admission plus NACK-on-drop; as a backstop against lost NACKs the sink
 // re-requests missing sequences when no progress is made for
 // `kStallCheckInterval` (a receiver-driven retransmission timer).
-class RotorLbSink {
+class RotorLbSink final : public net::Endpoint {
  public:
   RotorLbSink(net::Host& host, const Flow& flow, FlowTracker& tracker);
   ~RotorLbSink();
@@ -97,7 +97,7 @@ class RotorLbSink {
   RotorLbSink(const RotorLbSink&) = delete;
   RotorLbSink& operator=(const RotorLbSink&) = delete;
 
-  void on_packet(net::PacketPtr pkt);
+  void on_packet(net::PacketPtr pkt) override;
 
   [[nodiscard]] bool complete() const { return received_ == flow_.total_packets(); }
 

@@ -200,5 +200,71 @@ TEST(FaultRecovery, RelayReachMatchesBruteForce) {
   EXPECT_GT(unreachable, 0);  // switch 1's pairs lost their only circuit
 }
 
+// Counts the packets a port hands it (stands in for a ToR at a port's far
+// end).
+class PortProbe : public net::Node {
+ public:
+  explicit PortProbe(sim::ShardContext& ctx) : Node(ctx, "probe") {}
+  void receive(net::PacketPtr, int) override { ++packets; }
+  int packets = 0;
+};
+
+// Forwarding reads the live failure set on every hop. Rack b's uplink
+// into a failed uplink of rack a stays enabled until the switch next
+// retargets (only a's own port goes dark at injection), so before the
+// tables reconverge b's ToR must refuse b -> a traffic that the stale
+// tables still send over that circuit (forward drops), not hand it to the
+// port. After recovery and reconvergence the same circuit carries b -> a
+// traffic again. A probe re-pointed at b's port for the circuit's span
+// sees what the ToR sent into it.
+TEST(FaultRecovery, ForwardingAvoidsFailedCircuitUntilRecovered) {
+  const OperaConfig cfg = config_u6();
+  OperaNetwork net(cfg);
+  const auto& topo = net.topology();
+  const int d = cfg.topology.hosts_per_rack;
+  const int n = topo.num_slices();
+  const int sw = 2;
+  // Slice `first` is the first one routed over sw's new matching; the
+  // circuit a -- b stays until sw retargets again, u - 1 slices later.
+  const int first = sw + 1;
+  topo::Vertex a = 0;
+  while (topo.live_peer(sw, a, first, nullptr) < 0) ++a;
+  const topo::Vertex b = topo.live_peer(sw, a, first, nullptr);
+  const sim::Time span = cfg.slice.duration * (cfg.topology.num_switches - 2);
+
+  // Re-points b's port for sw at `probe` at the start of slice `slice`,
+  // then sends b -> a low-latency flows for the circuit's span. `before`
+  // runs first, in the same global event.
+  const auto probe_window = [&](int slice, PortProbe& probe, auto before) {
+    const sim::Time at = cfg.slice.duration * slice + sim::Time::us(1);
+    net.sim().schedule_at(at, [&net, &probe, b, d, before] {
+      before();
+      net.tor(b).port(d + sw).connect(&probe, d + sw);
+    });
+    for (int k = 0; k < 20; ++k) {
+      const auto src = static_cast<std::int32_t>(b * d + k % d);
+      const auto dst = static_cast<std::int32_t>(a * d + k % d);
+      net.submit_flow(src, dst, 6'000, at + span * k / 20 + sim::Time::us(1));
+    }
+  };
+  PortProbe failed(net.tor(b).ctx());
+  PortProbe recovered(net.tor(b).ctx());
+  std::uint64_t drops_at_recovery = 0;
+  probe_window(first, failed, [&net, a] { net.inject_uplink_failure(a, sw); });
+  // Recover one cycle later, once the failure's reconvergence has run;
+  // the recovery reconverges one cycle after that.
+  net.sim().schedule_at(cfg.slice.duration * (first + n) + sim::Time::us(50),
+                        [&net, &drops_at_recovery, a] {
+                          drops_at_recovery = net.tor_stats().forward_drops;
+                          net.recover_uplink(a, sw);
+                        });
+  probe_window(first + 3 * n, recovered, [] {});
+  net.run_until(cfg.slice.duration * (first + 3 * n) + span);
+
+  EXPECT_EQ(failed.packets, 0);
+  EXPECT_GT(drops_at_recovery, 0u);
+  EXPECT_GT(recovered.packets, 0);
+}
+
 }  // namespace
 }  // namespace opera::core

@@ -16,7 +16,8 @@ namespace opera::transport {
 namespace {
 
 // Star fixture: `n` hosts around one switch; host i <-> switch port i.
-class Star {
+// It is the switch's router and every host's default handler.
+class Star : private net::Router, private net::DefaultHandler {
  public:
   explicit Star(int n, std::int64_t switch_ll_capacity = 12'000) {
     net::PortQueue::Config host_q;
@@ -38,24 +39,10 @@ class Star {
       host->add_port(10e9, sim::Time::ns(500), host_q);
       host->uplink().connect(sw.get(), i);
       sw->port(i).connect(host.get(), 0);
-      // Receivers are created on a flow's first packet.
-      host->set_default_handler([this](net::Host& h, net::PacketPtr pkt) {
-        const Flow* flow = tracker.find(pkt->flow_id);
-        if (flow == nullptr || (pkt->type != net::PacketType::kData &&
-                                pkt->type != net::PacketType::kHeader)) {
-          return;
-        }
-        NdpSink* sink =
-            sinks.emplace_back(std::make_unique<NdpSink>(h, *flow, tracker)).get();
-        h.register_flow(flow->id,
-                        [sink](net::PacketPtr p) { sink->on_packet(std::move(p)); });
-        sink->on_packet(std::move(pkt));
-      });
+      host->set_default_handler(this);
       hosts.push_back(std::move(host));
     }
-    sw->set_forward([](net::Switch&, const net::Packet& pkt, int) {
-      return pkt.dst_host;
-    });
+    sw->set_router(this);
   }
 
   std::uint64_t start_flow(int src, int dst, std::int64_t bytes) {
@@ -71,6 +58,21 @@ class Star {
     source->start();
     sources.push_back(std::move(source));
     return f.id;
+  }
+
+  int route(net::Switch&, net::PacketPtr& pkt) override { return pkt->dst_host; }
+
+  // Receivers are created on a flow's first packet.
+  void on_unclaimed(net::Host& h, net::PacketPtr pkt) override {
+    const Flow* flow = tracker.find(pkt->flow_id);
+    if (flow == nullptr || (pkt->type != net::PacketType::kData &&
+                            pkt->type != net::PacketType::kHeader)) {
+      return;
+    }
+    NdpSink* sink =
+        sinks.emplace_back(std::make_unique<NdpSink>(h, *flow, tracker)).get();
+    h.register_flow(flow->id, sink);
+    sink->on_packet(std::move(pkt));
   }
 
   sim::Simulator sim;

@@ -114,6 +114,19 @@ TEST(OutPort, RetargetMidFlightDeliversToOriginalPeer) {
   EXPECT_EQ(b.arrivals.size(), 1u);
 }
 
+// Router whose verdict is a function of the packet; counts no_route().
+template <typename F>
+class FnRouter final : public Router {
+ public:
+  explicit FnRouter(F f) : f_(std::move(f)) {}
+  int route(Switch&, PacketPtr& pkt) override { return f_(pkt); }
+  void no_route(Switch&, const Packet&) override { ++no_routes; }
+  int no_routes = 0;
+
+ private:
+  F f_;
+};
+
 TEST(Switch, ForwardsByFunction) {
   sim::Simulator sim;
   sim::ShardContext ctx(sim);
@@ -124,9 +137,8 @@ TEST(Switch, ForwardsByFunction) {
   sw.add_port(10e9, sim::Time::zero(), PortQueue::Config{});
   sw.port(0).connect(&out0, 0);
   sw.port(1).connect(&out1, 0);
-  sw.set_forward([](Switch&, const Packet& pkt, int) {
-    return pkt.flow_id == 1 ? 0 : 1;
-  });
+  FnRouter router([](PacketPtr& pkt) { return pkt->flow_id == 1 ? 0 : 1; });
+  sw.set_router(&router);
   sw.receive(data_packet(1500, 1), 0);
   sw.receive(data_packet(1500, 2), 0);
   sim.run();
@@ -140,11 +152,10 @@ TEST(Switch, DropHookFires) {
   sim::Simulator sim;
   sim::ShardContext ctx(sim);
   Switch sw(ctx, "sw", 0);
-  int drops = 0;
-  sw.set_forward([](Switch&, const Packet&, int) { return -1; });
-  sw.set_drop_hook([&](Switch&, const Packet&) { ++drops; });
+  FnRouter router([](PacketPtr&) { return Router::kNoRoute; });
+  sw.set_router(&router);
   sw.receive(data_packet(1500), 0);
-  EXPECT_EQ(drops, 1);
+  EXPECT_EQ(router.no_routes, 1);
   EXPECT_EQ(sw.forward_drops(), 1u);
 }
 
@@ -153,34 +164,107 @@ TEST(Switch, InterceptConsumes) {
   sim::ShardContext ctx(sim);
   Switch sw(ctx, "sw", 0);
   PacketPtr captured;
-  sw.set_intercept([&](Switch&, PacketPtr& pkt, int) {
+  FnRouter router([&](PacketPtr& pkt) {
     captured = std::move(pkt);
-    return true;
+    return Router::kConsumed;
   });
-  sw.set_forward([](Switch&, const Packet&, int) {
-    ADD_FAILURE() << "forward should not run after intercept";
-    return -1;
-  });
+  sw.set_router(&router);
   sw.receive(data_packet(1500), 2);
   ASSERT_NE(captured, nullptr);
+  // A consumed packet is neither forwarded nor counted as a drop.
+  EXPECT_EQ(router.no_routes, 0);
+  EXPECT_EQ(sw.forward_drops(), 0u);
 }
+
+// Endpoint that counts its packets, and default handler that counts the
+// unclaimed ones.
+struct CountingEndpoint final : Endpoint {
+  void on_packet(PacketPtr) override { ++hits; }
+  int hits = 0;
+};
+struct CountingDefault final : DefaultHandler {
+  void on_unclaimed(Host&, PacketPtr) override { ++hits; }
+  int hits = 0;
+};
 
 TEST(Host, DispatchesByFlowAndDefault) {
   sim::Simulator sim;
   sim::ShardContext ctx(sim);
   Host host(ctx, "h", 0, 0);
   host.add_port(10e9, sim::Time::zero(), PortQueue::Config{});
-  int flow_hits = 0;
-  int default_hits = 0;
-  host.register_flow(5, [&](PacketPtr) { ++flow_hits; });
-  host.set_default_handler([&](Host&, PacketPtr) { ++default_hits; });
+  CountingEndpoint flow;
+  CountingDefault fallback;
+  host.register_flow(5, &flow);
+  host.set_default_handler(&fallback);
   host.receive(data_packet(1500, 5), 0);
   host.receive(data_packet(1500, 6), 0);
-  EXPECT_EQ(flow_hits, 1);
-  EXPECT_EQ(default_hits, 1);
+  EXPECT_EQ(flow.hits, 1);
+  EXPECT_EQ(fallback.hits, 1);
   host.unregister_flow(5);
   host.receive(data_packet(1500, 5), 0);
-  EXPECT_EQ(default_hits, 2);
+  EXPECT_EQ(fallback.hits, 2);
+}
+
+// An endpoint that, on its first packet, registers enough flows on its own
+// host to grow the flow table several times over, then unregisters its
+// own flow — all inside its dispatch. The table holds pointers, so the
+// running endpoint is never moved; every later packet must still reach
+// the endpoint registered for its flow.
+TEST(Host, RegistrationsDuringDispatchGrowTheTable) {
+  sim::Simulator sim;
+  sim::ShardContext ctx(sim);
+  Host host(ctx, "h", 0, 0);
+  host.add_port(10e9, sim::Time::zero(), PortQueue::Config{});
+  static constexpr std::uint64_t kSelf = 7;
+  static constexpr int kSpawned = 300;
+  std::vector<CountingEndpoint> spawned(kSpawned);
+
+  struct Spawner final : Endpoint {
+    Host* host = nullptr;
+    std::vector<CountingEndpoint>* spawned = nullptr;
+    int hits = 0;
+    void on_packet(PacketPtr pkt) override {
+      ++hits;
+      EXPECT_EQ(pkt->flow_id, kSelf);
+      // Strided ids, as a workload that deals flows round-robin gives a host.
+      for (int i = 0; i < kSpawned; ++i) {
+        host->register_flow(1000 + 64 * static_cast<std::uint64_t>(i),
+                            &(*spawned)[static_cast<std::size_t>(i)]);
+      }
+      host->unregister_flow(kSelf);
+      ++hits;  // still alive and addressable after the table grew
+    }
+  } spawner;
+  spawner.host = &host;
+  spawner.spawned = &spawned;
+  CountingDefault fallback;
+  host.set_default_handler(&fallback);
+  host.register_flow(kSelf, &spawner);
+
+  host.receive(data_packet(1500, kSelf), 0);
+  EXPECT_EQ(spawner.hits, 2);
+  // Its flow is gone: the next packet falls through to the default.
+  host.receive(data_packet(1500, kSelf), 0);
+  EXPECT_EQ(spawner.hits, 2);
+  EXPECT_EQ(fallback.hits, 1);
+  for (int i = 0; i < kSpawned; ++i) {
+    host.receive(data_packet(1500, 1000 + 64 * static_cast<std::uint64_t>(i)), 0);
+  }
+  for (int i = 0; i < kSpawned; ++i) {
+    EXPECT_EQ(spawned[static_cast<std::size_t>(i)].hits, 1) << i;
+  }
+  // Unregister every other flow (backward-shift deletion keeps the rest
+  // findable), then send to all of them once more.
+  for (int i = 0; i < kSpawned; i += 2) {
+    host.unregister_flow(1000 + 64 * static_cast<std::uint64_t>(i));
+  }
+  for (int i = 0; i < kSpawned; ++i) {
+    host.receive(data_packet(1500, 1000 + 64 * static_cast<std::uint64_t>(i)), 0);
+  }
+  for (int i = 0; i < kSpawned; ++i) {
+    EXPECT_EQ(spawned[static_cast<std::size_t>(i)].hits, i % 2 == 0 ? 1 : 2) << i;
+  }
+  EXPECT_EQ(fallback.hits, 1 + kSpawned / 2);
 }
 
 TEST(Host, PacerSpacesControl) {

@@ -341,6 +341,56 @@ class CircuitRuleTest(unittest.TestCase):
         self.assertEqual(vs, [])
 
 
+class PerHopDispatchTest(unittest.TestCase):
+    # Switch and Host as they once held their per-packet callbacks.
+    PARENT_SWITCH = (
+        "#include <functional>\n"
+        "class Switch : public Node {\n"
+        " public:\n"
+        "  using ForwardFn = std::function<int(Switch&, const Packet&, int in_port)>;\n"
+        "  void set_forward(ForwardFn fn) { forward_ = std::move(fn); }\n"
+        " private:\n"
+        "  ForwardFn forward_;\n"
+        "};\n")
+    PARENT_HOST = (
+        "class Host : public Node {\n"
+        "  using FlowHandler = std::function<void(PacketPtr)>;\n"
+        "  std::unordered_map<std::uint64_t, FlowHandler> handlers_;\n"
+        "};\n")
+
+    def test_parent_switch_and_host_fire(self):
+        vs, _ = lint("src/net/switch.h", self.PARENT_SWITCH)
+        self.assertEqual(rules_of(vs), [("per-hop-dispatch", 1), ("per-hop-dispatch", 4)])
+        vs, _ = lint("src/net/host.h", self.PARENT_HOST)
+        self.assertEqual(rules_of(vs), [("per-hop-dispatch", 2)])
+        vs, _ = lint("src/net/node.h", "void arm(std :: function<void()> fn);\n")
+        self.assertEqual(rules_of(vs), [("per-hop-dispatch", 1)])
+
+    def test_other_files_are_out_of_scope(self):
+        # The bulk-drop handler (queue.h) and the fabrics are not on the
+        # list; the rule names the three files a hop always runs through.
+        for relpath in ("src/net/queue.h", "src/core/opera_network.cc",
+                        "tests/test_node.cc"):
+            vs, _ = lint(relpath, self.PARENT_SWITCH)
+            self.assertEqual([v for v in vs if v.rule == "per-hop-dispatch"], [], relpath)
+
+    def test_interfaces_and_prose_are_clean(self):
+        src = ("// Unlike a std::function<int()>, a Router is one virtual call.\n"
+               "class Router {\n"
+               "  virtual int route(Switch& sw, PacketPtr& pkt) = 0;\n"
+               "};\n"
+               "void set_router(Router* router) { router_ = router; }\n"
+               "const char* kWhat = \"std::function<void()>\";\n")
+        vs, _ = lint("src/net/switch.h", src)
+        self.assertEqual(vs, [])
+
+    def test_allowlist_entry_suppresses(self):
+        vs, entries = lint("src/net/host.h", self.PARENT_HOST,
+                           "per-hop-dispatch | src/net/host.h | FlowHandler = | test fixture\n")
+        self.assertEqual(vs, [])
+        self.assertTrue(entries[0].used)
+
+
 class NumberParseTest(unittest.TestCase):
     # Number reads as they once stood in src/exp/output.cc,
     # src/core/packet_fabric.cc and src/sim/checkpoint.cc.

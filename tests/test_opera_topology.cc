@@ -228,40 +228,55 @@ FailureSet random_failures(Vertex n, int u, sim::Rng& rng) {
 
 // live_peer and live_uplink against the reference on every (slice,
 // switch, rack), offset and unison, with no failures and under seeded
-// random failure sets that include failed racks.
+// random failure sets that include failed racks; at 16 racks x 4 switches
+// and at 48 x 6, where each switch holds 8 matchings (live_uplink's
+// pair -> switch index must pick the one that owns the pair).
 TEST(OperaTopology, LiveCircuitRuleMatchesReference) {
-  for (const RotorSchedule schedule : {RotorSchedule::kOffset, RotorSchedule::kUnison}) {
-    const OperaTopology topo(small_params(), schedule);
-    const Vertex n = topo.num_racks();
-    const int u = topo.num_switches();
-    sim::Rng rng(11);
-    std::vector<FailureSet> sets{FailureSet::none(n, u)};
-    for (int i = 0; i < 8; ++i) sets.push_back(random_failures(n, u, rng));
-    for (const FailureSet& f : sets) {
-      for (int s = 0; s < topo.num_slices(); ++s) {
-        std::vector<int> expected_uplink(static_cast<std::size_t>(n) * static_cast<std::size_t>(n), -1);
-        for (int sw = 0; sw < u; ++sw) {
-          for (Vertex r = 0; r < n; ++r) {
-            const Vertex want = reference_live_peer(topo, sw, r, s, f);
-            ASSERT_EQ(topo.live_peer(sw, r, s, &f), want)
-                << "slice " << s << " switch " << sw << " rack " << r;
-            if (!f.any()) {
-              ASSERT_EQ(topo.live_peer(sw, r, s, nullptr), want);
-            }
-            if (want >= 0) {
-              auto& slot = expected_uplink[static_cast<std::size_t>(r) * static_cast<std::size_t>(n) +
-                                           static_cast<std::size_t>(want)];
-              ASSERT_EQ(slot, -1) << "two live circuits join one rack pair";
-              slot = sw;
+  OperaParams wide;
+  wide.num_racks = 48;
+  wide.num_switches = 6;
+  wide.hosts_per_rack = 2;
+  wide.seed = 3;
+  for (const OperaParams& params : {small_params(), wide}) {
+    for (const RotorSchedule schedule : {RotorSchedule::kOffset, RotorSchedule::kUnison}) {
+      const OperaTopology topo(params, schedule);
+      const Vertex n = topo.num_racks();
+      const int u = topo.num_switches();
+      sim::Rng rng(11);
+      std::vector<FailureSet> sets{FailureSet::none(n, u)};
+      for (int i = 0; i < 8; ++i) sets.push_back(random_failures(n, u, rng));
+      for (const FailureSet& f : sets) {
+        for (int s = 0; s < topo.num_slices(); ++s) {
+          std::vector<int> expected_uplink(
+              static_cast<std::size_t>(n) * static_cast<std::size_t>(n), -1);
+          for (int sw = 0; sw < u; ++sw) {
+            for (Vertex r = 0; r < n; ++r) {
+              const Vertex want = reference_live_peer(topo, sw, r, s, f);
+              ASSERT_EQ(topo.live_peer(sw, r, s, &f), want)
+                  << "slice " << s << " switch " << sw << " rack " << r;
+              if (!f.any()) {
+                ASSERT_EQ(topo.live_peer(sw, r, s, nullptr), want);
+              }
+              if (want >= 0) {
+                auto& slot = expected_uplink[static_cast<std::size_t>(r) *
+                                                 static_cast<std::size_t>(n) +
+                                             static_cast<std::size_t>(want)];
+                ASSERT_EQ(slot, -1) << "two live circuits join one rack pair";
+                slot = sw;
+              }
             }
           }
-        }
-        for (Vertex a = 0; a < n; ++a) {
-          for (Vertex b = 0; b < n; ++b) {
-            ASSERT_EQ(topo.live_uplink(s, a, b, &f),
-                      expected_uplink[static_cast<std::size_t>(a) * static_cast<std::size_t>(n) +
-                                      static_cast<std::size_t>(b)])
-                << "slice " << s << " racks " << a << " -> " << b;
+          for (Vertex a = 0; a < n; ++a) {
+            for (Vertex b = 0; b < n; ++b) {
+              const int want = expected_uplink[static_cast<std::size_t>(a) *
+                                                   static_cast<std::size_t>(n) +
+                                               static_cast<std::size_t>(b)];
+              ASSERT_EQ(topo.live_uplink(s, a, b, &f), want)
+                  << "slice " << s << " racks " << a << " -> " << b;
+              if (!f.any()) {
+                ASSERT_EQ(topo.live_uplink(s, a, b, nullptr), want);
+              }
+            }
           }
         }
       }
@@ -273,6 +288,14 @@ TEST(OperaTopology, RejectsIndivisibleRackCount) {
   OperaParams p;
   p.num_racks = 10;
   p.num_switches = 4;  // 10 % 4 != 0
+  EXPECT_THROW(OperaTopology topo(p), std::invalid_argument);
+}
+
+// live_uplink's pair -> switch index holds one byte per rack pair.
+TEST(OperaTopology, RejectsMoreThan255Switches) {
+  OperaParams p;
+  p.num_racks = 512;
+  p.num_switches = 256;
   EXPECT_THROW(OperaTopology topo(p), std::invalid_argument);
 }
 

@@ -127,19 +127,28 @@ TEST(PaperClaims, NonHybridRotorNetShortFlowsWaitForCircuits) {
 // relay — a bandwidth tax of 0% or 100%, never the expander's 200-400%.
 // hops counts ToR traversals: 2 = direct, 3 = once-relayed (the relay ToR
 // increments on interception). With VLB disabled every packet is direct.
-TEST(PaperClaims, BulkIsDirectOrOnceRelayed) {
-  OperaNetwork net(opera_config());
-  int total = 0;
-  int beyond_one_relay = 0;
-  int direct = 0;
-  net.host(60).set_default_handler([&](net::Host&, net::PacketPtr pkt) {
+// Counts the bulk data packets a host receives, by ToR hops.
+struct BulkHops final : net::DefaultHandler {
+  void on_unclaimed(net::Host&, net::PacketPtr pkt) override {
     if (pkt->type == net::PacketType::kData &&
         pkt->tclass == net::TrafficClass::kBulk) {
       ++total;
       if (pkt->hops > 3) ++beyond_one_relay;
       if (pkt->hops == 2) ++direct;
     }
-  });
+  }
+  int total = 0;
+  int beyond_one_relay = 0;
+  int direct = 0;
+};
+
+TEST(PaperClaims, BulkIsDirectOrOnceRelayed) {
+  OperaNetwork net(opera_config());
+  BulkHops hops;
+  const int& total = hops.total;
+  const int& beyond_one_relay = hops.beyond_one_relay;
+  const int& direct = hops.direct;
+  net.host(60).set_default_handler(&hops);
   net.submit_flow(0, 60, 2'000'000, sim::Time::zero(), net::TrafficClass::kBulk);
   net.run_until(sim::Time::ms(30));
   ASSERT_GT(total, 0);
@@ -150,15 +159,10 @@ TEST(PaperClaims, BulkIsDirectOrOnceRelayed) {
   auto cfg = opera_config();
   cfg.enable_vlb = false;
   OperaNetwork net2(cfg);
-  int total2 = 0;
-  int direct2 = 0;
-  net2.host(60).set_default_handler([&](net::Host&, net::PacketPtr pkt) {
-    if (pkt->type == net::PacketType::kData &&
-        pkt->tclass == net::TrafficClass::kBulk) {
-      ++total2;
-      if (pkt->hops == 2) ++direct2;
-    }
-  });
+  BulkHops hops2;
+  const int& total2 = hops2.total;
+  const int& direct2 = hops2.direct;
+  net2.host(60).set_default_handler(&hops2);
   net2.submit_flow(0, 60, 2'000'000, sim::Time::zero(), net::TrafficClass::kBulk);
   net2.run_until(sim::Time::ms(30));
   ASSERT_GT(total2, 0);

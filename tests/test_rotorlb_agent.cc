@@ -78,7 +78,7 @@ TEST(RotorLbAgent, PacketsArriveAtSink) {
   Wire w;
   const Flow f = w.make_flow(30'000, 1);
   auto sink = std::make_unique<RotorLbSink>(*w.b, f, w.tracker);
-  w.b->register_flow(f.id, [&sink](net::PacketPtr p) { sink->on_packet(std::move(p)); });
+  w.b->register_flow(f.id, sink.get());
   w.agent->add_flow(f);
   while (w.agent->queued_bytes(1) > 0) {
     (void)w.agent->grant_direct(1, 1'000'000);
@@ -93,8 +93,12 @@ TEST(RotorLbAgent, VlbMarksRelayPackets) {
   w.agent->add_flow(w.make_flow(10'000, 2));  // destined rack 2
   // Granting VLB via rack 1 should send the rack-2 traffic with relay
   // markings; host b (rack 1 stand-in) will receive marked packets.
-  net::PacketPtr seen;
-  w.b->set_default_handler([&](net::Host&, net::PacketPtr p) { seen = std::move(p); });
+  struct Keep final : net::DefaultHandler {
+    void on_unclaimed(net::Host&, net::PacketPtr p) override { seen = std::move(p); }
+    net::PacketPtr seen;
+  } keep;
+  net::PacketPtr& seen = keep.seen;
+  w.b->set_default_handler(&keep);
   std::vector<std::int64_t> in_budget(4, 1'000'000);
   const auto sent = w.agent->grant_vlb(1, 5'000, std::span<std::int64_t>(in_budget));
   EXPECT_GT(sent, 0);
