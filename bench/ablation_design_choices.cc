@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   for (const auto window : {0, 10, 30}) {
     auto cfg = base_config();
     cfg.slice.drain_window = sim::Time::us(window);
-    const auto net = core::NetworkFactory::build(cfg);
+    const auto net = ex.build("drain_window", cfg).net;
     low_latency_storm(*net, 800);
     net->run_until(sim::Time::ms(40));
     const auto fct = net->tracker().fct_us(0, 1'000'000);
@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
   for (const bool vlb : {true, false}) {
     auto cfg = base_config();
     cfg.enable_vlb = vlb;
-    const auto net = core::NetworkFactory::build(cfg);
+    const auto net = ex.build("vlb", cfg).net;
     for (int h = 0; h < 4; ++h) {
       net->submit_flow(h, 4 + h, 30'000'000, sim::Time::zero(),
                        net::TrafficClass::kBulk);
@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
   auto& offset = ex.report().table(
       "offsetting", {"fabric", "p50_us", "p99_us", "completed"});
   {
-    const auto net = core::NetworkFactory::build(base_config());
+    const auto net = ex.build("opera", base_config()).net;
     low_latency_storm(*net, 200);
     net->run_until(sim::Time::ms(30));
     const auto fct = net->tracker().fct_us(0, 1'000'000);
@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
     cfg.rotornet.hybrid = false;
     cfg.rotornet.seed = 3;
     cfg.rotornet_hosts_per_rack = 4;
-    const auto net = core::NetworkFactory::build(cfg);
+    const auto net = ex.build("rotornet", cfg).net;
     low_latency_storm(*net, 200);
     net->run_until(sim::Time::ms(60));
     const auto fct = net->tracker().fct_us(0, 1'000'000);

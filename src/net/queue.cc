@@ -19,31 +19,12 @@ EnqueueOutcome PortQueue::enqueue(PacketPtr pkt) {
     return EnqueueOutcome::kQueued;
   }
 
-  if (pkt->tclass == TrafficClass::kLowLatency) {
-    if (!fits) {
-      if (config_.trim_low_latency &&
-          control_bytes_ + kHeaderBytes <= config_.control_capacity_bytes) {
-        // NDP trim: drop the payload, forward the header so the receiver
-        // can NACK immediately (no RTO).
-        pkt->type = PacketType::kHeader;
-        pkt->size_bytes = kHeaderBytes;
-        control_bytes_ += kHeaderBytes;
-        control_.push_back(std::move(pkt));
-        ++trims_;
-        return EnqueueOutcome::kTrimmed;
-      }
-      ++drops_;
-      return EnqueueOutcome::kDropped;
-    }
-    low_latency_bytes_ += pkt->size_bytes;
-    low_latency_.push_back(std::move(pkt));
-    return EnqueueOutcome::kQueued;
-  }
-
-  // Bulk.
+  const bool low_latency = pkt->tclass == TrafficClass::kLowLatency;
   if (!fits) {
-    if (config_.trim_bulk &&
-        control_bytes_ + kHeaderBytes <= config_.control_capacity_bytes) {
+    const bool trim = low_latency ? config_.trim_low_latency : config_.trim_bulk;
+    if (trim && control_bytes_ + kHeaderBytes <= config_.control_capacity_bytes) {
+      // NDP trim: drop the payload, forward the header so the receiver
+      // can NACK immediately (no RTO).
       pkt->type = PacketType::kHeader;
       pkt->size_bytes = kHeaderBytes;
       control_bytes_ += kHeaderBytes;
@@ -52,11 +33,16 @@ EnqueueOutcome PortQueue::enqueue(PacketPtr pkt) {
       return EnqueueOutcome::kTrimmed;
     }
     ++drops_;
-    if (on_bulk_drop_) on_bulk_drop_(*pkt);
+    if (!low_latency && on_bulk_drop_) on_bulk_drop_(*pkt);
     return EnqueueOutcome::kDropped;
   }
-  bulk_bytes_ += pkt->size_bytes;
-  bulk_.push_back(std::move(pkt));
+  if (low_latency) {
+    low_latency_bytes_ += pkt->size_bytes;
+    low_latency_.push_back(std::move(pkt));
+  } else {
+    bulk_bytes_ += pkt->size_bytes;
+    bulk_.push_back(std::move(pkt));
+  }
   return EnqueueOutcome::kQueued;
 }
 

@@ -3,10 +3,11 @@
 // The format tests pin the text schema: write/parse round trips, loud
 // line-numbered rejection of truncated / corrupted / version-skewed files.
 // The replay tests pin the contract that matters: a checkpoint taken
-// mid-run — mid-failure-storm, mid-gray — restores on a freshly built
-// fabric at any --threads=N, verifies the multi-layer fingerprint at the
-// snapshot time, and finishes the run bit-identical to one that was never
-// interrupted (completions, TorStats, event counts, final digest).
+// mid-run — mid-failure-storm, mid-gray, on every fabric and on the fluid
+// engine — restores on a freshly built fabric at any --threads=N, verifies
+// the multi-layer fingerprint at the snapshot time, and finishes the run
+// bit-identical to one that was never interrupted (completions, TorStats,
+// event counts, final digest).
 #include "sim/checkpoint.h"
 
 #include <gtest/gtest.h>
@@ -22,10 +23,11 @@
 
 #include "core/fabric.h"
 #include "core/network.h"
-#include "core/opera_network.h"
 #include "exp/run_guard.h"
+#include "fluid/fluid_network.h"
 #include "sim/rng.h"
 #include "sim/time.h"
+#include "support/support.h"
 #include "workload/synthetic.h"
 
 namespace opera {
@@ -349,18 +351,22 @@ TEST(FabricConfigSerialization, EveryKeyWiresToItsOwnField) {
 // Run recipe round trip + deterministic replay across thread counts
 // ---------------------------------------------------------------------------
 
-exp::RunRecipe make_recipe(const std::string& scenario) {
+// A 64-host permutation of 500 KB flows on the 16x4 testbed of `kind`,
+// run by `engine`.
+exp::RunRecipe make_recipe(const std::string& scenario,
+                           core::FabricKind kind = core::FabricKind::kOpera,
+                           core::EngineKind engine = core::EngineKind::kPacket) {
   exp::RunRecipe recipe;
   recipe.run_label = "permutation";
-  recipe.fabric_label = "opera";
+  recipe.fabric_label = core::fabric_kind_name(kind);
   recipe.load_pct = 12.5;
   recipe.scenario = scenario;
-  recipe.config = core::FabricConfig::make(core::FabricKind::kOpera).scale(16, 4);
+  recipe.config = core::FabricConfig::make(kind).scale(16, 4);
+  recipe.config.engine = engine;
   recipe.config.seed = 9;
   sim::Rng rng(10);
-  recipe.flows = workload::permutation_workload(
-      recipe.config.opera.num_racks * recipe.config.opera.hosts_per_rack, 4,
-      500 * 1000, rng);
+  recipe.flows = workload::permutation_workload(recipe.config.num_hosts(), 4,
+                                                500 * 1000, rng);
   recipe.horizon = sim::Time::ms(25);
   return recipe;
 }
@@ -484,6 +490,8 @@ struct ReplayCase {
   // Snapshot times, chosen to land mid-scenario (storm waves roll 1 ms,
   // 3 ms, ...; gray injection spans 0-15 ms; skew from 2 ms).
   sim::Time mid;
+  core::FabricKind kind = core::FabricKind::kOpera;
+  core::EngineKind engine = core::EngineKind::kPacket;
 };
 
 // gtest's fallback printer dumps the struct's raw bytes, pointers included,
@@ -495,8 +503,9 @@ void PrintTo(const ReplayCase& c, std::ostream* os) {
 class CheckpointReplay : public ::testing::TestWithParam<ReplayCase> {};
 
 TEST_P(CheckpointReplay, BitIdenticalAcrossThreadCounts) {
+  fluid::register_fluid_engines();
   const auto& p = GetParam();
-  const auto recipe = make_recipe(p.scenario);
+  const auto recipe = make_recipe(p.scenario, p.kind, p.engine);
 
   // Reference: uninterrupted single-shard run. Snapshot state at p.mid,
   // then continue the same network to the horizon.
@@ -504,9 +513,12 @@ TEST_P(CheckpointReplay, BitIdenticalAcrossThreadCounts) {
   const std::uint64_t mid_digest = exp::state_digest(*ref);
   const auto data = exp::make_run_checkpoint(recipe, *ref);
   ref->run_until(recipe.horizon);
-  const std::uint64_t final_digest = exp::state_digest(*ref);
-  const auto& ref_completions = ref->tracker().completions();
-  ASSERT_GT(ref_completions.size(), 0u) << "sweep too short to mean anything";
+  const auto uninterrupted = support::snapshot(*ref);
+  // Only the OperaNetwork fabrics (Opera, RotorNet) count ToR drops.
+  EXPECT_EQ(uninterrupted.tor.has_value(),
+            p.engine == core::EngineKind::kPacket &&
+                (p.kind == core::FabricKind::kOpera ||
+                 p.kind == core::FabricKind::kRotorNet));
 
   // Restore from the serialized checkpoint at several shard counts.
   const auto parsed =
@@ -519,6 +531,12 @@ TEST_P(CheckpointReplay, BitIdenticalAcrossThreadCounts) {
                                         &resume_digest),
             "");
   EXPECT_EQ(resume_digest, mid_digest);
+  EXPECT_EQ(resume_time, p.mid);
+  // The fabric and engine knobs must survive the [config] round trip: a
+  // resume that silently fell back to another fabric or to the packet
+  // engine would replay a completely different simulation.
+  EXPECT_EQ(restored.config.kind, p.kind);
+  EXPECT_EQ(restored.config.engine, p.engine);
 
   for (const int threads : {1, 2, 4}) {
     SCOPED_TRACE(threads);
@@ -529,24 +547,8 @@ TEST_P(CheckpointReplay, BitIdenticalAcrossThreadCounts) {
     // ...and continuing to the horizon is bit-identical to the
     // uninterrupted run: completions, event count, TorStats, digest.
     net->run_until(restored.horizon);
-    EXPECT_EQ(exp::state_digest(*net), final_digest);
-    EXPECT_EQ(net->events_executed(), ref->events_executed());
-    const auto& completions = net->tracker().completions();
-    ASSERT_EQ(completions.size(), ref_completions.size());
-    for (std::size_t i = 0; i < completions.size(); ++i) {
-      EXPECT_EQ(completions[i].flow.id, ref_completions[i].flow.id);
-      EXPECT_EQ(completions[i].end, ref_completions[i].end);
-    }
-    const auto* ref_opera = dynamic_cast<const core::OperaNetwork*>(ref.get());
-    const auto* opera_net = dynamic_cast<const core::OperaNetwork*>(net.get());
-    ASSERT_NE(ref_opera, nullptr);
-    ASSERT_NE(opera_net, nullptr);
-    const auto ref_stats = ref_opera->tor_stats();
-    const auto stats = opera_net->tor_stats();
-    EXPECT_EQ(stats.drops, ref_stats.drops);
-    EXPECT_EQ(stats.trims, ref_stats.trims);
-    EXPECT_EQ(stats.forward_drops, ref_stats.forward_drops);
-    EXPECT_EQ(stats.wire_drops, ref_stats.wire_drops);
+    support::expect_same_run(uninterrupted, support::snapshot(*net),
+                             "threads=" + std::to_string(threads));
   }
 }
 
@@ -564,7 +566,14 @@ INSTANTIATE_TEST_SUITE_P(
                    "storm-rolling:switches=2,start-ms=1,period-ms=2,recover-ms=5;"
                    "gray:links=6,loss=0.05,extra-us=20,start-ms=0,recover-ms=15;"
                    "skew:switch=3,extra-us=40,slices=30,start-ms=2",
-                   sim::Time::ms(6)}),
+                   sim::Time::ms(6)},
+        // The plain case on every other fabric, and on the fluid engine,
+        // snapshotted at 1 ms: the permutation is in flight on all four.
+        ReplayCase{"clos_plain", "", sim::Time::ms(1), core::FabricKind::kFoldedClos},
+        ReplayCase{"expander_plain", "", sim::Time::ms(1), core::FabricKind::kExpander},
+        ReplayCase{"rotornet_plain", "", sim::Time::ms(1), core::FabricKind::kRotorNet},
+        ReplayCase{"fluid_plain", "", sim::Time::ms(1), core::FabricKind::kOpera,
+                   core::EngineKind::kFluid}),
     [](const ::testing::TestParamInfo<ReplayCase>& info) {
       return info.param.name;
     });

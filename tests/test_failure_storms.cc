@@ -6,6 +6,7 @@
 // extended to scenario runs).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -14,40 +15,15 @@
 #include "core/opera_network.h"
 #include "exp/scenario.h"
 #include "sim/rng.h"
+#include "support/support.h"
 
 namespace opera {
 namespace {
-
-core::OperaConfig small_opera(topo::Vertex racks, int u, int hosts_per_rack) {
-  core::OperaConfig cfg;
-  cfg.topology.num_racks = racks;
-  cfg.topology.num_switches = u;
-  cfg.topology.hosts_per_rack = hosts_per_rack;
-  cfg.topology.seed = 3;
-  // Low threshold so 600 KB elephants ride the RotorLB bulk path (same
-  // testbed convention as test_shard_parity.cc).
-  cfg.bulk_threshold_bytes = 100'000;
-  return cfg;
-}
 
 exp::ScenarioSpec parse_one(const std::string& text) {
   const auto r = exp::parse_scenario(text);
   EXPECT_TRUE(r.ok()) << text << ": " << r.error;
   return r.specs.empty() ? exp::ScenarioSpec{} : r.specs.front();
-}
-
-// The mixed mouse/elephant workload from test_shard_parity.cc: enough
-// traffic to exercise low-latency, bulk, and VLB paths.
-void submit_mixed(core::OperaNetwork& net, int flows = 160) {
-  sim::Rng wl(99);
-  const auto hosts = static_cast<std::size_t>(net.num_hosts());
-  for (int i = 0; i < flows; ++i) {
-    const auto src = static_cast<std::int32_t>(wl.index(hosts));
-    auto dst = static_cast<std::int32_t>(wl.index(hosts));
-    while (dst == src) dst = static_cast<std::int32_t>(wl.index(hosts));
-    const std::int64_t bytes = (i % 4 == 0) ? 600'000 : 20'000;
-    net.submit_flow(src, dst, bytes, sim::Time::us(5 * i));
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -105,7 +81,7 @@ TEST(FailureStorms, SingleSwitchFabricRejectsRackStorms) {
 // ---------------------------------------------------------------------------
 
 TEST(FailureStorms, GrayLossMatchesTheBinomialModel) {
-  core::OperaNetwork net(small_opera(16, 4, 4));
+  core::OperaNetwork net(support::opera_testbed(support::kMixedK8));
   const double loss = 0.05;
   // Degrade every uplink in the fabric so every inter-rack transmission
   // tosses the coin.
@@ -114,7 +90,7 @@ TEST(FailureStorms, GrayLossMatchesTheBinomialModel) {
       net.inject_gray_uplink(rack, sw, loss, sim::Time::us(5));
     }
   }
-  submit_mixed(net);
+  support::submit_mixed_workload(net);
   net.run_until(sim::Time::ms(100));
 
   std::int64_t tested = 0;
@@ -144,9 +120,9 @@ TEST(FailureStorms, GrayLossMatchesTheBinomialModel) {
 TEST(FailureStorms, GrayLossInflatesFctAgainstACleanRun) {
   // Same workload with and without gray links; loss shows up as FCT
   // inflation, not hangs — the behavior no fail-stop scenario exhibits.
-  core::OperaConfig cfg = small_opera(16, 4, 4);
+  core::OperaConfig cfg = support::opera_testbed(support::kMixedK8);
   core::OperaNetwork clean(cfg);
-  submit_mixed(clean);
+  support::submit_mixed_workload(clean);
   clean.run_until(sim::Time::ms(100));
 
   core::OperaNetwork gray(cfg);
@@ -155,7 +131,7 @@ TEST(FailureStorms, GrayLossInflatesFctAgainstACleanRun) {
       gray.inject_gray_uplink(rack, sw, 0.05, sim::Time::us(5));
     }
   }
-  submit_mixed(gray);
+  support::submit_mixed_workload(gray);
   gray.run_until(sim::Time::ms(100));
 
   ASSERT_EQ(clean.tracker().completed(), 160u);
@@ -171,7 +147,7 @@ TEST(FailureStorms, ClearingGrayRestoresService) {
   // loss=1.0 blackholes every uplink of racks 0 and 1 without touching
   // routing (the gray premise: tables still use the link). Nothing can
   // leave those racks until the optics are replaced at 2 ms.
-  core::OperaNetwork net(small_opera(16, 4, 4));
+  core::OperaNetwork net(support::opera_testbed(support::kMixedK8));
   for (std::int32_t rack = 0; rack < 2; ++rack) {
     for (int sw = 0; sw < 4; ++sw) {
       net.inject_gray_uplink(rack, sw, 1.0, sim::Time::zero());
@@ -204,7 +180,7 @@ TEST(FailureStorms, RecoveredFabricMatchesTheNeverFailedBaseline) {
   // fabric byte-for-byte equivalent to one that never failed: identical
   // completion stream and identical ToR drop counters. This is the
   // strongest form of "recovery restores baseline ToR counters".
-  core::OperaConfig cfg = small_opera(16, 4, 4);
+  core::OperaConfig cfg = support::opera_testbed(support::kMixedK8);
   const auto run = [&cfg](bool storm) {
     core::OperaNetwork net(cfg);
     if (storm) {
@@ -263,8 +239,8 @@ TEST(FailureStorms, RecoveredFabricMatchesTheNeverFailedBaseline) {
 
 TEST(FailureStorms, TrafficSurvivesAStormWithMidStreamRecovery) {
   // Flows in flight across failure and recovery: everything completes.
-  core::OperaNetwork net(small_opera(16, 4, 4));
-  submit_mixed(net);
+  core::OperaNetwork net(support::opera_testbed(support::kMixedK8));
+  support::submit_mixed_workload(net);
   const auto suite = exp::parse_scenarios(
       "storm-rolling:switches=2,start-ms=1,period-ms=2,recover-ms=5");
   ASSERT_TRUE(suite.ok()) << suite.error;
@@ -277,25 +253,7 @@ TEST(FailureStorms, TrafficSurvivesAStormWithMidStreamRecovery) {
 // Sharded determinism: the ShardParity contract for armed scenarios.
 // ---------------------------------------------------------------------------
 
-struct Completion {
-  std::uint64_t id;
-  std::int64_t start_ps;
-  std::int64_t end_ps;
-  bool operator==(const Completion&) const = default;
-};
-
-struct RunOutput {
-  std::vector<Completion> completions;
-  std::uint64_t trims = 0;
-  std::uint64_t drops = 0;
-  std::uint64_t forward_drops = 0;
-  std::uint64_t wire_drops = 0;
-  std::uint64_t events = 0;
-  bool operator==(const RunOutput&) const = default;
-};
-
-RunOutput run_storm_suite(const core::OperaConfig& base, int threads) {
-  core::OperaConfig cfg = base;
+support::RunSnapshot run_storm_suite(core::OperaConfig cfg, int threads) {
   cfg.threads = threads;
   core::OperaNetwork net(cfg);
   EXPECT_EQ(net.num_shards(), std::min<int>(threads, net.num_racks()));
@@ -312,41 +270,17 @@ RunOutput run_storm_suite(const core::OperaConfig& base, int threads) {
     EXPECT_EQ(exp::validate_scenario(spec, config), "");
     exp::arm_scenario(spec, net);
   }
-  submit_mixed(net);
-  net.run_until(sim::Time::ms(40));
-
-  RunOutput out;
-  for (const auto& rec : net.tracker().completions()) {
-    out.completions.push_back(Completion{rec.flow.id, rec.flow.start.picoseconds(),
-                                         rec.end.picoseconds()});
-  }
-  const auto stats = net.tor_stats();
-  out.trims = stats.trims;
-  out.drops = stats.drops;
-  out.forward_drops = stats.forward_drops;
-  out.wire_drops = stats.wire_drops;
-  out.events = net.engine().events_executed();
-  return out;
+  support::submit_mixed_workload(net);
+  return support::finish_run(net);
 }
 
 TEST(FailureStorms, StormSuiteBitIdenticalAcrossThreads) {
-  const core::OperaConfig cfg = small_opera(16, 4, 4);
-  const RunOutput one = run_storm_suite(cfg, 1);
-  ASSERT_FALSE(one.completions.empty());
-  ASSERT_GT(one.wire_drops, 0u) << "gray links saw no traffic";
+  const core::OperaConfig cfg = support::opera_testbed(support::kMixedK8);
+  const auto one = run_storm_suite(cfg, 1);
+  ASSERT_GT(one.tor.value().wire_drops, 0u) << "gray links saw no traffic";
   for (const int threads : {2, 4}) {
-    const RunOutput sharded = run_storm_suite(cfg, threads);
-    ASSERT_EQ(one.completions.size(), sharded.completions.size())
-        << "threads=" << threads;
-    for (std::size_t i = 0; i < one.completions.size(); ++i) {
-      ASSERT_EQ(one.completions[i], sharded.completions[i])
-          << "threads=" << threads << ": completion " << i;
-    }
-    EXPECT_EQ(one.trims, sharded.trims) << "threads=" << threads;
-    EXPECT_EQ(one.drops, sharded.drops) << "threads=" << threads;
-    EXPECT_EQ(one.forward_drops, sharded.forward_drops) << "threads=" << threads;
-    EXPECT_EQ(one.wire_drops, sharded.wire_drops) << "threads=" << threads;
-    EXPECT_EQ(one.events, sharded.events) << "threads=" << threads;
+    support::expect_same_run(one, run_storm_suite(cfg, threads),
+                             "threads=" + std::to_string(threads));
   }
 }
 

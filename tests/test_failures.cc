@@ -2,19 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include "support/support.h"
+
 namespace opera::topo {
 namespace {
 
-OperaTopology small_opera() {
-  OperaParams p;
-  p.num_racks = 16;
-  p.num_switches = 4;
-  p.seed = 5;
-  return OperaTopology(p);
-}
+constexpr OperaParams kSmall =
+    support::Testbed{.hosts_per_rack = 6, .topology_seed = 5}.topology();
 
 TEST(Failures, NoFailuresNoLoss) {
-  const auto topo = small_opera();
+  const OperaTopology topo(kSmall);
   sim::Rng rng(1);
   for (const auto kind :
        {FailureKind::kLink, FailureKind::kTor, FailureKind::kCircuitSwitch}) {
@@ -40,7 +37,7 @@ TEST(Failures, OperaSurvivesOneSwitchFailure) {
 }
 
 TEST(Failures, MassiveSwitchFailureDisconnects) {
-  const auto topo = small_opera();
+  const OperaTopology topo(kSmall);
   sim::Rng rng(3);
   // 3 of 4 switches failed: slices where the survivor is also
   // reconfiguring have no links at all.
@@ -50,7 +47,7 @@ TEST(Failures, MassiveSwitchFailureDisconnects) {
 }
 
 TEST(Failures, LinkFailuresIncreaseLossMonotonically) {
-  const auto topo = small_opera();
+  const OperaTopology topo(kSmall);
   double prev = 0.0;
   for (const double frac : {0.05, 0.2, 0.4}) {
     sim::Rng rng(42);  // same draw sequence, nested failure sets not
@@ -62,7 +59,7 @@ TEST(Failures, LinkFailuresIncreaseLossMonotonically) {
 }
 
 TEST(Failures, TorFailuresExcludeFailedFromDenominator) {
-  const auto topo = small_opera();
+  const OperaTopology topo(kSmall);
   sim::Rng rng(4);
   // Fail 25% of ToRs; surviving pairs should mostly stay connected (Opera
   // tolerates ~7% at paper scale; small scale is more fragile but a single

@@ -4,21 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include "support/support.h"
+
 namespace opera::core {
 namespace {
 
-OperaConfig config_u6() {
-  OperaConfig cfg;
-  cfg.topology.num_racks = 24;
-  cfg.topology.num_switches = 6;
-  cfg.topology.hosts_per_rack = 4;
-  cfg.topology.seed = 4;
-  cfg.seed = 5;
-  return cfg;
-}
+constexpr support::Testbed kU6{
+    .racks = 24, .u = 6, .topology_seed = 4, .network_seed = 5};
 
 TEST(FaultRecovery, TrafficSurvivesSwitchFailure) {
-  OperaNetwork net(config_u6());
+  OperaNetwork net(support::opera_testbed(kU6));
   // Continuous stream of small flows across the failure event.
   sim::Rng rng(1);
   const int flows = 600;
@@ -34,7 +29,7 @@ TEST(FaultRecovery, TrafficSurvivesSwitchFailure) {
 }
 
 TEST(FaultRecovery, TrafficSurvivesUplinkFailures) {
-  OperaNetwork net(config_u6());
+  OperaNetwork net(support::opera_testbed(kU6));
   sim::Rng rng(2);
   const int flows = 400;
   for (int i = 0; i < flows; ++i) {
@@ -53,7 +48,7 @@ TEST(FaultRecovery, TrafficSurvivesUplinkFailures) {
 }
 
 TEST(FaultRecovery, BulkReroutesAroundFailedSwitch) {
-  OperaNetwork net(config_u6());
+  OperaNetwork net(support::opera_testbed(kU6));
   net.submit_flow(0, 95, 20'000'000, sim::Time::zero());  // bulk
   net.sim().schedule_at(sim::Time::ms(2), [&net] { net.inject_switch_failure(3); });
   net.run_until(sim::Time::ms(120));
@@ -64,7 +59,7 @@ TEST(FaultRecovery, BulkReroutesAroundFailedSwitch) {
 }
 
 TEST(FaultRecovery, FailureStateIsRecorded) {
-  OperaNetwork net(config_u6());
+  OperaNetwork net(support::opera_testbed(kU6));
   net.inject_switch_failure(2);
   net.inject_uplink_failure(7, 4);
   EXPECT_TRUE(net.failures().switch_failed[2]);
@@ -74,7 +69,7 @@ TEST(FaultRecovery, FailureStateIsRecorded) {
 
 TEST(FaultRecovery, PostReconvergenceTailIsClean) {
   // Flows submitted well after reconvergence shouldn't see elevated tails.
-  OperaNetwork net(config_u6());
+  OperaNetwork net(support::opera_testbed(kU6));
   net.inject_switch_failure(5);
   net.run_until(sim::Time::ms(10));  // > 1 cycle: tables recomputed
   sim::Rng rng(3);
@@ -91,11 +86,7 @@ TEST(FaultRecovery, PostReconvergenceTailIsClean) {
 }
 
 OperaConfig config_16x4(topo::RotorSchedule schedule) {
-  OperaConfig cfg;
-  cfg.topology.num_racks = 16;
-  cfg.topology.num_switches = 4;
-  cfg.topology.hosts_per_rack = 4;
-  cfg.topology.seed = 7;
+  OperaConfig cfg = support::opera_testbed({.topology_seed = 7});
   cfg.schedule = schedule;
   if (schedule == topo::RotorSchedule::kUnison) {
     cfg.low_latency = LowLatencyPlane::kDirectCircuit;
@@ -218,7 +209,7 @@ class PortProbe : public net::Node {
 // traffic again. A probe re-pointed at b's port for the circuit's span
 // sees what the ToR sent into it.
 TEST(FaultRecovery, ForwardingAvoidsFailedCircuitUntilRecovered) {
-  const OperaConfig cfg = config_u6();
+  const OperaConfig cfg = support::opera_testbed(kU6);
   OperaNetwork net(cfg);
   const auto& topo = net.topology();
   const int d = cfg.topology.hosts_per_rack;

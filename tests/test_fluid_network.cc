@@ -5,9 +5,10 @@
 // bookkeeping: per-slice deliver rates never exceed any rack's circuit
 // budget or a host NIC, every flow delivers exactly its size, VLB bytes
 // are taxed 2x in circuit-traversal accounting, and the whole thing is
-// bit-identical across --threads values, replays, and checkpoint round
-// trips. The *accuracy* of the model (fluid vs packet FCT error) is
-// pinned separately in test_fluid_parity.cc.
+// bit-identical across --threads values and replays (its checkpoint round
+// trip is the fluid_plain cell of CheckpointReplay, test_checkpoint.cc).
+// The *accuracy* of the model (fluid vs packet FCT error) is pinned
+// separately in test_fluid_parity.cc.
 #include "fluid/fluid_network.h"
 
 #include <gtest/gtest.h>
@@ -16,7 +17,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -25,6 +26,7 @@
 #include "fluid/rotor_rate_lb.h"
 #include "sim/rng.h"
 #include "sim/time.h"
+#include "support/support.h"
 #include "workload/synthetic.h"
 
 namespace opera {
@@ -576,93 +578,33 @@ TEST(FluidNetwork, StartOrderMatchesRecordedDigest) {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism: threads knob, replay, checkpoint round trip
+// Determinism: threads knob
 // ---------------------------------------------------------------------------
 
-std::vector<workload::FlowSpec> determinism_workload(std::int32_t num_hosts) {
-  sim::Rng rng(11);
-  return workload::poisson_workload(workload::FlowSizeDistribution::websearch(),
-                                    num_hosts, /*load=*/0.3, 10e9,
-                                    sim::Time::ms(3), rng);
-}
-
-std::unique_ptr<core::Network> run_fluid(int threads, sim::Time until) {
+support::RunSnapshot run_fluid(int threads) {
   fluid::register_fluid_engines();
   auto config = small_fluid_config();
   config.threads = threads;
   auto net = core::NetworkFactory::build(config);
-  for (const auto& f : determinism_workload(net->num_hosts())) {
+  sim::Rng rng(11);
+  for (const auto& f : workload::poisson_workload(
+           workload::FlowSizeDistribution::websearch(), net->num_hosts(),
+           /*load=*/0.3, 10e9, sim::Time::ms(3), rng)) {
     net->submit_flow(f.src_host, f.dst_host, f.size_bytes, f.start);
   }
-  net->run_until(until);
-  return net;
+  net->run_until(sim::Time::ms(40));
+  return support::snapshot(*net);
 }
 
 TEST(FluidNetwork, BitIdenticalAcrossThreadCounts) {
   // The integrator never shards (the threads knob is accepted and
   // ignored), so --threads={1,2,4} must be trivially bit-identical —
   // digest, completion stream, and event count.
-  const auto ref = run_fluid(1, sim::Time::ms(40));
-  const auto ref_digest = exp::state_digest(*ref);
-  EXPECT_GT(ref->tracker().completed(), 0u);
+  const auto ref = run_fluid(1);
   for (const int threads : {2, 4}) {
-    const auto net = run_fluid(threads, sim::Time::ms(40));
-    EXPECT_EQ(exp::state_digest(*net), ref_digest) << "threads=" << threads;
-    EXPECT_EQ(net->events_executed(), ref->events_executed());
-    ASSERT_EQ(net->tracker().completed(), ref->tracker().completed());
-    for (std::size_t i = 0; i < ref->tracker().completions().size(); ++i) {
-      const auto& a = ref->tracker().completions()[i];
-      const auto& b = net->tracker().completions()[i];
-      EXPECT_EQ(a.flow.id, b.flow.id);
-      EXPECT_EQ(a.end, b.end);
-    }
+    support::expect_same_run(ref, run_fluid(threads),
+                             "threads=" + std::to_string(threads));
   }
-}
-
-TEST(FluidNetwork, CheckpointRoundTripWithFluidEngine) {
-  fluid::register_fluid_engines();
-  exp::RunRecipe recipe;
-  recipe.run_label = "fluid-poisson";
-  recipe.fabric_label = "opera";
-  recipe.load_pct = 30.0;
-  recipe.config = small_fluid_config();
-  recipe.flows = determinism_workload(recipe.config.num_hosts());
-  recipe.horizon = sim::Time::ms(40);
-
-  // Run to a mid-run snapshot time, checkpoint, and parse it back.
-  auto net = core::NetworkFactory::build(recipe.config);
-  for (const auto& f : recipe.flows) {
-    net->submit_remapped(f.src_host, f.dst_host, f.size_bytes, f.start);
-  }
-  net->run_until(sim::Time::ms(5));
-  const auto data = exp::make_run_checkpoint(recipe, *net);
-  const auto parsed =
-      sim::parse_checkpoint(sim::write_checkpoint_text(data), "fluid.ckpt");
-  ASSERT_TRUE(parsed.ok()) << parsed.error;
-
-  exp::RunRecipe restored;
-  sim::Time resume_time;
-  std::uint64_t resume_digest = 0;
-  ASSERT_EQ(exp::recipe_from_checkpoint(parsed.data, &restored, &resume_time,
-                                        &resume_digest),
-            "");
-  // The engine knob must survive the [config] section round trip — a
-  // resume that silently fell back to the packet engine would replay a
-  // completely different simulation.
-  EXPECT_EQ(restored.config.engine, core::EngineKind::kFluid);
-  EXPECT_EQ(resume_time, sim::Time::ms(5));
-
-  // Replay from scratch on a fresh fabric: at the snapshot time the
-  // multi-layer fingerprint (which folds the full fluid rate state —
-  // drain counters, frozen rates, pending thresholds) must match.
-  auto replayed = exp::rebuild_run(restored);
-  replayed->run_until(resume_time);
-  EXPECT_EQ(exp::state_digest(*replayed), resume_digest);
-
-  // And continuing past the snapshot matches an uninterrupted run.
-  replayed->run_until(sim::Time::ms(40));
-  net->run_until(sim::Time::ms(40));
-  EXPECT_EQ(exp::state_digest(*replayed), exp::state_digest(*net));
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/opera_network.h"
+#include "support/support.h"
 
 namespace opera::core {
 namespace {
@@ -88,13 +89,7 @@ INSTANTIATE_TEST_SUITE_P(
 // Determinism: two identically-seeded networks produce identical FCTs.
 TEST(OperaNetworkProperties, DeterministicGivenSeeds) {
   auto run = [] {
-    OperaConfig cfg;
-    cfg.topology.num_racks = 16;
-    cfg.topology.num_switches = 4;
-    cfg.topology.hosts_per_rack = 4;
-    cfg.topology.seed = 7;
-    cfg.seed = 8;
-    OperaNetwork net(cfg);
+    OperaNetwork net(support::opera_testbed({.topology_seed = 7, .network_seed = 8}));
     sim::Rng rng(5);
     for (int i = 0; i < 60; ++i) {
       const auto src = static_cast<std::int32_t>(rng.index(64));
@@ -104,24 +99,15 @@ TEST(OperaNetworkProperties, DeterministicGivenSeeds) {
                       sim::Time::us(static_cast<std::int64_t>(rng.index(500))));
     }
     net.run_until(sim::Time::ms(20));
-    std::vector<std::pair<std::uint64_t, std::int64_t>> result;
-    for (const auto& rec : net.tracker().completions()) {
-      result.emplace_back(rec.flow.id, rec.fct().picoseconds());
-    }
-    return result;
+    return support::snapshot(net);
   };
-  EXPECT_EQ(run(), run());
+  support::expect_same_run(run(), run(), "same seeds");
 }
 
 // Hop bound: no delivered low-latency packet ever exceeds the worst slice
 // diameter plus the destination ToR hop (loop freedom in practice).
 TEST(OperaNetworkProperties, PathLengthsBounded) {
-  OperaConfig cfg;
-  cfg.topology.num_racks = 16;
-  cfg.topology.num_switches = 4;
-  cfg.topology.hosts_per_rack = 4;
-  cfg.topology.seed = 3;
-  OperaNetwork net(cfg);
+  OperaNetwork net(support::opera_testbed());
   int worst_slice_diameter = 0;
   for (int s = 0; s < net.topology().num_slices(); ++s) {
     const auto stats = topo::all_pairs_path_stats(net.topology().slice_graph(s));

@@ -2,21 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include "support/support.h"
+
 namespace opera::core {
 namespace {
 
-OperaConfig small_config() {
-  OperaConfig cfg;
-  cfg.topology.num_racks = 16;
-  cfg.topology.num_switches = 4;
-  cfg.topology.hosts_per_rack = 4;
-  cfg.topology.seed = 11;
-  cfg.seed = 12;
-  return cfg;
-}
+constexpr support::Testbed kTestbed{.topology_seed = 11, .network_seed = 12};
 
 TEST(OperaNetwork, Builds) {
-  const auto cfg = small_config();
+  const auto cfg = support::opera_testbed(kTestbed);
   OperaNetwork net(cfg);
   EXPECT_EQ(net.num_hosts(), 64);
   EXPECT_EQ(net.num_racks(), 16);
@@ -25,7 +19,7 @@ TEST(OperaNetwork, Builds) {
 }
 
 TEST(OperaNetwork, LowLatencyFlowCompletesFast) {
-  OperaNetwork net(small_config());
+  OperaNetwork net(support::opera_testbed(kTestbed));
   // 15 KB inter-rack flow: low-latency class, expander path, should finish
   // in tens of microseconds, far less than a slice.
   const auto id = net.submit_flow(0, 60, 15'000, sim::Time::zero());
@@ -37,7 +31,7 @@ TEST(OperaNetwork, LowLatencyFlowCompletesFast) {
 }
 
 TEST(OperaNetwork, MinimumLatencyNearPropagation) {
-  OperaNetwork net(small_config());
+  OperaNetwork net(support::opera_testbed(kTestbed));
   // Single-packet flow: FCT ~ serialization (x hops) + propagation.
   net.submit_flow(0, 60, 1'000, sim::Time::zero());
   net.run_until(sim::Time::ms(2));
@@ -48,7 +42,7 @@ TEST(OperaNetwork, MinimumLatencyNearPropagation) {
 }
 
 TEST(OperaNetwork, BulkFlowUsesDirectCircuitsAndCompletes) {
-  auto cfg = small_config();
+  auto cfg = support::opera_testbed(kTestbed);
   OperaNetwork net(cfg);
   // 20 MB >= threshold: bulk. Must wait for direct circuits, completing
   // within a few cycles (cycle = 16 slices x 99 us = 1.58 ms; 20 MB at
@@ -64,7 +58,7 @@ TEST(OperaNetwork, BulkFlowUsesDirectCircuitsAndCompletes) {
 }
 
 TEST(OperaNetwork, IntraRackFlowBypassesCircuits) {
-  OperaNetwork net(small_config());
+  OperaNetwork net(support::opera_testbed(kTestbed));
   // Hosts 0 and 1 share rack 0; even a "bulk"-sized flow goes over the ToR
   // low-latency path at line rate: 16 MB at 10 Gb/s ~ 13.4 ms.
   net.submit_flow(0, 1, 16'000'000, sim::Time::zero());
@@ -74,7 +68,7 @@ TEST(OperaNetwork, IntraRackFlowBypassesCircuits) {
 }
 
 TEST(OperaNetwork, ManyLowLatencyFlows) {
-  OperaNetwork net(small_config());
+  OperaNetwork net(support::opera_testbed(kTestbed));
   sim::Rng rng(99);
   int submitted = 0;
   for (int i = 0; i < 200; ++i) {
@@ -90,7 +84,7 @@ TEST(OperaNetwork, ManyLowLatencyFlows) {
 }
 
 TEST(OperaNetwork, MixedBulkAndLowLatency) {
-  OperaNetwork net(small_config());
+  OperaNetwork net(support::opera_testbed(kTestbed));
   net.submit_flow(0, 60, 20'000'000, sim::Time::zero());  // bulk
   for (int i = 0; i < 20; ++i) {
     net.submit_flow(1, 61, 10'000, sim::Time::us(100 * i));  // low-latency
@@ -103,7 +97,7 @@ TEST(OperaNetwork, MixedBulkAndLowLatency) {
 }
 
 TEST(OperaNetwork, SliceClockMatchesSchedule) {
-  OperaNetwork net(small_config());
+  OperaNetwork net(support::opera_testbed(kTestbed));
   EXPECT_EQ(net.slice_at(sim::Time::zero()), 0);
   EXPECT_EQ(net.slice_at(sim::Time::us(99)), 1);
   EXPECT_EQ(net.slice_at(sim::Time::us(99) * 16), 0);  // wraps at cycle
@@ -115,7 +109,7 @@ TEST(OperaNetwork, BulkSkewUsesVlb) {
   // Rack 0 -> rack 1 only (hot rack): direct capacity between one pair is
   // (u-1)/N of a link; VLB must carry most of the bytes for the flow to
   // finish quickly.
-  auto cfg = small_config();
+  auto cfg = support::opera_testbed(kTestbed);
   OperaNetwork net(cfg);
   for (int h = 0; h < 4; ++h) {
     net.submit_flow(h, 4 + h, 30'000'000, sim::Time::zero(),
@@ -125,7 +119,7 @@ TEST(OperaNetwork, BulkSkewUsesVlb) {
   EXPECT_EQ(net.tracker().completed(), 4u);
 
   // With VLB disabled the same workload should be distinctly slower.
-  auto cfg2 = small_config();
+  auto cfg2 = support::opera_testbed(kTestbed);
   cfg2.enable_vlb = false;
   OperaNetwork net2(cfg2);
   for (int h = 0; h < 4; ++h) {

@@ -6,27 +6,21 @@
 #include <utility>
 
 #include "sim/rng.h"
+#include "support/support.h"
 
 namespace opera::topo {
 namespace {
 
-OperaParams small_params() {
-  OperaParams p;
-  p.num_racks = 16;
-  p.num_switches = 4;
-  p.hosts_per_rack = 4;
-  p.seed = 7;
-  return p;
-}
+constexpr OperaParams kSmall = support::Testbed{.topology_seed = 7}.topology();
 
 TEST(OperaTopology, SliceCountEqualsRackCount) {
-  const OperaTopology topo(small_params());
+  const OperaTopology topo(kSmall);
   EXPECT_EQ(topo.num_slices(), 16);
   EXPECT_EQ(topo.matchings().size(), 16u);
 }
 
 TEST(OperaTopology, MatchingsDealtEvenly) {
-  const OperaTopology topo(small_params());
+  const OperaTopology topo(kSmall);
   std::set<std::size_t> seen;
   for (int sw = 0; sw < 4; ++sw) {
     const auto& mine = topo.switch_matchings(sw);
@@ -37,14 +31,14 @@ TEST(OperaTopology, MatchingsDealtEvenly) {
 }
 
 TEST(OperaTopology, ReconfiguringSwitchRotates) {
-  const OperaTopology topo(small_params());
+  const OperaTopology topo(kSmall);
   for (int s = 0; s < topo.num_slices(); ++s) {
     EXPECT_EQ(topo.reconfiguring_switch(s), s % 4);
   }
 }
 
 TEST(OperaTopology, MatchingAdvancesOnlyAtReconfiguration) {
-  const OperaTopology topo(small_params());
+  const OperaTopology topo(kSmall);
   // Between consecutive slices, only the switch that spent slice s
   // reconfiguring comes up with a new matching in slice s+1.
   for (int s = 0; s + 1 < topo.num_slices(); ++s) {
@@ -61,7 +55,7 @@ TEST(OperaTopology, MatchingAdvancesOnlyAtReconfiguration) {
 }
 
 TEST(OperaTopology, SwitchCyclesThroughAllItsMatchings) {
-  const OperaTopology topo(small_params());
+  const OperaTopology topo(kSmall);
   for (int sw = 0; sw < 4; ++sw) {
     std::set<std::size_t> seen;
     for (int s = 0; s < topo.num_slices(); ++s) {
@@ -72,12 +66,12 @@ TEST(OperaTopology, SwitchCyclesThroughAllItsMatchings) {
 }
 
 TEST(OperaTopology, EverySliceConnected) {
-  const OperaTopology topo(small_params());
+  const OperaTopology topo(kSmall);
   EXPECT_TRUE(topo.all_slices_connected());
 }
 
 TEST(OperaTopology, SliceGraphDegreeBound) {
-  const OperaTopology topo(small_params());
+  const OperaTopology topo(kSmall);
   // Union of u-1 = 3 matchings: every rack has degree <= 3.
   for (int s = 0; s < topo.num_slices(); ++s) {
     const Graph g = topo.slice_graph(s);
@@ -88,7 +82,7 @@ TEST(OperaTopology, SliceGraphDegreeBound) {
 }
 
 TEST(OperaTopology, AllRackPairsDirectlyConnectedOverCycle) {
-  const OperaTopology topo(small_params());
+  const OperaTopology topo(kSmall);
   for (Vertex a = 0; a < 16; ++a) {
     for (Vertex b = 0; b < 16; ++b) {
       if (a == b) continue;
@@ -99,7 +93,7 @@ TEST(OperaTopology, AllRackPairsDirectlyConnectedOverCycle) {
 }
 
 TEST(OperaTopology, CircuitPeerIsSymmetric) {
-  const OperaTopology topo(small_params());
+  const OperaTopology topo(kSmall);
   for (int s = 0; s < topo.num_slices(); ++s) {
     for (int sw = 0; sw < 4; ++sw) {
       for (Vertex r = 0; r < 16; ++r) {
@@ -145,7 +139,7 @@ void expect_circuits_match_assignment(const OperaTopology& topo,
 // stay valid when the topology is copied or moved.
 TEST(OperaTopology, CircuitPeerMatchesMatchingIndex) {
   for (const RotorSchedule schedule : {RotorSchedule::kOffset, RotorSchedule::kUnison}) {
-    OperaParams p = small_params();
+    OperaParams p = kSmall;
     p.num_racks = 48;
     const OperaTopology topo(p, schedule);
     expect_circuits_match_assignment(topo, schedule, "original");
@@ -161,7 +155,7 @@ TEST(OperaTopology, CircuitPeerMatchesMatchingIndex) {
 }
 
 TEST(OperaTopology, SliceRoutesReachAllRacks) {
-  const OperaTopology topo(small_params());
+  const OperaTopology topo(kSmall);
   const auto routes = topo.slice_routes(0);
   for (Vertex src = 0; src < 16; ++src) {
     for (Vertex dst = 0; dst < 16; ++dst) {
@@ -172,7 +166,7 @@ TEST(OperaTopology, SliceRoutesReachAllRacks) {
 }
 
 TEST(OperaTopology, FailedSwitchRemovesItsCircuits) {
-  const OperaTopology topo(small_params());
+  const OperaTopology topo(kSmall);
   auto failures = FailureSet::none(16, 4);
   // Fail a switch that is active in slice 0 (switch 0 is reconfiguring).
   failures.switch_failed[1] = true;
@@ -182,7 +176,7 @@ TEST(OperaTopology, FailedSwitchRemovesItsCircuits) {
 }
 
 TEST(OperaTopology, FailedUplinkRemovesOneCircuit) {
-  const OperaTopology topo(small_params());
+  const OperaTopology topo(kSmall);
   auto failures = FailureSet::none(16, 4);
   failures.uplink_failed[3][1] = true;  // rack 3's uplink to switch 1
   const Graph with = topo.slice_graph(0);
@@ -237,7 +231,7 @@ TEST(OperaTopology, LiveCircuitRuleMatchesReference) {
   wide.num_switches = 6;
   wide.hosts_per_rack = 2;
   wide.seed = 3;
-  for (const OperaParams& params : {small_params(), wide}) {
+  for (const OperaParams& params : {kSmall, wide}) {
     for (const RotorSchedule schedule : {RotorSchedule::kOffset, RotorSchedule::kUnison}) {
       const OperaTopology topo(params, schedule);
       const Vertex n = topo.num_racks();

@@ -8,25 +8,17 @@
 #include "core/expander_network.h"
 #include "core/fabric.h"
 #include "core/opera_network.h"
+#include "support/support.h"
 #include "workload/synthetic.h"
 
 namespace opera::core {
 namespace {
 
-OperaConfig opera_config() {
-  OperaConfig cfg;
-  cfg.topology.num_racks = 16;
-  cfg.topology.num_switches = 4;
-  cfg.topology.hosts_per_rack = 4;
-  cfg.topology.seed = 3;
-  return cfg;
-}
-
 // Claim 1 (§5.1): Opera's short-flow FCTs are comparable to the static
 // packet-switched networks — the whole point of always-on expansion.
 TEST(PaperClaims, ShortFlowFctComparableToStaticNetworks) {
   const auto run_opera = [] {
-    OperaNetwork net(opera_config());
+    OperaNetwork net(support::opera_testbed());
     sim::Rng rng(1);
     for (int i = 0; i < 150; ++i) {
       const auto src = static_cast<std::int32_t>(rng.index(64));
@@ -67,7 +59,7 @@ TEST(PaperClaims, ShortFlowFctComparableToStaticNetworks) {
 TEST(PaperClaims, ShuffleBeatsClos) {
   sim::Rng wl_rng(4);
   // Opera.
-  OperaNetwork opera(opera_config());
+  OperaNetwork opera(support::opera_testbed());
   const auto flows =
       workload::shuffle_workload(64, 4, 50'000, sim::Time::zero(), wl_rng);
   for (const auto& f : flows) {
@@ -102,19 +94,13 @@ TEST(PaperClaims, ShuffleBeatsClos) {
 // Claim 3 (§5.1, Fig. 7c): all-optical RotorNet's short-flow FCT is orders
 // of magnitude worse than Opera's, because every flow waits for circuits.
 TEST(PaperClaims, NonHybridRotorNetShortFlowsWaitForCircuits) {
-  OperaNetwork opera(opera_config());
+  OperaNetwork opera(support::opera_testbed());
   opera.submit_flow(0, 60, 1'000, sim::Time::zero());
   opera.run_until(sim::Time::ms(10));
   ASSERT_EQ(opera.tracker().completed(), 1u);
   const double opera_fct = opera.tracker().completions()[0].fct().to_us();
 
-  auto rcfg = FabricConfig::make(FabricKind::kRotorNet);
-  rcfg.rotornet.num_racks = 16;
-  rcfg.rotornet.num_switches = 4;
-  rcfg.rotornet.hybrid = false;
-  rcfg.rotornet.seed = 3;
-  rcfg.rotornet_hosts_per_rack = 4;
-  OperaNetwork rotor(rcfg.rotornet_config());
+  OperaNetwork rotor(support::rotornet_testbed({}, /*hybrid=*/false));
   rotor.submit_flow(0, 60, 1'000, sim::Time::zero());
   rotor.run_until(sim::Time::ms(30));
   ASSERT_EQ(rotor.tracker().completed(), 1u);
@@ -143,7 +129,7 @@ struct BulkHops final : net::DefaultHandler {
 };
 
 TEST(PaperClaims, BulkIsDirectOrOnceRelayed) {
-  OperaNetwork net(opera_config());
+  OperaNetwork net(support::opera_testbed());
   BulkHops hops;
   const int& total = hops.total;
   const int& beyond_one_relay = hops.beyond_one_relay;
@@ -156,7 +142,7 @@ TEST(PaperClaims, BulkIsDirectOrOnceRelayed) {
   EXPECT_GT(direct, 0);            // the direct slice was used too
 
   // And with VLB off, everything is direct.
-  auto cfg = opera_config();
+  auto cfg = support::opera_testbed();
   cfg.enable_vlb = false;
   OperaNetwork net2(cfg);
   BulkHops hops2;

@@ -5,25 +5,20 @@
 #include <set>
 
 #include "core/fabric.h"
+#include "support/support.h"
 #include "topo/opera_topology.h"
 
 namespace opera::topo {
 namespace {
 
-OperaParams small_params() {
-  OperaParams p;
-  p.num_racks = 16;
-  p.num_switches = 4;
-  p.seed = 3;
-  return p;
-}
+constexpr OperaParams kSmall = support::Testbed{.hosts_per_rack = 6}.topology();
 
 OperaTopology unison(const OperaParams& p) {
   return OperaTopology(p, RotorSchedule::kUnison);
 }
 
 TEST(RotorNet, SliceCount) {
-  const OperaTopology topo = unison(small_params());
+  const OperaTopology topo = unison(kSmall);
   // All switches rotate together: N/u slices per cycle.
   EXPECT_EQ(topo.num_switches(), 4);
   EXPECT_EQ(topo.num_slices(), 4);
@@ -49,7 +44,7 @@ TEST(RotorNet, RejectsUnevenSplit) {
 }
 
 TEST(RotorNet, AllSwitchesAdvanceTogether) {
-  const OperaTopology topo = unison(small_params());
+  const OperaTopology topo = unison(kSmall);
   for (int sw = 0; sw < 4; ++sw) {
     const auto m0 = topo.matching_index(sw, 0);
     const auto m1 = topo.matching_index(sw, 1);
@@ -69,7 +64,7 @@ TEST(RotorNet, AllSwitchesAdvanceTogether) {
 }
 
 TEST(RotorNet, CycleCoversAllMatchings) {
-  const OperaTopology topo = unison(small_params());
+  const OperaTopology topo = unison(kSmall);
   std::set<std::size_t> seen;
   for (int s = 0; s < topo.num_slices(); ++s) {
     for (int sw = 0; sw < 4; ++sw) {
@@ -80,7 +75,7 @@ TEST(RotorNet, CycleCoversAllMatchings) {
 }
 
 TEST(RotorNet, EveryRackPairGetsDirectCircuit) {
-  const OperaTopology topo = unison(small_params());
+  const OperaTopology topo = unison(kSmall);
   std::set<std::pair<Vertex, Vertex>> connected;
   for (int s = 0; s < topo.num_slices(); ++s) {
     for (int sw = 0; sw < 4; ++sw) {
@@ -94,7 +89,7 @@ TEST(RotorNet, EveryRackPairGetsDirectCircuit) {
 }
 
 TEST(RotorNet, SliceGraphIsUnionOfUMatchings) {
-  const OperaTopology topo = unison(small_params());
+  const OperaTopology topo = unison(kSmall);
   for (int s = 0; s < topo.num_slices(); ++s) {
     const Graph g = topo.slice_graph(s);
     for (Vertex v = 0; v < 16; ++v) {

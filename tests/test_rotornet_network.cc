@@ -4,23 +4,15 @@
 
 #include "core/fabric.h"
 #include "exp/run_guard.h"
+#include "support/support.h"
 
 namespace opera::core {
 namespace {
 
-OperaConfig small_config(bool hybrid) {
-  auto cfg = FabricConfig::make(FabricKind::kRotorNet);
-  cfg.rotornet.num_racks = 16;
-  cfg.rotornet.num_switches = hybrid ? 5 : 4;  // 4 rotors either way
-  cfg.rotornet.hybrid = hybrid;
-  cfg.rotornet.seed = 21;
-  cfg.rotornet_hosts_per_rack = 4;
-  cfg.seed = 22;
-  return cfg.rotornet_config();
-}
+constexpr support::Testbed kTestbed{.topology_seed = 21, .network_seed = 22};
 
 TEST(RotorNetNetwork, NonHybridBulkCompletes) {
-  OperaNetwork net(small_config(false));
+  OperaNetwork net(support::rotornet_testbed(kTestbed, false));
   net.submit_flow(0, 60, 5'000'000, sim::Time::zero());
   net.run_until(sim::Time::ms(60));
   ASSERT_EQ(net.tracker().completed(), 1u);
@@ -30,7 +22,7 @@ TEST(RotorNetNetwork, NonHybridShortFlowWaitsForCircuits) {
   // The all-optical RotorNet's key weakness (paper Fig. 7c): even a tiny
   // flow waits for a direct/VLB circuit, so FCT is on the slice/cycle
   // scale (hundreds of us), orders beyond Opera's expander path.
-  OperaNetwork net(small_config(false));
+  OperaNetwork net(support::rotornet_testbed(kTestbed, false));
   net.submit_flow(0, 60, 1'000, sim::Time::zero());
   net.run_until(sim::Time::ms(20));
   ASSERT_EQ(net.tracker().completed(), 1u);
@@ -38,7 +30,7 @@ TEST(RotorNetNetwork, NonHybridShortFlowWaitsForCircuits) {
 }
 
 TEST(RotorNetNetwork, HybridShortFlowFast) {
-  OperaNetwork net(small_config(true));
+  OperaNetwork net(support::rotornet_testbed(kTestbed, true));
   net.submit_flow(0, 60, 1'000, sim::Time::zero());
   net.run_until(sim::Time::ms(5));
   ASSERT_EQ(net.tracker().completed(), 1u);
@@ -46,7 +38,7 @@ TEST(RotorNetNetwork, HybridShortFlowFast) {
 }
 
 TEST(RotorNetNetwork, HybridMixedTraffic) {
-  OperaNetwork net(small_config(true));
+  OperaNetwork net(support::rotornet_testbed(kTestbed, true));
   net.submit_flow(0, 60, 20'000'000, sim::Time::zero());  // bulk via rotors
   for (int i = 0; i < 10; ++i) {
     net.submit_flow(1, 61, 5'000, sim::Time::us(100 * i));  // NDP via core
@@ -58,7 +50,7 @@ TEST(RotorNetNetwork, HybridMixedTraffic) {
 }
 
 TEST(RotorNetNetwork, IntraRackIsImmediate) {
-  OperaNetwork net(small_config(false));
+  OperaNetwork net(support::rotornet_testbed(kTestbed, false));
   net.submit_flow(0, 1, 50'000, sim::Time::zero());
   net.run_until(sim::Time::ms(1));
   ASSERT_EQ(net.tracker().completed(), 1u);
@@ -66,7 +58,7 @@ TEST(RotorNetNetwork, IntraRackIsImmediate) {
 }
 
 TEST(RotorNetNetwork, UniformBulkLoadCompletes) {
-  OperaNetwork net(small_config(false));
+  OperaNetwork net(support::rotornet_testbed(kTestbed, false));
   // One 500 KB bulk flow from each rack to the next (ring pattern).
   for (int r = 0; r < 16; ++r) {
     net.submit_flow(r * 4, ((r + 1) % 16) * 4, 500'000, sim::Time::zero());

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/opera_network.h"
+#include "support/support.h"
 #include "topo/expander.h"
 #include "topo/folded_clos.h"
 #include "topo/graph.h"
@@ -53,11 +54,7 @@ void expect_parity(const Graph& g, const std::string& label) {
 }
 
 TEST(RoutingParity, OperaSlicesSmall) {
-  OperaParams p;
-  p.num_racks = 16;
-  p.num_switches = 4;
-  p.seed = 3;
-  const OperaTopology topo(p);
+  const OperaTopology topo(support::Testbed{.hosts_per_rack = 6}.topology());
   for (int s = 0; s < topo.num_slices(); ++s) {
     expect_parity(topo.slice_graph(s), "opera16 slice " + std::to_string(s));
   }
@@ -73,11 +70,7 @@ TEST(RoutingParity, OperaSlicesPaperScale) {
 }
 
 TEST(RoutingParity, OperaUnderFailures) {
-  OperaParams p;
-  p.num_racks = 16;
-  p.num_switches = 4;
-  p.seed = 3;
-  const OperaTopology topo(p);
+  const OperaTopology topo(support::Testbed{.hosts_per_rack = 6}.topology());
   auto failures = FailureSet::none(16, 4);
   failures.switch_failed[1] = true;
   failures.uplink_failed[3][2] = true;
@@ -184,124 +177,48 @@ TEST(RoutingParity, FoldedClos) {
 
 // --- Windowed-cache vs eager-precompute network parity -------------------
 
-struct Completion {
-  std::uint64_t id;
-  std::int64_t start_ps;
-  std::int64_t end_ps;
-  friend bool operator==(const Completion&, const Completion&) = default;
-};
-
-struct NetOutcome {
-  std::vector<Completion> completions;
-  core::OperaNetwork::TorStats tor;
-};
-
-// Submits the deterministic mixed bulk/low-latency workload every
-// slice-window parity run drives.
-void submit_mixed_workload(core::OperaNetwork& net) {
-  sim::Rng wl(99);
-  const auto hosts = static_cast<std::size_t>(net.num_hosts());
-  for (int i = 0; i < 160; ++i) {
-    const auto src = static_cast<std::int32_t>(wl.index(hosts));
-    auto dst = static_cast<std::int32_t>(wl.index(hosts));
-    while (dst == src) dst = static_cast<std::int32_t>(wl.index(hosts));
-    // Mix of NDP mice and RotorLB elephants (cfg.bulk_threshold_bytes is
-    // lowered below so both transports run).
-    const std::int64_t bytes = (i % 4 == 0) ? 600'000 : 20'000;
-    net.submit_flow(src, dst, bytes, sim::Time::us(5 * i));
-  }
-}
-
-// Runs `net` to 40 ms and returns every flow completion, by flow id.
-NetOutcome finish(core::OperaNetwork& net) {
-  net.run_until(sim::Time::ms(40));
-  NetOutcome out;
-  out.tor = net.tor_stats();
-  for (const auto& rec : net.tracker().completions()) {
-    out.completions.push_back(Completion{rec.flow.id, rec.flow.start.picoseconds(),
-                                         rec.end.picoseconds()});
-  }
-  std::sort(out.completions.begin(), out.completions.end(),
-            [](const Completion& a, const Completion& b) { return a.id < b.id; });
-  return out;
-}
-
-// Builds an Opera fabric with the given slice-table window, drives the
-// mixed workload (plus optional mid-run failures), and returns every flow
-// completion.
-NetOutcome run_opera(const core::OperaConfig& base, int window,
-                     bool inject_failures) {
-  core::OperaConfig cfg = base;
+// Runs the mixed workload (plus optional mid-run failures) on an Opera
+// fabric with the given slice-table window.
+support::RunSnapshot run_opera(core::OperaConfig cfg, int window, bool inject_failures) {
   cfg.slice_table_window = window;
   core::OperaNetwork net(cfg);
-  submit_mixed_workload(net);
-  if (inject_failures) {
-    net.run_until(sim::Time::us(300));
-    net.inject_uplink_failure(1, 0);
-    // The second failure lands *after* the first recovery completed (one
-    // cycle after injection: <= 2.7 ms at these scales). This is the
-    // regression window for the failure snapshot: between this injection
-    // and its own recompute, windowed rebuilds must keep using the
-    // first-recovery snapshot — not the live failure set — or they
-    // diverge from eager precompute.
-    net.run_until(sim::Time::ms(3));
-    net.inject_switch_failure(2);
-  }
-  return finish(net);
+  // With failures, the second one lands *after* the first recovery
+  // completed (one cycle after injection: <= 2.7 ms at these scales).
+  // This is the regression window for the failure snapshot: between that
+  // injection and its own recompute, windowed rebuilds must keep using the
+  // first-recovery snapshot — not the live failure set — or they diverge
+  // from eager precompute.
+  return support::run_mixed_workload(net, inject_failures);
 }
 
-void expect_same_outcome(const NetOutcome& expected, const NetOutcome& actual,
-                         const std::string& label) {
-  ASSERT_FALSE(expected.completions.empty()) << label;
-  ASSERT_EQ(expected.completions.size(), actual.completions.size()) << label;
-  for (std::size_t i = 0; i < expected.completions.size(); ++i) {
-    EXPECT_EQ(expected.completions[i], actual.completions[i])
-        << label << ": completion " << i;
-  }
-  EXPECT_EQ(expected.tor.trims, actual.tor.trims) << label;
-  EXPECT_EQ(expected.tor.drops, actual.tor.drops) << label;
-  EXPECT_EQ(expected.tor.forward_drops, actual.tor.forward_drops) << label;
-  EXPECT_EQ(expected.tor.wire_drops, actual.tor.wire_drops) << label;
-}
-
-void expect_window_parity(const core::OperaConfig& cfg, bool inject_failures,
+void expect_window_parity(const support::Testbed& testbed, bool inject_failures,
                           const std::string& label) {
+  const auto cfg = support::opera_testbed(testbed);
   // window = num_slices forces eager; 4 is the smallest legal window and
   // maximizes eviction/rebuild churn.
-  expect_same_outcome(run_opera(cfg, cfg.topology.num_racks, inject_failures),
-                      run_opera(cfg, 4, inject_failures), label);
-}
-
-core::OperaConfig small_opera(Vertex racks, int u, int hosts_per_rack) {
-  core::OperaConfig cfg;
-  cfg.topology.num_racks = racks;
-  cfg.topology.num_switches = u;
-  cfg.topology.hosts_per_rack = hosts_per_rack;
-  cfg.topology.seed = 3;
-  // Low threshold so the 600 KB elephants ride the RotorLB bulk path.
-  cfg.bulk_threshold_bytes = 100'000;
-  return cfg;
+  support::expect_same_run(run_opera(cfg, cfg.topology.num_racks, inject_failures),
+                           run_opera(cfg, 4, inject_failures), label);
 }
 
 TEST(SliceWindowParity, K8FabricFctBitIdentical) {
-  expect_window_parity(small_opera(16, 4, 4), false, "opera k=8 16x4");
+  expect_window_parity(support::kMixedK8, false, "opera k=8 16x4");
 }
 
 TEST(SliceWindowParity, K16FabricFctBitIdentical) {
-  expect_window_parity(small_opera(24, 8, 8), false, "opera k=16 24x8");
+  expect_window_parity(support::kMixedK16, false, "opera k=16 24x8");
 }
 
 TEST(SliceWindowParity, K8UnderFailureRecovery) {
-  expect_window_parity(small_opera(16, 4, 4), true, "opera k=8 +failures");
+  expect_window_parity(support::kMixedK8, true, "opera k=8 +failures");
 }
 
 TEST(SliceWindowParity, K16UnderFailureRecovery) {
-  expect_window_parity(small_opera(24, 8, 8), true, "opera k=16 +failures");
+  expect_window_parity(support::kMixedK16, true, "opera k=16 +failures");
 }
 
 TEST(SliceWindowParity, WindowedCacheActuallyEvicts) {
   // Guard against the parity tests silently degenerating to eager-vs-eager.
-  core::OperaConfig cfg = small_opera(16, 4, 4);
+  core::OperaConfig cfg = support::opera_testbed(support::kMixedK8);
   cfg.slice_table_window = 4;
   core::OperaNetwork net(cfg);
   net.run_until(sim::Time::ms(3));  // ~30 slices > window
@@ -319,9 +236,9 @@ TEST(SliceWindowParity, DegradeMemoryKeepsTheRoutedSlicesResident) {
   // has nothing left to give. Each shrink must keep the current and next
   // slice (the only ones forwarding reads) resident, and the run must
   // stay bit-identical to an undegraded one.
-  const core::OperaConfig cfg = small_opera(16, 4, 4);
+  const core::OperaConfig cfg = support::opera_testbed(support::kMixedK8);
   core::OperaNetwork net(cfg);
-  submit_mixed_workload(net);
+  support::submit_mixed_workload(net);
   const auto& cache = net.slice_tables();
   ASSERT_TRUE(cache.eager());
   ASSERT_EQ(cache.num_slices(), 16);
@@ -347,7 +264,8 @@ TEST(SliceWindowParity, DegradeMemoryKeepsTheRoutedSlicesResident) {
   expect_routable("second degrade");
   EXPECT_FALSE(net.degrade_memory()) << "the window is already at the floor";
 
-  expect_same_outcome(run_opera(cfg, 0, false), finish(net), "degraded 16 -> 8 -> 4");
+  support::expect_same_run(run_opera(cfg, 0, false), support::finish_run(net),
+                           "degraded 16 -> 8 -> 4");
   EXPECT_GT(cache.stats().evictions, 0u);
 }
 

@@ -7,20 +7,12 @@
 #include <vector>
 
 #include "sim/rng.h"
+#include "support/support.h"
 #include "topo/opera_topology.h"
 #include "topo/slice_table_cache.h"
 
 namespace opera::topo {
 namespace {
-
-OperaTopology make_topo(Vertex racks = 16, int u = 4, std::uint64_t seed = 3) {
-  OperaParams p;
-  p.num_racks = racks;
-  p.num_switches = u;
-  p.hosts_per_rack = 4;
-  p.seed = seed;
-  return OperaTopology(p);
-}
 
 SliceTableCache::Builder builder_for(const OperaTopology& topo,
                                      const FailureSet** failures = nullptr) {
@@ -30,7 +22,7 @@ SliceTableCache::Builder builder_for(const OperaTopology& topo,
 }
 
 TEST(SliceTableCache, ExplicitWindowIsClampedToMinAndSliceCount) {
-  const auto topo = make_topo();
+  const OperaTopology topo(support::Testbed{}.topology());
   SliceTableCache tiny(topo.num_slices(), 1, builder_for(topo));
   EXPECT_EQ(tiny.window(), SliceTableCache::kMinWindow);
   SliceTableCache huge(topo.num_slices(), 10'000, builder_for(topo));
@@ -39,7 +31,7 @@ TEST(SliceTableCache, ExplicitWindowIsClampedToMinAndSliceCount) {
 }
 
 TEST(SliceTableCache, AutoModeEagerWhenBudgetFits) {
-  const auto topo = make_topo();
+  const OperaTopology topo(support::Testbed{}.topology());
   SliceTableCache cache(topo.num_slices(), 0, builder_for(topo));
   EXPECT_TRUE(cache.eager());
   // Everything was built up front, and a boundary builds nothing.
@@ -81,7 +73,7 @@ TEST(SliceTableCache, AutoModeWindowsUnderTightBudget) {
 }
 
 TEST(SliceTableCache, PrefetchKeepsRotationLookupsHit) {
-  const auto topo = make_topo();
+  const OperaTopology topo(support::Testbed{}.topology());
   SliceTableCache cache(topo.num_slices(), 5, builder_for(topo));
   // Walk two full cycles the way the network does: prefetch at each
   // boundary, then read the current and next slice (drain window).
@@ -95,7 +87,7 @@ TEST(SliceTableCache, PrefetchKeepsRotationLookupsHit) {
 }
 
 TEST(SliceTableCache, PeekIsBookkeepingFreeAndNullWhenEvicted) {
-  const auto topo = make_topo();
+  const OperaTopology topo(support::Testbed{}.topology());
   SliceTableCache cache(topo.num_slices(), 4, builder_for(topo));
   EXPECT_EQ(cache.peek(0), nullptr);  // nothing built yet
   cache.prefetch(0);
@@ -113,7 +105,7 @@ TEST(SliceTableCache, PeekIsBookkeepingFreeAndNullWhenEvicted) {
 }
 
 TEST(SliceTableCache, RandomAccessMatchesDirectBuildExactly) {
-  const auto topo = make_topo(20, 4, 7);
+  const OperaTopology topo(support::Testbed{.racks = 20, .topology_seed = 7}.topology());
   sim::Rng rng(123);
   for (const int window : {4, 7, 20}) {
     SliceTableCache cache(topo.num_slices(), window, builder_for(topo));
@@ -130,7 +122,7 @@ TEST(SliceTableCache, RandomAccessMatchesDirectBuildExactly) {
 }
 
 TEST(SliceTableCache, InvalidateAllPicksUpNewBuilderInputs) {
-  const auto topo = make_topo();
+  const OperaTopology topo(support::Testbed{}.topology());
   auto failures = FailureSet::none(topo.num_racks(), topo.num_switches());
   const FailureSet* active = nullptr;
   SliceTableCache cache(topo.num_slices(), 4, builder_for(topo, &active));
@@ -152,7 +144,7 @@ TEST(SliceTableCache, InvalidateAllPicksUpNewBuilderInputs) {
 }
 
 TEST(SliceTableCache, StatsBytesTrackResidency) {
-  const auto topo = make_topo();
+  const OperaTopology topo(support::Testbed{}.topology());
   SliceTableCache cache(topo.num_slices(), 4, builder_for(topo));
   for (int s = 0; s < topo.num_slices(); ++s) cache.prefetch(s);
   const auto& st = cache.stats();
@@ -177,7 +169,7 @@ int lookahead(const SliceTableCache& cache, int first) {
 }
 
 TEST(SliceTableCache, PrefetchNeverExceedsWindow) {
-  const auto topo = make_topo(20, 4, 7);
+  const OperaTopology topo(support::Testbed{.racks = 20, .topology_seed = 7}.topology());
   const std::size_t per_table = topo.slice_routes(0).memory_bytes();
   for (const int window : {4, 5, 7, 12}) {
     SliceTableCache cache(topo.num_slices(), window, builder_for(topo));
@@ -195,7 +187,7 @@ TEST(SliceTableCache, PrefetchNeverExceedsWindow) {
 }
 
 TEST(SliceTableCache, PrefetchBuildsOnlyBelowHalfWindowLookahead) {
-  const auto topo = make_topo(20, 4, 7);
+  const OperaTopology topo(support::Testbed{.racks = 20, .topology_seed = 7}.topology());
   for (const int window : {4, 5, 8, 11}) {
     SliceTableCache cache(topo.num_slices(), window, builder_for(topo));
     int batches = 0;
@@ -225,7 +217,7 @@ TEST(SliceTableCache, RecycledStorageMatchesFreshBuild) {
   // storage at every batch; compare every slice's table, as the cache
   // holds it, with a fresh build, over two cycles before and after a
   // failure-set change.
-  const auto topo = make_topo(16, 4, 3);
+  const OperaTopology topo(support::Testbed{}.topology());
   auto failures = FailureSet::none(topo.num_racks(), topo.num_switches());
   const FailureSet* active = nullptr;
   SliceTableCache cache(topo.num_slices(), 4, builder_for(topo, &active));

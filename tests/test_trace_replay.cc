@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/opera_network.h"
+#include "support/support.h"
 #include "workload/day_in_the_life.h"
 
 namespace opera::workload {
@@ -272,13 +273,7 @@ TEST_P(TraceReplaySmoke, LoadedTraceDrivesAnOperaRun) {
   ASSERT_TRUE(loaded.ok()) << loaded.error;
   ASSERT_EQ(loaded.flows.size(), flows.size());
 
-  core::OperaConfig cfg;
-  cfg.topology.num_racks = 16;
-  cfg.topology.num_switches = 4;
-  cfg.topology.hosts_per_rack = 4;
-  cfg.topology.seed = 3;
-  cfg.bulk_threshold_bytes = 100'000;
-  core::OperaNetwork net(cfg);
+  core::OperaNetwork net(support::opera_testbed(support::kMixedK8));
   for (const auto& f : loaded.flows) {
     net.submit_flow(f.src_host, f.dst_host, f.size_bytes, f.start);
   }
