@@ -101,18 +101,9 @@ void FluidNetwork::on_start_event() {
 void FluidNetwork::on_flow_start(std::uint64_t id) {
   const sim::Time now = sim_.now();
   const transport::Flow* flow = tracker_.find(id);
-  const std::int64_t key =
-      static_cast<std::int64_t>(flow->src_rack) * num_racks() + flow->dst_rack;
-  auto [it, inserted] = groups_.try_emplace(key);
-  Group& group = it->second;
-  if (inserted) {
-    group.src_rack = flow->src_rack;
-    group.dst_rack = flow->dst_rack;
-    group.updated = now;
-  } else {
-    // Capture V at join time under the frozen rate.
-    advance_group(group, now);
-  }
+  Group& group = group_of(flow->src_rack, flow->dst_rack, now);
+  // Capture V at join time under the frozen rate.
+  advance_group(group, now);
   group.live += 1;
   group.heap.push_back(
       FlowMark{group.drained + static_cast<double>(flow->size_bytes), id});
@@ -121,7 +112,36 @@ void FluidNetwork::on_flow_start(std::uint64_t id) {
                    return a.threshold > b.threshold ||
                           (a.threshold == b.threshold && a.id > b.id);
                  });
-  arm_tick(now);
+  arm_tick(now);  // may merge: `group` is dead from here
+}
+
+FluidNetwork::Group& FluidNetwork::group_of(std::int32_t src_rack,
+                                            std::int32_t dst_rack, sim::Time now) {
+  const std::int64_t key = static_cast<std::int64_t>(src_rack) * num_racks() + dst_rack;
+  const auto sorted_end = groups_.begin() + static_cast<std::ptrdiff_t>(sorted_);
+  auto it = std::lower_bound(
+      groups_.begin(), sorted_end, key,
+      [](const Group& group, std::int64_t k) { return group.key < k; });
+  if (it == sorted_end || it->key != key) {
+    it = std::find_if(sorted_end, groups_.end(),
+                      [key](const Group& group) { return group.key == key; });
+  }
+  if (it != groups_.end()) return *it;
+  Group& group = groups_.emplace_back();
+  group.key = key;
+  group.src_rack = src_rack;
+  group.dst_rack = dst_rack;
+  group.updated = now;
+  return group;
+}
+
+void FluidNetwork::merge_new_groups() {
+  if (sorted_ == groups_.size()) return;
+  const auto by_key = [](const Group& a, const Group& b) { return a.key < b.key; };
+  const auto sorted_end = groups_.begin() + static_cast<std::ptrdiff_t>(sorted_);
+  std::sort(sorted_end, groups_.end(), by_key);
+  std::inplace_merge(groups_.begin(), sorted_end, groups_.end(), by_key);
+  sorted_ = groups_.size();
 }
 
 void FluidNetwork::arm_tick(sim::Time now) {
@@ -188,7 +208,8 @@ void FluidNetwork::advance_group(Group& group, sim::Time t) {
 }
 
 void FluidNetwork::sweep_to(sim::Time t, bool recompute) {
-  for (auto& [key, group] : groups_) advance_group(group, t);
+  merge_new_groups();
+  for (Group& group : groups_) advance_group(group, t);
   if (!pending_.empty()) {
     // Canonical (time, flow id) completion order — the same contract the
     // packet engine's lane merge provides.
@@ -203,23 +224,23 @@ void FluidNetwork::sweep_to(sim::Time t, bool recompute) {
     }
     pending_.clear();
   }
-  for (auto it = groups_.begin(); it != groups_.end();) {
-    it = it->second.live == 0 ? groups_.erase(it) : std::next(it);
-  }
+  std::erase_if(groups_, [](const Group& group) { return group.live == 0; });
+  sorted_ = groups_.size();
   if (recompute && !groups_.empty()) recompute_rates(slice_at(t));
 }
 
 void FluidNetwork::recompute_rates(int slice) {
+  merge_new_groups();
   scratch_demands_.clear();
   scratch_demands_.reserve(groups_.size());
-  for (const auto& [key, group] : groups_) {
+  for (const Group& group : groups_) {
     scratch_demands_.push_back(
         GroupDemand{group.src_rack, group.dst_rack, group.live});
   }
   const std::vector<GroupRate> rates = allocator_.allocate(
       slice, scratch_demands_, any_failure_ ? &failures_ : nullptr);
   std::size_t i = 0;
-  for (auto& [key, group] : groups_) group.rate = rates[i++];
+  for (Group& group : groups_) group.rate = rates[i++];
 }
 
 void FluidNetwork::run_until(sim::Time t) {
@@ -252,8 +273,17 @@ void FluidNetwork::recover_switch(int rotor_switch) {
 void FluidNetwork::fingerprint(sim::Fingerprint& fp) const {
   core::Network::fingerprint(fp);
   fp.mix_u64(groups_.size());
-  for (const auto& [key, group] : groups_) {
-    fp.mix_u64(static_cast<std::uint64_t>(key));
+  // A progress hook may fingerprint in mid-slice, before the groups
+  // created since the last boundary are merged: walk all groups in key
+  // order (keys are unique) through pointers, leaving the array as it is.
+  std::vector<const Group*> order;
+  order.reserve(groups_.size());
+  for (const Group& group : groups_) order.push_back(&group);
+  std::sort(order.begin(), order.end(),
+            [](const Group* a, const Group* b) { return a->key < b->key; });
+  for (const Group* g : order) {
+    const Group& group = *g;
+    fp.mix_u64(static_cast<std::uint64_t>(group.key));
     fp.mix_u64(static_cast<std::uint64_t>(group.live));
     fp.mix_double(group.drained);
     fp.mix_time(group.updated);

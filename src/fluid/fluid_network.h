@@ -29,7 +29,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -122,6 +121,7 @@ class FluidNetwork : public core::Network {
     std::uint64_t id = 0;
   };
   struct Group {
+    std::int64_t key = 0;  // src_rack * num_racks + dst_rack
     std::int32_t src_rack = 0;
     std::int32_t dst_rack = 0;
     std::int64_t live = 0;      // flows currently draining
@@ -141,6 +141,13 @@ class FluidNetwork : public core::Network {
   // (time, id) order, drops empty groups, and recomputes rates.
   void sweep_to(sim::Time t, bool recompute_rates);
   void recompute_rates(int slice);
+  // The group of (src, dst) racks, created rateless (its rate comes at
+  // the next ordered pass) if it does not exist yet.
+  Group& group_of(std::int32_t src_rack, std::int32_t dst_rack, sim::Time now);
+  // Sorts the groups created since the last ordered pass into place.
+  // Moves groups: no Group& may be held across it (nor across
+  // sweep_to, recompute_rates or arm_tick, which call it).
+  void merge_new_groups();
   // Schedules the earliest pending start, unless it is already scheduled.
   void arm_start();
   // The start event: begins the earliest pending flow, re-arms the next.
@@ -161,9 +168,13 @@ class FluidNetwork : public core::Network {
   // allocation skips the per-circuit failure test on a healthy fabric.
   bool any_failure_ = false;
 
-  // Key = src_rack * num_racks + dst_rack; std::map so every sweep and
-  // the fingerprint iterate in deterministic key order.
-  std::map<std::int64_t, Group> groups_;
+  // Live groups: [0, sorted_) ascending by key, then the groups created
+  // since the last ordered pass, in creation order. merge_new_groups()
+  // folds that tail in at the start of every sweep and rate
+  // recomputation, so every walk that sums doubles (stats, allocation)
+  // or digests state runs in key order, as it did over a std::map.
+  std::vector<Group> groups_;
+  std::size_t sorted_ = 0;
   struct PendingCompletion {
     sim::Time at;
     std::uint64_t id;

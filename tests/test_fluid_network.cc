@@ -577,6 +577,56 @@ TEST(FluidNetwork, StartOrderMatchesRecordedDigest) {
   EXPECT_EQ(exp::state_digest(net), 0x53bd28ff7b165a85ULL);
 }
 
+// Group churn: a group that empties and re-forms within one slice, a group
+// swept away at a boundary that re-forms mid-slice, several new groups
+// between two ticks submitted in descending key order, and one flow
+// submitted from a progress hook — all while a long flow keeps the tick
+// armed, so every new group starts rateless until the next boundary. The
+// digest taken in mid-slice sees groups created since the last boundary;
+// both digests were recorded when the groups lived in an ordered std::map.
+TEST(FluidNetwork, GroupChurnMatchesRecordedDigest) {
+  const auto config = small_fluid_config().opera_config();
+  fluid::FluidNetwork net(config);
+  const sim::Time slice = config.slice.duration;
+  // Keeps the tick armed for the whole churn below (rack 15 -> rack 1).
+  net.submit_flow(60, 4, 3'000'000, sim::Time::zero(), net::TrafficClass::kBulk);
+  // Rack 0 -> 5 drains in slice 1, is swept at the slice-2 boundary, and
+  // re-forms mid-slice 2.
+  net.submit_flow(0, 20, 5'000, sim::Time::us(10), net::TrafficClass::kBulk);
+  net.submit_flow(1, 21, 5'000, sim::Time::us(40), net::TrafficClass::kBulk);
+  net.submit_flow(2, 22, 5'000, slice * 2 + sim::Time::us(30), net::TrafficClass::kBulk);
+  // Rack 2 -> 11 empties mid-slice 1 and re-forms later in the same slice.
+  net.submit_flow(8, 44, 20'000, sim::Time::zero(), net::TrafficClass::kBulk);
+  net.submit_flow(9, 45, 20'000, slice + sim::Time::us(30), net::TrafficClass::kBulk);
+  // New groups between the slice-3 and slice-4 ticks, in descending key
+  // order with one start time: (15,3), (12,7), (9,1), (4,14), (2,0), (0,9).
+  const sim::Time burst = slice * 3 + sim::Time::us(20);
+  for (const auto& [src, dst] : std::vector<std::pair<std::int32_t, std::int32_t>>{
+           {61, 13}, {49, 29}, {37, 5}, {17, 57}, {10, 2}, {3, 38}}) {
+    net.submit_flow(src, dst, 150'000, burst, net::TrafficClass::kBulk);
+  }
+
+  int polls = 0;
+  std::uint64_t mid_slice_digest = 0;
+  const auto status = net.run_with_progress(
+      sim::Time::ms(80), sim::Time::us(50), [&](core::Network& n) {
+        const sim::Time now = n.sim().now();
+        ++polls;
+        if (polls == 1) {
+          n.submit_flow(50, 30, 90'000, now + sim::Time::us(5));  // rack 12 -> 7
+        } else if (now > burst && now < slice * 4 && mid_slice_digest == 0) {
+          mid_slice_digest = exp::state_digest(n);
+        }
+        return n.tracker().completed() == n.tracker().registered();
+      });
+  EXPECT_TRUE(status.stopped_early);
+  ASSERT_EQ(net.tracker().registered(), 13u);
+  EXPECT_EQ(net.tracker().completed(), 13u);
+  EXPECT_EQ(net.active_groups(), 0u);
+  EXPECT_EQ(mid_slice_digest, 0xe7aa770344f1f0dfULL);
+  EXPECT_EQ(exp::state_digest(net), 0x5b785c73fd54564fULL);
+}
+
 // ---------------------------------------------------------------------------
 // Determinism: threads knob
 // ---------------------------------------------------------------------------

@@ -4,6 +4,9 @@
 // forwarding state never strands a packet permanently.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "core/opera_network.h"
 #include "support/support.h"
 
@@ -16,6 +19,20 @@ struct NetParam {
   int hosts_per_rack;
   std::uint64_t seed;
 };
+
+// gtest's fallback printer dumps the struct's raw bytes, uninitialized
+// padding included, which would tie the discovered ctest names to stack
+// contents; print the fields instead, and name each case after them.
+void PrintTo(const NetParam& p, std::ostream* os) {
+  *os << p.racks << " racks x " << p.hosts_per_rack << " hosts, " << p.switches
+      << " rotors, seed " << p.seed;
+}
+
+std::string net_param_name(const ::testing::TestParamInfo<NetParam>& info) {
+  const NetParam& p = info.param;
+  return "r" + std::to_string(p.racks) + "_u" + std::to_string(p.switches) + "_h" +
+         std::to_string(p.hosts_per_rack) + "_seed" + std::to_string(p.seed);
+}
 
 class OperaNetworkSweep : public ::testing::TestWithParam<NetParam> {};
 
@@ -84,7 +101,8 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, OperaNetworkSweep,
     ::testing::Values(NetParam{8, 4, 2, 1}, NetParam{16, 4, 4, 2},
                       NetParam{20, 5, 3, 3}, NetParam{24, 6, 4, 4},
-                      NetParam{16, 4, 4, 99}));
+                      NetParam{16, 4, 4, 99}),
+    net_param_name);
 
 // Determinism: two identically-seeded networks produce identical FCTs.
 TEST(OperaNetworkProperties, DeterministicGivenSeeds) {
